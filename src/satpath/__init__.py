@@ -59,7 +59,6 @@ from .dynamics import (
     run_dynamics,
     satisficing_step,
 )
-from .cli import RunConfig
 from .gameio import (
     ParsedTrace,
     emit_path,
@@ -82,7 +81,6 @@ __all__ = [
     "ParsedTrace",
     "PathStep",
     "PathVerification",
-    "RunConfig",
     "SatisfactionReport",
     "SatisficingPath",
     "SolverConfig",

@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 
 from .dynamics import DYNAMICS_EPSILON, EXPLORER_KINDS, ExplorerPolicy, run_dynamics, batch_experiment
 from .errors import GameInputError, SolverIncompleteError, WorseSearchIncompleteError
@@ -23,7 +22,6 @@ from .games import (
     random_profile,
 )
 from .gameio import (
-    TRACE_FORMATS,
     emit_path,
     game_document,
     generate_random_game,
@@ -35,29 +33,6 @@ from .paths import WorseSearchConfig, construct_path, verify_path
 from .solver import SolverConfig, find_nash
 
 import numpy as np
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated bundle of the run flags shared by path/simulate/batch."""
-
-    epsilon: float = DEFAULT_EPSILON
-    seed: int = 0
-    budget: int = 5000
-    max_steps: int = 1000
-    output_format: str = "json"
-
-    def __post_init__(self):
-        if not self.epsilon >= 0.0:
-            raise GameInputError(f"--eps must be nonnegative, got {self.epsilon!r}")
-        if self.budget < 1:
-            raise GameInputError(f"--budget must be at least 1, got {self.budget}")
-        if self.max_steps < 1:
-            raise GameInputError(f"--max-steps must be at least 1, got {self.max_steps}")
-        if self.output_format not in TRACE_FORMATS:
-            raise GameInputError(
-                f"--format must be one of {TRACE_FORMATS}, got {self.output_format!r}"
-            )
 
 
 def _emit_or_print(text: str, out: str | None) -> None:
@@ -117,15 +92,13 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_path(args) -> int:
-    config = RunConfig(
-        epsilon=args.eps, seed=args.seed, budget=args.budget, output_format=args.format
-    )
+    solver = SolverConfig(tolerance=args.eps)
+    worse = WorseSearchConfig(budget=args.budget, rng_seed=args.seed)
     game = load_game(args.game)
-    rng = np.random.default_rng(config.seed & 0xFFFFFFFFFFFFFFFF)
+    rng = np.random.default_rng(args.seed & 0xFFFFFFFFFFFFFFFF)
     x1 = _initial_profile(game, args.init, rng)
-    worse = WorseSearchConfig(budget=config.budget, rng_seed=config.seed)
-    path = construct_path(game, x1, config.epsilon, worse_config=worse)
-    emit_path(path, config.output_format, args.out if args.out else sys.stdout)
+    path = construct_path(game, x1, args.eps, worse_config=worse, solver_config=solver)
+    emit_path(path, args.format, args.out if args.out else sys.stdout)
     return 0
 
 
@@ -151,35 +124,27 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    config = RunConfig(
-        epsilon=args.eps, seed=args.seed, max_steps=args.max_steps, output_format=args.format
-    )
     game = load_game(args.game)
-    rng = np.random.default_rng(config.seed & 0xFFFFFFFFFFFFFFFF)
+    rng = np.random.default_rng(args.seed & 0xFFFFFFFFFFFFFFFF)
     x1 = _initial_profile(game, args.init, rng)
     explorer = ExplorerPolicy(kind=args.explorer, mixture_weight=args.mixture_weight)
-    trajectory = run_dynamics(
-        game, x1, config.epsilon, config.max_steps, explorer, config.seed
-    )
-    emit_path(trajectory, config.output_format, args.out if args.out else sys.stdout)
+    trajectory = run_dynamics(game, x1, args.eps, args.max_steps, explorer, args.seed)
+    emit_path(trajectory, args.format, args.out if args.out else sys.stdout)
     return 0
 
 
 def _cmd_batch(args) -> int:
-    config = RunConfig(
-        epsilon=args.eps, seed=args.seed, max_steps=args.max_steps, output_format=args.format
-    )
     games = [load_game(path) for path in args.game]
     explorer = ExplorerPolicy(kind=args.explorer, mixture_weight=args.mixture_weight)
     rows = batch_experiment(
         games,
         trials_per_game=args.trials,
-        epsilon=config.epsilon,
+        epsilon=args.eps,
         explorer=explorer,
-        max_steps=config.max_steps,
-        master_seed=config.seed,
+        max_steps=args.max_steps,
+        master_seed=args.seed,
     )
-    if config.output_format == "json":
+    if args.format == "json":
         text = json.dumps(rows, indent=2) + "\n"
     else:
         header = [

@@ -21,8 +21,9 @@ payoff vector.
 
 from __future__ import annotations
 
+import string
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from math import prod
 
 import numpy as np
@@ -278,29 +279,32 @@ def _check_epsilon(epsilon: float) -> float:
     return epsilon
 
 
-def _expected_reward_raw(tensor: np.ndarray, probs: list[np.ndarray]) -> float:
-    # Contract from the last axis backwards so axis indices stay stable.
-    t = tensor
-    for q in reversed(probs):
-        t = np.tensordot(t, q, axes=([-1], [0]))
-    return float(t)
+@cache
+def _subscripts(ndim: int, keep: tuple[int, ...]) -> str:
+    axes = string.ascii_lowercase[:ndim]
+    averaged = [axes[j] for j in range(ndim) if j not in keep]
+    return ",".join([axes, *averaged]) + "->" + "".join(axes[j] for j in keep)
 
 
-def _pure_payoffs_raw(tensor: np.ndarray, probs: list[np.ndarray], player: int) -> np.ndarray:
-    t = np.moveaxis(tensor, player, 0)
-    others = [q for j, q in enumerate(probs) if j != player]
-    for q in reversed(others):
-        t = np.tensordot(t, q, axes=([-1], [0]))
-    return t
+def _contract(tensor: np.ndarray, probs, keep: tuple[int, ...]) -> np.ndarray:
+    """Average ``tensor`` over every axis not in ``keep``, weighting axis j by
+    ``probs[j]``; the kept axes come out in the order ``keep`` lists them.
+
+    Only ``probs[j]`` for averaged axes is read.  Every payoff average in the
+    package goes through here: keep=() is an expected reward, keep=(i,) the
+    pure-action payoffs, keep=(i, j) a pairwise payoff matrix, and keeping the
+    free players reduces a game to the subgame induced by frozen strategies.
+    """
+    averaged = [probs[j] for j in range(tensor.ndim) if j not in keep]
+    return np.einsum(_subscripts(tensor.ndim, keep), tensor, *averaged)
 
 
 def expected_reward(game: Game, profile: StrategyProfile, player: int) -> float:
     """Exact expected reward of ``player`` at ``profile``."""
     _check_profile(game, profile)
     _check_player(game, player)
-    return _expected_reward_raw(
-        game.payoff_tensor(player), [s.probs for s in profile.strategies]
-    )
+    probs = [s.probs for s in profile.strategies]
+    return float(_contract(game.payoff_tensor(player), probs, ()))
 
 
 def pure_action_payoffs(game: Game, profile: StrategyProfile, player: int) -> np.ndarray:
@@ -308,9 +312,8 @@ def pure_action_payoffs(game: Game, profile: StrategyProfile, player: int) -> np
     the other players at ``profile``.  Its maximum is the best-reply value."""
     _check_profile(game, profile)
     _check_player(game, player)
-    return _pure_payoffs_raw(
-        game.payoff_tensor(player), [s.probs for s in profile.strategies], player
-    )
+    probs = [s.probs for s in profile.strategies]
+    return _contract(game.payoff_tensor(player), probs, (player,))
 
 
 def deviation_gap(game: Game, profile: StrategyProfile, player: int) -> float:
@@ -321,7 +324,7 @@ def deviation_gap(game: Game, profile: StrategyProfile, player: int) -> float:
 
 
 def _deviation_gap_raw(game: Game, probs: list[np.ndarray], player: int) -> float:
-    w = _pure_payoffs_raw(game.payoff_tensor(player), probs, player)
+    w = _contract(game.payoff_tensor(player), probs, (player,))
     gap = float(w.max()) - float(w @ probs[player])
     return gap if gap > 0.0 else 0.0
 

@@ -102,7 +102,6 @@ class WorseSearchConfig:
     budget: int = 5000
     xi_grid: tuple[float, ...] = (0.5, 0.1, 0.01)
     rng_seed: int = 0
-    include_pure_candidates: bool = True
 
     def __post_init__(self):
         if self.budget < 1:
@@ -284,15 +283,14 @@ def _worse_candidate_patches(
     """Yield candidates as {unsatisfied player: new probability vector} patches,
     in the configured order: pure deviations, uniform blends, Dirichlet draws."""
     unsat = sorted(report.unsatisfied)
-    if config.include_pure_candidates:
-        for i in unsat:
-            count = game.action_counts[i]
-            for action in range(count):
-                vec = np.zeros(count)
-                vec[action] = 1.0
-                if np.array_equal(vec, x[i].probs):
-                    continue  # not a deviation
-                yield {i: vec}
+    for i in unsat:
+        count = game.action_counts[i]
+        for action in range(count):
+            vec = np.zeros(count)
+            vec[action] = 1.0
+            if np.array_equal(vec, x[i].probs):
+                continue  # not a deviation
+            yield {i: vec}
     for xi in config.xi_grid:
         yield {
             i: (1.0 - xi) * x[i].probs + xi / game.action_counts[i] for i in unsat
@@ -363,12 +361,18 @@ def construct_path(
     raising WorseSearchIncompleteError with the partial path.
 
     For the terminal certification to be meaningful, ``solver_config``'s
-    tolerance should not exceed ``epsilon``; the defaults agree at 1e-9.
+    tolerance must not exceed ``epsilon`` (GameInputError otherwise); the
+    defaults agree at 1e-9.
     """
     _check_profile(game, x1)
     epsilon = _check_epsilon(epsilon)
     worse_config = worse_config or WorseSearchConfig()
     solver_config = solver_config or SolverConfig()
+    if solver_config.tolerance > epsilon:
+        raise GameInputError(
+            f"solver tolerance {solver_config.tolerance:g} exceeds epsilon {epsilon:g}; "
+            "equilibria it accepts could fail the epsilon certification"
+        )
 
     report = satisfaction_report(game, x1, epsilon)
     steps = [PathStep(profile=x1, kind="initial", report=report)]
@@ -428,8 +432,6 @@ def construct_path(
 
 
 def _profiles_of(path) -> list[StrategyProfile]:
-    if isinstance(path, SatisficingPath):
-        return list(path.profiles)
     if hasattr(path, "profiles"):
         return list(path.profiles)
     return list(path)

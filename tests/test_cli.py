@@ -3,12 +3,17 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from satpath.cli import run
 
-from conftest import matching_pennies, prisoners_dilemma
+from conftest import matching_pennies, prisoners_dilemma, rock_paper_scissors
+import satpath
 from satpath import Game, save_game
 
 
@@ -157,3 +162,35 @@ class TestBatch:
         assert code == 0
         rows = json.loads(capsys.readouterr().out)
         assert [r["game_index"] for r in rows] == [0, 1]
+
+
+class TestRunFlagValidation:
+    def test_zero_eps_path_is_one_line_input_error(self, tmp_path, capsys):
+        game_file = tmp_path / "rps.json"
+        save_game(rock_paper_scissors(), game_file)
+        code = run(["path", "--game", str(game_file), "--eps", "0", "--init", "pure:0,0"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_zero_budget(self, mp_file):
+        assert run(["path", "--game", mp_file, "--budget", "0"]) == 2
+
+    @pytest.mark.parametrize("command", ["simulate", "batch"])
+    def test_zero_max_steps(self, mp_file, command):
+        assert run([command, "--game", mp_file, "--max-steps", "0"]) == 2
+
+    @pytest.mark.parametrize("command", ["path", "simulate", "batch"])
+    @pytest.mark.parametrize("eps", ["-1", "nan"])
+    def test_bad_eps(self, mp_file, command, eps):
+        assert run([command, "--game", mp_file, "--eps", eps]) == 2
+
+
+def test_library_import_loads_no_cli():
+    src = str(Path(satpath.__file__).resolve().parents[1])
+    probe = "import sys, satpath; print('satpath.cli' in sys.modules, 'argparse' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.split() == ["False", "False"]

@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from satpath import (
     Game,
@@ -17,6 +21,7 @@ from satpath import (
     random_profile,
     satisfaction_report,
 )
+from satpath.games import _contract
 
 from conftest import (
     brute_expected_reward,
@@ -296,3 +301,70 @@ class TestGapFunctionProperties:
             for i in range(game.num_players):
                 diff = abs(deviation_gap(game, prof, i) - deviation_gap(game, prof2, i))
                 assert diff <= lip * dist + 1e-15
+
+
+# --- contraction kernel vs the brute-force oracle -----------------------------
+
+KERNEL_TOL = 1e-12  # fixed up front: payoffs lie in [-1, 1], at most 81 terms
+
+
+@st.composite
+def games_and_profiles(draw):
+    """A game with 1-4 players and 1-3 actions each (so 1-player games and
+    1-action players occur) plus a profile that may put zeros anywhere."""
+    counts = tuple(draw(st.lists(st.integers(1, 3), min_size=1, max_size=4)))
+    size = int(np.prod(counts))
+    unit = st.floats(-1.0, 1.0, allow_nan=False)
+    payoffs = tuple(
+        draw(st.lists(unit, min_size=size, max_size=size)) for _ in counts
+    )
+    vectors = []
+    for c in counts:
+        weights = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=c, max_size=c)))
+        if weights.sum() == 0.0:
+            weights[0] = 1.0
+        vectors.append(weights / weights.sum())
+    return Game(counts, payoffs), profile_from(vectors)
+
+
+def brute_contract(game, profile, player, keep):
+    """Oracle for _contract: for each kept joint action, fix the kept players
+    to those pure actions and brute-force the expected reward."""
+    shape = tuple(game.action_counts[j] for j in keep)
+    out = np.zeros(shape)
+    for joint in itertools.product(*(range(c) for c in shape)):
+        fixed = profile
+        for j, a in zip(keep, joint):
+            fixed = fixed.replace(j, MixedStrategy.pure(game.action_counts[j], a))
+        out[joint] = brute_expected_reward(game, fixed, player)
+    return out
+
+
+class TestContractionKernel:
+    @settings(max_examples=150, deadline=None)
+    @given(games_and_profiles(), st.data())
+    def test_matches_brute_force_for_every_keep(self, game_and_profile, data):
+        game, profile = game_and_profile
+        n = game.num_players
+        probs = [s.probs for s in profile.strategies]
+        i = data.draw(st.integers(0, n - 1))
+        frozen = data.draw(st.sets(st.integers(0, n - 1), max_size=n - 1))
+        keeps = [(), (i,), tuple(j for j in range(n) if j not in frozen)]
+        if n >= 2:
+            j = data.draw(st.integers(0, n - 1).filter(lambda j: j != i))
+            keeps += [(i, j), (j, i)]
+        for keep in keeps:
+            got = _contract(game.payoff_tensor(i), probs, keep)
+            assert got.shape == tuple(game.action_counts[k] for k in keep)
+            np.testing.assert_allclose(
+                got, brute_contract(game, profile, i, keep), rtol=0.0, atol=KERNEL_TOL
+            )
+
+    @settings(max_examples=150, deadline=None)
+    @given(games_and_profiles(), st.data())
+    def test_gap_is_exactly_zero_at_pure_best_response(self, game_and_profile, data):
+        game, profile = game_and_profile
+        i = data.draw(st.integers(0, game.num_players - 1))
+        best = int(np.argmax(pure_action_payoffs(game, profile, i)))
+        at_best = profile.replace(i, MixedStrategy.pure(game.action_counts[i], best))
+        assert deviation_gap(game, at_best, i) == 0.0

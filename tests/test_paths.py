@@ -8,6 +8,7 @@ import pytest
 from satpath import (
     GameInputError,
     MixedStrategy,
+    SolverConfig,
     StrategyProfile,
     WorseSearchConfig,
     WorseSearchIncompleteError,
@@ -425,6 +426,13 @@ class TestConstructPath:
         assert path.escalations >= 1
         assert path.terminal_gap <= EPS
         assert len(path) <= mp.num_players + 1
+
+    def test_solver_tolerance_above_epsilon_rejected(self, rps):
+        # the default solver tolerance (1e-9) is looser than epsilon = 0
+        with pytest.raises(GameInputError, match="solver tolerance"):
+            construct_path(rps, pure(rps, (0, 0)), 0.0)
+        with pytest.raises(GameInputError, match="solver tolerance"):
+            construct_path(rps, pure(rps, (0, 0)), EPS, solver_config=SolverConfig(1e-6))
 
     def test_incomplete_search_raises_with_partial_path(self, mp, monkeypatch):
         monkeypatch.setattr(
