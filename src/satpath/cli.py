@@ -9,6 +9,8 @@ including --seed.
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import sys
 
@@ -156,19 +158,12 @@ def _cmd_batch(args) -> int:
             "mean_hit_step",
             "median_hit_step",
         ]
-        lines = [",".join(header)]
-        for row in rows:
-            lines.append(
-                ",".join(
-                    (
-                        ""
-                        if row[key] is None
-                        else (repr(row[key]) if isinstance(row[key], float) else str(row[key]))
-                    )
-                    for key in header
-                )
-            )
-        text = "\n".join(lines) + "\n"
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(header)
+        # csv writes None as an empty field and a float as its repr
+        writer.writerows([row[key] for key in header] for row in rows)
+        text = buf.getvalue()
     _emit_or_print(text, args.out)
     return 0
 

@@ -282,6 +282,12 @@ def _parse_json_trace(text: str) -> ParsedTrace:
     return ParsedTrace(tuple(kinds), tuple(profiles), tuple(gaps), tuple(satisfied), meta)
 
 
+def _check_no_gap(indices, first: int, what: str) -> None:
+    """Reject distinct indices that do not run first, first + 1, ... without a gap."""
+    if max(indices) != first + len(indices) - 1:
+        raise GameFormatError("document", f"{what} {sorted(indices)} leave a gap")
+
+
 def _parse_csv_trace(text: str) -> ParsedTrace:
     reader = csv.reader(io.StringIO(text))
     try:
@@ -305,20 +311,32 @@ def _parse_csv_trace(text: str) -> ParsedTrace:
             flag = {"true": True, "false": False}[row[6]]
         except (ValueError, KeyError) as exc:
             raise GameFormatError("document", f"row {row_num} is malformed ({exc})") from exc
+        if step < 1 or player < 0 or action < 0:
+            raise GameFormatError(
+                "document",
+                f"row {row_num} has an out-of-range index (step counts from 1, "
+                "player and action from 0)",
+            )
         entry = by_step.setdefault(step, {"kind": row[1], "players": {}})
-        entry["players"].setdefault(player, {})[action] = (probability, gap, flag)
+        actions = entry["players"].setdefault(player, {})
+        if action in actions:
+            raise GameFormatError(
+                "document", f"row {row_num} repeats step {step} player {player} action {action}"
+            )
+        actions[action] = (probability, gap, flag)
     if not by_step:
         raise GameFormatError("document", "CSV trace has no data rows")
+    _check_no_gap(by_step, 1, "steps")
     kinds, profiles, gaps, satisfied = [], [], [], []
     for step in sorted(by_step):
         entry = by_step[step]
         players = entry["players"]
+        _check_no_gap(players, 0, f"step {step} players")
         strategies, step_gaps, step_sat = [], [], []
         for player in sorted(players):
             actions = players[player]
-            vec = np.zeros(max(actions) + 1)
-            for action, (probability, _, _) in actions.items():
-                vec[action] = probability
+            _check_no_gap(actions, 0, f"step {step} player {player} actions")
+            vec = np.array([actions[a][0] for a in range(len(actions))])
             any_action = next(iter(actions.values()))
             try:
                 strategies.append(MixedStrategy(vec))

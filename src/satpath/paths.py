@@ -28,6 +28,7 @@ is achievable and unambiguous.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -51,6 +52,9 @@ from .solver import SolverConfig, find_nash, find_subgame_nash
 STEP_KINDS = ("initial", "worse_step", "case1_jump", "case2_jump")
 
 _MAX_ESCALATIONS = 3
+
+#: Mixing weights of the uniform-blend stage of the Worse search.
+_XI_GRID = (0.5, 0.1, 0.01)
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,26 +95,20 @@ class SatisficingPath:
 
 @dataclass(frozen=True)
 class WorseSearchConfig:
-    """Budget and candidate-generation knobs for the Worse search.
+    """Budget and seed for the Worse search.
 
     Candidates are tried in a low-entropy-first order: single-player pure
-    deviations, then uniform-blend profiles over a small grid of mixing
-    weights, then seeded joint Dirichlet resamples until the budget runs
-    out.
+    deviations, then the uniform blends ``build_w_xi`` for the fixed grid
+    xi = 0.5, 0.1, 0.01, then joint Dirichlet resamples seeded by
+    ``rng_seed``, until ``budget`` candidates have been examined.
     """
 
     budget: int = 5000
-    xi_grid: tuple[float, ...] = (0.5, 0.1, 0.01)
     rng_seed: int = 0
 
     def __post_init__(self):
         if self.budget < 1:
             raise GameInputError(f"budget must be at least 1, got {self.budget}")
-        grid = tuple(float(x) for x in self.xi_grid)
-        for x in grid:
-            if not 0.0 < x < 1.0:
-                raise GameInputError(f"xi grid values must lie in (0, 1), got {x}")
-        object.__setattr__(self, "xi_grid", grid)
 
 
 @dataclass(frozen=True)
@@ -137,16 +135,18 @@ def is_accessible(x: StrategyProfile, y: StrategyProfile, report_x: Satisfaction
     return all(y[i] == x[i] for i in report_x.satisfied)
 
 
-def _membership(
-    game: Game, x: StrategyProfile, report_x: SatisfactionReport, y: StrategyProfile
-) -> tuple[bool, bool]:
-    """(in NoB(x), in Worse(x)) for a candidate y, given x's report."""
-    if not is_accessible(x, y, report_x):
-        return False, False
-    report_y = satisfaction_report(game, y, report_x.epsilon)
-    nob = report_x.unsatisfied <= report_y.unsatisfied
-    worse = nob and report_x.unsatisfied < report_y.unsatisfied
-    return nob, worse
+def _keeps_unsatisfied(game: Game, probs: list[np.ndarray], report_x: SatisfactionReport) -> bool:
+    """Whether every player unsatisfied at x stays unsatisfied at ``probs``."""
+    return all(
+        _deviation_gap_raw(game, probs, i) > report_x.epsilon for i in report_x.unsatisfied
+    )
+
+
+def _flips_satisfied(game: Game, probs: list[np.ndarray], report_x: SatisfactionReport) -> bool:
+    """Whether some player satisfied at x is unsatisfied at ``probs``."""
+    return any(
+        _deviation_gap_raw(game, probs, i) > report_x.epsilon for i in report_x.satisfied
+    )
 
 
 def in_nob(game: Game, x: StrategyProfile, y: StrategyProfile, epsilon: float) -> bool:
@@ -155,8 +155,8 @@ def in_nob(game: Game, x: StrategyProfile, y: StrategyProfile, epsilon: float) -
     _check_profile(game, x)
     _check_profile(game, y)
     report_x = satisfaction_report(game, x, epsilon)
-    nob, _ = _membership(game, x, report_x, y)
-    return nob
+    probs = [s.probs for s in y.strategies]
+    return is_accessible(x, y, report_x) and _keeps_unsatisfied(game, probs, report_x)
 
 
 def in_worse(game: Game, x: StrategyProfile, y: StrategyProfile, epsilon: float) -> bool:
@@ -165,8 +165,12 @@ def in_worse(game: Game, x: StrategyProfile, y: StrategyProfile, epsilon: float)
     _check_profile(game, x)
     _check_profile(game, y)
     report_x = satisfaction_report(game, x, epsilon)
-    _, worse = _membership(game, x, report_x, y)
-    return worse
+    probs = [s.probs for s in y.strategies]
+    return (
+        is_accessible(x, y, report_x)
+        and _keeps_unsatisfied(game, probs, report_x)
+        and _flips_satisfied(game, probs, report_x)
+    )
 
 
 def build_w_xi(
@@ -277,27 +281,28 @@ def zero_poly_check(coeffs, roots_observed, tolerance: float) -> bool:
     return bool(np.all(np.abs(values) <= tolerance))
 
 
-def _worse_candidate_patches(
-    game: Game, x: StrategyProfile, report: SatisfactionReport, config: WorseSearchConfig
-):
-    """Yield candidates as {unsatisfied player: new probability vector} patches,
-    in the configured order: pure deviations, uniform blends, Dirichlet draws."""
+def _worse_candidates(game: Game, x: StrategyProfile, report: SatisfactionReport, rng_seed: int):
+    """Yield accessible candidates as full probability lists, in search order:
+    pure deviations of each unsatisfied player, the uniform blends
+    ``build_w_xi`` over ``_XI_GRID``, then seeded Dirichlet draws forever.
+    Satisfied players keep x's probability arrays (the same objects)."""
+    base = [s.probs for s in x.strategies]
     unsat = sorted(report.unsatisfied)
     for i in unsat:
         count = game.action_counts[i]
         for action in range(count):
             vec = np.zeros(count)
             vec[action] = 1.0
-            if np.array_equal(vec, x[i].probs):
-                continue  # not a deviation
-            yield {i: vec}
-    for xi in config.xi_grid:
-        yield {
-            i: (1.0 - xi) * x[i].probs + xi / game.action_counts[i] for i in unsat
-        }
-    rng = np.random.default_rng(config.rng_seed & 0xFFFFFFFFFFFFFFFF)
+            if not np.array_equal(vec, base[i]):  # skip non-deviations
+                yield [vec if j == i else p for j, p in enumerate(base)]
+    for xi in _XI_GRID:
+        yield [s.probs for s in build_w_xi(game, x, report, xi).strategies]
+    rng = np.random.default_rng(rng_seed & 0xFFFFFFFFFFFFFFFF)
     while True:
-        yield {i: rng.dirichlet(np.ones(game.action_counts[i])) for i in unsat}
+        probs = list(base)
+        for i in unsat:
+            probs[i] = rng.dirichlet(np.ones(game.action_counts[i]))
+        yield probs
 
 
 def find_worse_candidate(
@@ -315,30 +320,17 @@ def find_worse_candidate(
     report = satisfaction_report(game, x, epsilon)
     if not report.satisfied or not report.unsatisfied:
         return None
-    base = [s.probs for s in x.strategies]
-    unsat = sorted(report.unsatisfied)
-    sat = sorted(report.satisfied)
-    examined = 0
-    for patch in _worse_candidate_patches(game, x, report, config):
-        if examined >= config.budget:
-            break
-        examined += 1
-        probs = list(base)
-        for i, vec in patch.items():
-            probs[i] = vec
-        # candidates only move unsatisfied players, so accessibility holds by
-        # construction; membership in Worse needs all previously unsatisfied
-        # players to stay unsatisfied and some satisfied player to flip
-        if any(_deviation_gap_raw(game, probs, i) <= epsilon for i in unsat):
-            continue
-        if not any(_deviation_gap_raw(game, probs, i) > epsilon for i in sat):
-            continue
-        return StrategyProfile(
-            tuple(
-                MixedStrategy(probs[i]) if i in patch else x[i]
-                for i in range(game.num_players)
+    candidates = _worse_candidates(game, x, report, config.rng_seed)
+    # candidates only move unsatisfied players, so accessibility holds by
+    # construction and membership in Worse is the two gap predicates
+    for probs in itertools.islice(candidates, config.budget):
+        if _keeps_unsatisfied(game, probs, report) and _flips_satisfied(game, probs, report):
+            return StrategyProfile(
+                tuple(
+                    s if p is s.probs else MixedStrategy(p)
+                    for s, p in zip(x.strategies, probs)
+                )
             )
-        )
     return None
 
 

@@ -41,6 +41,9 @@ from .games import (
 
 _NEWTON_MAX_ITER = 200
 _NEWTON_TARGET = 1e-13
+# Largest spread of supported payoffs (and linear-system residual) still
+# accepted as indifference.
+_RESIDUAL_TOLERANCE = 1e-8
 _NEWTON_EXTRA_STARTS = 2
 # A run still above this residual after this many damped iterations is
 # crawling, not converging (convergence is quadratic once inside a basin),
@@ -82,22 +85,16 @@ class SolverConfig:
     """Tolerances and enumeration controls for the support solver.
 
     ``tolerance`` bounds acceptable deviation gaps and probability
-    clamping; ``residual_tolerance`` bounds the spread of supported
-    payoffs accepted as indifferent.  ``max_support_size`` caps per-player
-    support sizes (None = unlimited).
+    clamping.  ``max_support_size`` caps per-player support sizes
+    (None = unlimited).
     """
 
     tolerance: float = 1e-9
     max_support_size: int | None = None
-    residual_tolerance: float = 1e-8
 
     def __post_init__(self):
         if not self.tolerance > 0.0:
             raise GameInputError(f"tolerance must be positive, got {self.tolerance!r}")
-        if not self.residual_tolerance > 0.0:
-            raise GameInputError(
-                f"residual_tolerance must be positive, got {self.residual_tolerance!r}"
-            )
         if self.max_support_size is not None and self.max_support_size < 1:
             raise GameInputError("max_support_size must be at least 1")
 
@@ -154,7 +151,7 @@ def _assemble_candidate(
         w = _contract(game.payoff_tensor(i), probs, (i,))
         supported = w[list(support.supports[i])]
         value = float(supported.max())
-        if value - float(supported.min()) > config.residual_tolerance:
+        if value - float(supported.min()) > _RESIDUAL_TOLERANCE:
             return None
         off = [a for a in range(game.action_counts[i]) if a not in support.supports[i]]
         if off and float(w[off].max()) > value + config.tolerance:
@@ -186,7 +183,7 @@ def _solve_two_player(
             return None
         if not np.all(np.isfinite(sol)):
             return None
-        if float(np.abs(a @ sol - b).max()) > config.residual_tolerance:
+        if float(np.abs(a @ sol - b).max()) > _RESIDUAL_TOLERANCE:
             return None
         solutions[j] = sol[: len(opp)]
     return [solutions[0], solutions[1]]
@@ -278,7 +275,7 @@ def _solve_newton(
             alpha *= 0.5
         else:
             break  # stalled: damping cannot reduce the residual
-    if norm > config.residual_tolerance:
+    if norm > _RESIDUAL_TOLERANCE:
         return None
     return [u[offsets[i] : offsets[i] + sizes[i]] for i in range(n)]
 
@@ -310,7 +307,7 @@ def solve_on_support(
     support.validate_for(game)
     n = game.num_players
     if _conditionally_dominated(
-        game, support, margin=config.residual_tolerance + config.tolerance
+        game, support, margin=_RESIDUAL_TOLERANCE + config.tolerance
     ):
         return None
     if all(len(s) == 1 for s in support.supports):

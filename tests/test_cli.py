@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import os
 import subprocess
@@ -100,6 +102,19 @@ class TestPathVerifyPipeline:
         doc = json.loads(capsys.readouterr().out)
         assert doc["ok"] is False and doc["step"] == 1 and doc["player"] == 0
 
+    def test_malformed_trace_is_input_error(self, mp_file, tmp_path, capsys):
+        # player 1's rows carry only negative action indices
+        trace = tmp_path / "bad.csv"
+        trace.write_text(
+            "step,step_kind,player,action,probability,gap,satisfied\n"
+            "1,initial,0,0,1.0,0.0,true\n"
+            "1,initial,0,1,0.0,0.0,true\n"
+            "1,initial,1,-1,1.0,2.0,false\n"
+        )
+        assert run(["verify", "--game", mp_file, "--in", str(trace)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_random_init_path(self, pd_file, tmp_path):
         trace = tmp_path / "t.json"
         assert run(["path", "--game", pd_file, "--seed", "11", "--out", str(trace)]) == 0
@@ -153,6 +168,20 @@ class TestBatch:
         assert lines[0].startswith("game,")
         assert len(lines) == 2
         assert lines[1].split(",")[4] == "1.0"  # hit_frequency
+
+    def test_csv_quotes_game_names(self, tmp_path, capsys):
+        game_file = tmp_path / "named.json"
+        name = 'pennies, "v2"'
+        save_game(Game((2, 2), matching_pennies().payoffs, name=name), game_file)
+        code = run(
+            ["batch", "--game", str(game_file), "--trials", "3", "--max-steps", "10",
+             "--seed", "1", "--format", "csv"]
+        )
+        assert code == 0
+        rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+        assert len(rows) == 2
+        assert all(len(row) == 7 for row in rows)
+        assert rows[1][0] == name
 
     def test_multiple_games_json(self, pd_file, mp_file, capsys):
         code = run(

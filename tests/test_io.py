@@ -174,3 +174,62 @@ class TestEmitAndParse:
         bad.write_text("a,b,c\n1,2,3\n")
         with pytest.raises(GameFormatError, match="header"):
             read_trace(bad)
+
+
+_TRACE_HEADER = "step,step_kind,player,action,probability,gap,satisfied\n"
+# a well-formed two-step matching-pennies trace, one row per line
+_TRACE_ROWS = [
+    "1,initial,0,0,1.0,0.0,true",
+    "1,initial,0,1,0.0,0.0,true",
+    "1,initial,1,0,1.0,2.0,false",
+    "1,initial,1,1,0.0,2.0,false",
+    "2,worse_step,0,0,1.0,0.0,true",
+    "2,worse_step,0,1,0.0,0.0,true",
+    "2,worse_step,1,0,0.5,0.0,true",
+    "2,worse_step,1,1,0.5,0.0,true",
+]
+
+
+def _write_trace(tmp_path, rows):
+    target = tmp_path / "trace.csv"
+    target.write_text(_TRACE_HEADER + "".join(row + "\n" for row in rows))
+    return target
+
+
+class TestCsvTraceIndices:
+    def test_well_formed_trace_parses(self, tmp_path):
+        parsed = read_trace(_write_trace(tmp_path, _TRACE_ROWS))
+        assert parsed.kinds == ("initial", "worse_step")
+        np.testing.assert_array_equal(parsed.profiles[1][1].probs, [0.5, 0.5])
+
+    @pytest.mark.parametrize(
+        "rows, match",
+        [
+            # player 1's rows carry only negative action indices
+            (_TRACE_ROWS[:2] + ["1,initial,1,-1,1.0,2.0,false"], "out-of-range"),
+            # -1 would otherwise overwrite the last entry of the vector
+            (_TRACE_ROWS[:3] + ["1,initial,1,-1,0.0,2.0,false"], "out-of-range"),
+            (["1,initial,-1,0,1.0,0.0,true"] + _TRACE_ROWS[1:4], "out-of-range"),
+            (["-1" + row[1:] for row in _TRACE_ROWS[:4]], "out-of-range"),
+            (["0" + row[1:] for row in _TRACE_ROWS[:4]], "out-of-range"),
+            (_TRACE_ROWS + ["2,worse_step,1,1,0.5,0.0,true"], "repeats"),
+            # player 1's action-0 row is missing, so action 1 leaves a gap
+            (_TRACE_ROWS[:2] + _TRACE_ROWS[3:], "actions .* gap"),
+            (_TRACE_ROWS[:4] + ["2" + row[1:] for row in _TRACE_ROWS[2:4]], "players .* gap"),
+            (_TRACE_ROWS[:4] + ["3" + row[1:] for row in _TRACE_ROWS[4:]], "steps .* gap"),
+        ],
+        ids=[
+            "only-negative-actions",
+            "negative-action",
+            "negative-player",
+            "negative-step",
+            "step-zero",
+            "duplicate-row",
+            "missing-action-row",
+            "missing-player",
+            "missing-step",
+        ],
+    )
+    def test_bad_index_rejected(self, tmp_path, rows, match):
+        with pytest.raises(GameFormatError, match=match):
+            read_trace(_write_trace(tmp_path, rows))

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from satpath import (
+    Game,
     GameInputError,
     MixedStrategy,
     SolverConfig,
@@ -184,6 +185,53 @@ class TestFindWorseCandidate:
         # which fail here; budget 4 leaves no room for Dirichlet samples
         config = WorseSearchConfig(budget=4, rng_seed=0)
         assert find_worse_candidate(mp, x, EPS, config) is None
+
+
+class TestWorseSearchStageOrder:
+    """The search tries pure deviations, then build_w_xi for xi = 0.5, 0.1,
+    0.01, then seeded Dirichlet draws, and returns the first Worse member.
+    Each game below is 2x3: player 0 is satisfied at (a0, b0), player 1 not."""
+
+    def test_first_hit_is_a_pure_deviation(self):
+        # b1 flips player 0 and leaves player 1 short of b2; the 0.5 blend
+        # would also be a Worse member, so the pure stage must come first
+        game = Game((2, 3), ([1, 0, 0, 0, 5, 0], [0, 1, 2, 0, 0, 0]))
+        x = pure(game, (0, 0))
+        assert in_worse(game, x, build_w_xi(game, x, report(game, x), 0.5), EPS)
+        y = find_worse_candidate(game, x, EPS)
+        assert y == pure(game, (0, 1))
+        assert y[0] is x[0]
+
+    def test_blend_when_every_pure_deviation_fails(self):
+        # either pure deviation makes player 1 best respond; the 0.5 blend
+        # puts 1/3 on {b1, b2}, enough to flip player 0, and so would the
+        # first Dirichlet draw, so the blend stage must come before it
+        game = Game((2, 3), ([1, 0, 0, 0, 3, 3], [0, 5, 5, 0, 0, 0]))
+        x = pure(game, (0, 0))
+        rep = report(game, x)
+        for action in (1, 2):
+            assert not in_worse(game, x, pure(game, (0, action)), EPS)
+        draw = np.random.default_rng(0).dirichlet(np.ones(3))
+        assert in_worse(game, x, x.replace(1, MixedStrategy(draw)), EPS)
+        y = find_worse_candidate(game, x, EPS, WorseSearchConfig(rng_seed=0))
+        blend = build_w_xi(game, x, rep, 0.5)
+        for i in range(game.num_players):
+            assert np.array_equal(y[i].probs, blend[i].probs)
+
+    def test_dirichlet_when_pure_and_blends_fail(self, mp):
+        # flipping player 0 needs player 1 below 1/2 on H; the blends of
+        # (H, H) keep at least 3/4 there, so only a Dirichlet draw can hit
+        x = pure(mp, (0, 0))
+        rep = report(mp, x)
+        assert not in_worse(mp, x, pure(mp, (0, 1)), EPS)
+        for xi in (0.5, 0.1, 0.01):
+            assert not in_worse(mp, x, build_w_xi(mp, x, rep, xi), EPS)
+        rng = np.random.default_rng(3)
+        while True:
+            expected = x.replace(1, MixedStrategy(rng.dirichlet(np.ones(2))))
+            if in_worse(mp, x, expected, EPS):
+                break
+        assert find_worse_candidate(mp, x, EPS, WorseSearchConfig(rng_seed=3)) == expected
 
 
 class TestBuildWXi:
