@@ -2,8 +2,8 @@
 
 Subcommands: gen, solve, path, verify, simulate, batch.  Exit codes:
 0 success, 1 verification failure, 2 input error, 3 solver or candidate
-search gave up.  All commands are deterministic given identical flags,
-including --seed.
+search gave up, 4 path construction broke an internal invariant.  All
+commands are deterministic given identical flags, including --seed.
 """
 
 from __future__ import annotations
@@ -15,7 +15,12 @@ import json
 import sys
 
 from .dynamics import DYNAMICS_EPSILON, EXPLORER_KINDS, ExplorerPolicy, run_dynamics, batch_experiment
-from .errors import GameInputError, SolverIncompleteError, WorseSearchIncompleteError
+from .errors import (
+    GameInputError,
+    PathInvariantError,
+    SolverIncompleteError,
+    WorseSearchIncompleteError,
+)
 from .games import (
     DEFAULT_EPSILON,
     Game,
@@ -267,6 +272,9 @@ def run(argv=None) -> int:
     except (SolverIncompleteError, WorseSearchIncompleteError) as exc:
         print(f"incomplete: {exc}", file=sys.stderr)
         return 3
+    except PathInvariantError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 4
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,7 +1,8 @@
 """Exception types shared across the package.
 
 The CLI maps these onto exit codes: invalid input -> 2, incomplete
-solver or candidate search -> 3.
+solver or candidate search -> 3, a broken internal invariant of path
+construction -> 4.  Exit code 1 is reserved for a failed ``verify``.
 """
 
 from __future__ import annotations
@@ -41,3 +42,9 @@ class WorseSearchIncompleteError(RuntimeError):
     def __init__(self, message: str, partial_path=None):
         super().__init__(message)
         self.partial_path = partial_path
+
+
+class PathInvariantError(RuntimeError):
+    """Path construction broke one of its own invariants: a Worse step did
+    not grow the unsatisfied set, or the finished path failed its own
+    re-certification.  This is a defect in the constructor, not bad input."""

@@ -28,6 +28,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from dataclasses import dataclass
 from math import prod
 
@@ -318,10 +319,29 @@ def _parse_csv_trace(text: str) -> ParsedTrace:
                 "player and action from 0)",
             )
         entry = by_step.setdefault(step, {"kind": row[1], "players": {}})
+        if row[1] != entry["kind"]:
+            raise GameFormatError(
+                "document",
+                f"row {row_num} gives step {step} kind {row[1]!r}, "
+                f"disagreeing with the step's earlier rows ({entry['kind']!r})",
+            )
         actions = entry["players"].setdefault(player, {})
         if action in actions:
             raise GameFormatError(
                 "document", f"row {row_num} repeats step {step} player {player} action {action}"
+            )
+        # gap and satisfied describe the player, so every action row repeats
+        # them (a nan gap repeated is still the same gap)
+        earlier = next(iter(actions.values()), None)
+        if earlier is not None and (
+            earlier[2] != flag
+            or (earlier[1] != gap and not (math.isnan(earlier[1]) and math.isnan(gap)))
+        ):
+            raise GameFormatError(
+                "document",
+                f"row {row_num} gives step {step} player {player} gap {gap!r} and "
+                f"satisfied {flag}, disagreeing with the player's earlier rows "
+                f"({earlier[1]!r}, {earlier[2]})",
             )
         actions[action] = (probability, gap, flag)
     if not by_step:

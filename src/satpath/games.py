@@ -96,6 +96,11 @@ class Game:
     def _tensors(self) -> tuple[np.ndarray, ...]:
         return tuple(arr.reshape(self.action_counts) for arr in self.payoffs)
 
+    @cached_property
+    def _equilibria(self) -> dict:
+        """``solver.find_nash`` results of this game, keyed by SolverConfig."""
+        return {}
+
     def payoff_tensor(self, player: int) -> np.ndarray:
         """Player's payoffs reshaped to the joint action space (read-only view)."""
         _check_player(self, player)

@@ -34,7 +34,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .errors import GameInputError, WorseSearchIncompleteError
+from .errors import GameInputError, PathInvariantError, WorseSearchIncompleteError
 from .games import (
     DEFAULT_EPSILON,
     Game,
@@ -184,14 +184,23 @@ def build_w_xi(
     xi = float(xi)
     if not 0.0 < xi <= 1.0:
         raise GameInputError(f"xi must lie in (0, 1], got {xi}")
-    strategies = []
-    for i, strategy in enumerate(x_k.strategies):
-        if i in report_k.unsatisfied:
-            c = game.action_counts[i]
-            strategies.append(MixedStrategy((1.0 - xi) * strategy.probs + xi / c))
-        else:
-            strategies.append(strategy)
-    return StrategyProfile(tuple(strategies))
+    probs = _blend_uniform([s.probs for s in x_k.strategies], report_k.unsatisfied, xi)
+    return _profile_from(x_k, probs)
+
+
+def _blend_uniform(probs: list[np.ndarray], players, xi: float) -> list[np.ndarray]:
+    """The w_xi formula over raw probability lists, without validation: the
+    listed players' vectors become (1 - xi) * p + xi / len(p); the others
+    are returned as the same array objects."""
+    return [(1.0 - xi) * p + xi / p.size if i in players else p for i, p in enumerate(probs)]
+
+
+def _profile_from(x: StrategyProfile, probs: list[np.ndarray]) -> StrategyProfile:
+    """Wrap a probability list as a profile, reusing x's strategy objects
+    for the arrays taken unchanged from x and validating the rest."""
+    return StrategyProfile(
+        tuple(s if p is s.probs else MixedStrategy(p) for s, p in zip(x.strategies, probs))
+    )
 
 
 def build_z_lambda(
@@ -283,9 +292,10 @@ def zero_poly_check(coeffs, roots_observed, tolerance: float) -> bool:
 
 def _worse_candidates(game: Game, x: StrategyProfile, report: SatisfactionReport, rng_seed: int):
     """Yield accessible candidates as full probability lists, in search order:
-    pure deviations of each unsatisfied player, the uniform blends
+    pure deviations of each unsatisfied player, the uniform blends of
     ``build_w_xi`` over ``_XI_GRID``, then seeded Dirichlet draws forever.
-    Satisfied players keep x's probability arrays (the same objects)."""
+    Satisfied players keep x's probability arrays (the same objects).
+    Candidates are unvalidated; the caller validates only the one it keeps."""
     base = [s.probs for s in x.strategies]
     unsat = sorted(report.unsatisfied)
     for i in unsat:
@@ -296,7 +306,7 @@ def _worse_candidates(game: Game, x: StrategyProfile, report: SatisfactionReport
             if not np.array_equal(vec, base[i]):  # skip non-deviations
                 yield [vec if j == i else p for j, p in enumerate(base)]
     for xi in _XI_GRID:
-        yield [s.probs for s in build_w_xi(game, x, report, xi).strategies]
+        yield _blend_uniform(base, report.unsatisfied, xi)
     rng = np.random.default_rng(rng_seed & 0xFFFFFFFFFFFFFFFF)
     while True:
         probs = list(base)
@@ -325,12 +335,7 @@ def find_worse_candidate(
     # construction and membership in Worse is the two gap predicates
     for probs in itertools.islice(candidates, config.budget):
         if _keeps_unsatisfied(game, probs, report) and _flips_satisfied(game, probs, report):
-            return StrategyProfile(
-                tuple(
-                    s if p is s.probs else MixedStrategy(p)
-                    for s, p in zip(x.strategies, probs)
-                )
-            )
+            return _profile_from(x, probs)
     return None
 
 
@@ -388,7 +393,7 @@ def construct_path(
         if candidate is not None:
             candidate_report = satisfaction_report(game, candidate, epsilon)
             if not current_report.unsatisfied < candidate_report.unsatisfied:
-                raise RuntimeError("worse candidate did not grow the unsatisfied set")
+                raise PathInvariantError("worse candidate did not grow the unsatisfied set")
             steps.append(PathStep(profile=candidate, kind="worse_step", report=candidate_report))
             current, current_report = candidate, candidate_report
             continue
@@ -419,7 +424,7 @@ def construct_path(
     )
     check = verify_path(game, path, epsilon, require_terminal_nash=True, require_length_bound=True)
     if not check.ok:
-        raise RuntimeError(f"constructed path failed verification: {check.reason}")
+        raise PathInvariantError(f"constructed path failed verification: {check.reason}")
     return path
 
 

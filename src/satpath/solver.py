@@ -353,10 +353,19 @@ def enumerate_supports(game: Game, config: SolverConfig | None = None):
 def find_nash(game: Game, config: SolverConfig | None = None) -> StrategyProfile:
     """First verified equilibrium in the deterministic support order.
 
+    The result is a pure function of the immutable game and the config, so
+    it is memoized on the ``Game`` instance per (equal) ``SolverConfig``: a
+    repeated call returns the same profile object without enumerating again.
+    A new ``Game`` starts with an empty memo, even when it equals a solved one.
+
     Raises SolverIncompleteError if every support is exhausted without a
-    verified profile, carrying the best (minimum max-gap) candidate seen.
+    verified profile, carrying the best (minimum max-gap) candidate seen;
+    failures are not memoized, so every such call enumerates and raises.
     """
     config = config or SolverConfig()
+    memo = game._equilibria
+    if config in memo:
+        return memo[config]
     best: StrategyProfile | None = None
     best_gap = float("inf")
     for support in enumerate_supports(game, config):
@@ -365,6 +374,7 @@ def find_nash(game: Game, config: SolverConfig | None = None) -> StrategyProfile
             continue
         gap = max(deviation_gap(game, profile, i) for i in range(game.num_players))
         if gap <= config.tolerance:
+            memo[config] = profile
             return profile
         if gap < best_gap:
             best, best_gap = profile, gap

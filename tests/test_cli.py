@@ -1,4 +1,5 @@
-"""CLI behavior and exit-code contract (0 ok, 1 verify fail, 2 input, 3 gave up)."""
+"""CLI behavior and exit-code contract (0 ok, 1 verify fail, 2 input, 3 gave up,
+4 broken path invariant)."""
 
 from __future__ import annotations
 
@@ -16,7 +17,8 @@ from satpath.cli import run
 
 from conftest import matching_pennies, prisoners_dilemma, rock_paper_scissors
 import satpath
-from satpath import Game, save_game
+import satpath.paths
+from satpath import Game, PathVerification, save_game
 
 
 @pytest.fixture
@@ -112,6 +114,16 @@ class TestPathVerifyPipeline:
             "1,initial,1,-1,1.0,2.0,false\n"
         )
         assert run(["verify", "--game", mp_file, "--in", str(trace)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_broken_path_invariant_exits_four(self, mp_file, monkeypatch, capsys):
+        monkeypatch.setattr(
+            satpath.paths,
+            "verify_path",
+            lambda *args, **kwargs: PathVerification(ok=False, num_steps=1, reason="forced"),
+        )
+        assert run(["path", "--game", mp_file, "--init", "pure:0,0"]) == 4
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 

@@ -233,3 +233,18 @@ class TestCsvTraceIndices:
     def test_bad_index_rejected(self, tmp_path, rows, match):
         with pytest.raises(GameFormatError, match=match):
             read_trace(_write_trace(tmp_path, rows))
+
+
+class TestCsvTraceConsistency:
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            _TRACE_ROWS[:1] + ["1,case1_jump,0,1,0.0,0.0,true"] + _TRACE_ROWS[2:],
+            _TRACE_ROWS[:3] + ["1,initial,1,1,0.0,1.5,false"] + _TRACE_ROWS[4:],
+            _TRACE_ROWS[:1] + ["1,initial,0,1,0.0,0.0,false"] + _TRACE_ROWS[2:],
+        ],
+        ids=["kind-within-step", "gap-within-player", "flag-within-player"],
+    )
+    def test_disagreeing_rows_rejected(self, tmp_path, rows):
+        with pytest.raises(GameFormatError, match="disagreeing"):
+            read_trace(_write_trace(tmp_path, rows))

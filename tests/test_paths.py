@@ -9,6 +9,8 @@ from satpath import (
     Game,
     GameInputError,
     MixedStrategy,
+    PathInvariantError,
+    PathVerification,
     SolverConfig,
     StrategyProfile,
     WorseSearchConfig,
@@ -30,7 +32,7 @@ from satpath import (
 )
 import satpath.paths
 
-from conftest import brute_gap, profile_from, pure, random_game, uniform
+from conftest import brute_gap, matching_pennies, profile_from, pure, random_game, uniform
 
 EPS = 1e-9
 
@@ -491,6 +493,24 @@ class TestConstructPath:
         partial = exc_info.value.partial_path
         assert partial is not None and partial[0].profile == pure(mp, (0, 0))
 
+    @pytest.mark.parametrize(
+        "target, broken, match",
+        [
+            (
+                "verify_path",
+                lambda *args, **kwargs: PathVerification(ok=False, num_steps=1, reason="forced"),
+                "failed verification: forced",
+            ),
+            # a "Worse" candidate equal to the current profile grows nothing
+            ("find_worse_candidate", lambda game, x, *args, **kwargs: x, "did not grow"),
+        ],
+        ids=["verification-fails", "worse-step-does-not-grow"],
+    )
+    def test_broken_invariant_is_typed(self, mp, monkeypatch, target, broken, match):
+        monkeypatch.setattr(satpath.paths, target, broken)
+        with pytest.raises(PathInvariantError, match=match):
+            construct_path(mp, pure(mp, (0, 0)), EPS)
+
     def test_chain_growth_and_length_bound_on_crafted_starts(self):
         rng = np.random.default_rng(34)
         seen_worse = 0
@@ -520,9 +540,10 @@ class TestConstructPath:
             assert path.terminal_gap <= EPS
             assert verify_path(game, path, EPS, require_terminal_nash=True).ok
 
-    def test_deterministic(self, mp):
-        a = construct_path(mp, pure(mp, (0, 0)), EPS)
-        b = construct_path(mp, pure(mp, (0, 0)), EPS)
+    def test_deterministic(self):
+        # separately built games, so no equilibrium memoized on one is reused
+        a = construct_path(matching_pennies(), pure(matching_pennies(), (0, 0)), EPS)
+        b = construct_path(matching_pennies(), pure(matching_pennies(), (0, 0)), EPS)
         assert [s.kind for s in a.steps] == [s.kind for s in b.steps]
         assert all(pa == pb for pa, pb in zip(a.profiles, b.profiles))
 

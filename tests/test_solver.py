@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import satpath.solver
 from satpath import (
     Game,
     GameInputError,
@@ -130,9 +131,10 @@ class TestFindNash:
             assert brute_max_gap(game, sol) <= 1e-8
 
     def test_deterministic(self):
-        rng = np.random.default_rng(22)
-        game = random_game(rng, n=3)
-        a, b = find_nash(game), find_nash(game)
+        # two separately built equal games: find_nash memoizes per Game
+        # instance, so one object solved twice would compare a result to itself
+        a = find_nash(random_game(np.random.default_rng(22), n=3))
+        b = find_nash(random_game(np.random.default_rng(22), n=3))
         assert a == b
 
     def test_incomplete_error_carries_best_candidate(self):
@@ -144,6 +146,57 @@ class TestFindNash:
         err = exc_info.value
         assert err.best_candidate is not None
         assert err.best_gap < 1e-12  # the true equilibrium was found, just not at eps=0
+
+
+class TestFindNashMemo:
+    @pytest.fixture
+    def support_calls(self, monkeypatch):
+        calls = []
+        real = satpath.solver.solve_on_support
+
+        def counting(*args, **kwargs):
+            calls.append(args[1])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(satpath.solver, "solve_on_support", counting)
+        return calls
+
+    def test_repeat_returns_same_profile_without_enumerating(self, support_calls):
+        game = random_game(np.random.default_rng(22), n=3)
+        first = find_nash(game)
+        solved = len(support_calls)
+        assert solved > 0
+        assert find_nash(game) is first
+        assert find_nash(game, SolverConfig(tolerance=1e-9)) is first  # equal config
+        assert len(support_calls) == solved
+        assert not any(s.probs.flags.writeable for s in first.strategies)
+
+    def test_other_config_solves_again(self, support_calls):
+        game = random_game(np.random.default_rng(22), n=3)
+        find_nash(game)
+        solved = len(support_calls)
+        other = find_nash(game, SolverConfig(tolerance=1e-10))
+        assert len(support_calls) > solved
+        assert find_nash(game, SolverConfig(tolerance=1e-10)) is other
+        assert len(support_calls) == 2 * solved
+
+    def test_equal_games_do_not_share(self, support_calls):
+        a = random_game(np.random.default_rng(22), n=3)
+        b = random_game(np.random.default_rng(22), n=3)
+        assert a == b and a is not b
+        first = find_nash(a)
+        solved = len(support_calls)
+        second = find_nash(b)
+        assert len(support_calls) == 2 * solved
+        assert second == first and second is not first
+
+    def test_incomplete_error_is_not_memoized(self, support_calls):
+        game = Game((2, 2), ([0.1, -0.2, -0.3, 0.4], [-0.1, 0.2, 0.3, -0.4]))
+        config = SolverConfig(tolerance=1e-300)
+        for attempt in (1, 2):
+            with pytest.raises(SolverIncompleteError):
+                find_nash(game, config)
+            assert len(support_calls) == attempt * len(list(enumerate_supports(game, config)))
 
 
 class TestVerifyNash:
