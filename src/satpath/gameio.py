@@ -89,6 +89,12 @@ def parse_game_document(text: str) -> Game:
         for j, value in enumerate(raw):
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise GameFormatError(f"payoffs[{i}][{j}]", f"must be a number, got {value!r}")
+            try:
+                float(value)
+            except OverflowError:
+                raise GameFormatError(
+                    f"payoffs[{i}][{j}]", "integer is beyond the range of a float"
+                ) from None
         arr = np.asarray(raw, dtype=float)
         if not np.all(np.isfinite(arr)):
             raise GameFormatError(f"payoffs[{i}]", "contains non-finite values")

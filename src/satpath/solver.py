@@ -4,8 +4,13 @@ A profile with prescribed supports is an equilibrium candidate exactly
 when, for every player, all supported actions earn the same expected
 payoff (indifference), no unsupported action earns more, and the support
 probabilities form a distribution.  Supports are enumerated in a fixed
-order (increasing total support size, then lexicographic), so pure
-equilibria are found first and runs are reproducible.
+order (increasing total support size, then lexicographic), so runs are
+reproducible.  The smallest supports, one action per player, are screened
+all at once: one array pass over the action grid marks every pure profile
+at which each player's action is within tolerance of its best reply, and
+the first such profile in that order is the pure equilibrium the singleton
+supports would have produced.  Only without one does the enumeration
+proper begin, at total support size n + 1.
 
 For two players the indifference conditions decouple: each player's
 supported payoffs constrain only the opponent's probabilities, giving one
@@ -24,6 +29,7 @@ Xeon VM.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,8 +99,10 @@ class SolverConfig:
     max_support_size: int | None = None
 
     def __post_init__(self):
-        if not self.tolerance > 0.0:
-            raise GameInputError(f"tolerance must be positive, got {self.tolerance!r}")
+        if not 0.0 < self.tolerance < math.inf:
+            raise GameInputError(
+                f"tolerance must be a finite positive real, got {self.tolerance!r}"
+            )
         if self.max_support_size is not None and self.max_support_size < 1:
             raise GameInputError("max_support_size must be at least 1")
 
@@ -333,12 +341,15 @@ def solve_on_support(
 
 def enumerate_supports(game: Game, config: SolverConfig | None = None):
     """Yield support profiles in increasing total size, then lexicographic order."""
-    config = config or SolverConfig()
+    yield from _supports_from(game, config or SolverConfig(), game.num_players)
+
+
+def _supports_from(game: Game, config: SolverConfig, smallest_total: int):
+    """``enumerate_supports`` from total support size ``smallest_total`` on."""
     counts = game.action_counts
     cap = config.max_support_size
     caps = [c if cap is None else min(c, cap) for c in counts]
-    n = game.num_players
-    for total in range(n, sum(caps) + 1):
+    for total in range(smallest_total, sum(caps) + 1):
         for sizes in itertools.product(*(range(1, c + 1) for c in caps)):
             if sum(sizes) != total:
                 continue
@@ -350,17 +361,56 @@ def enumerate_supports(game: Game, config: SolverConfig | None = None):
                 yield SupportProfile(subsets)
 
 
+def _pure_candidate(game: Game, config: SolverConfig) -> StrategyProfile | None:
+    """What the singleton supports contribute to ``find_nash``, from one array
+    pass over the action grid instead of one ``solve_on_support`` per profile.
+
+    At a pure profile, ``solve_on_support`` accepts a singleton support when
+    no action beats each player's own by more than the dominance margin or
+    by more than ``tolerance`` (the off-support test); ``find_nash`` then
+    needs the gap, best reply minus own payoff, to be at most ``tolerance``.
+    These are the comparisons below, made on the same floats.  Returns the
+    first accepted profile in C order (the order ``enumerate_supports``
+    yields singletons) whose gap passes; failing that, the first accepted
+    profile of least gap, the best candidate the singleton loop would have
+    kept; failing that, None.
+    """
+    margin = _RESIDUAL_TOLERANCE + config.tolerance
+    accepted = np.ones(game.action_counts, dtype=bool)
+    gap = np.zeros(game.action_counts)
+    for i in range(game.num_players):
+        payoff = game.payoff_tensor(i)
+        best = payoff.max(axis=i, keepdims=True)
+        shortfall = best - payoff
+        accepted &= (shortfall <= margin) & (best <= payoff + config.tolerance)
+        np.maximum(gap, shortfall, out=gap)
+    hits = accepted & (gap <= config.tolerance)
+    if hits.any():
+        flat = np.argmax(hits)
+    elif accepted.any():
+        flat = np.argmin(np.where(accepted, gap, np.inf))
+    else:
+        return None
+    return StrategyProfile.pure(game, np.unravel_index(flat, game.action_counts))
+
+
 def find_nash(game: Game, config: SolverConfig | None = None) -> StrategyProfile:
     """First verified equilibrium in the deterministic support order.
 
+    Pure profiles come first, screened in one array pass over the action
+    grid (``_pure_candidate``) rather than one singleton support at a time;
+    the support enumeration then starts at total support size n + 1.  Every
+    candidate, pure or mixed, is accepted only once its deviation gaps are
+    all at most ``config.tolerance``.
+
     The result is a pure function of the immutable game and the config, so
     it is memoized on the ``Game`` instance per (equal) ``SolverConfig``: a
-    repeated call returns the same profile object without enumerating again.
+    repeated call returns the same profile object without solving again.
     A new ``Game`` starts with an empty memo, even when it equals a solved one.
 
     Raises SolverIncompleteError if every support is exhausted without a
     verified profile, carrying the best (minimum max-gap) candidate seen;
-    failures are not memoized, so every such call enumerates and raises.
+    failures are not memoized, so every such call solves again and raises.
     """
     config = config or SolverConfig()
     memo = game._equilibria
@@ -368,8 +418,14 @@ def find_nash(game: Game, config: SolverConfig | None = None) -> StrategyProfile
         return memo[config]
     best: StrategyProfile | None = None
     best_gap = float("inf")
-    for support in enumerate_supports(game, config):
-        profile = solve_on_support(game, support, config)
+    candidates = itertools.chain(
+        [_pure_candidate(game, config)],
+        (
+            solve_on_support(game, support, config)
+            for support in _supports_from(game, config, game.num_players + 1)
+        ),
+    )
+    for profile in candidates:
         if profile is None:
             continue
         gap = max(deviation_gap(game, profile, i) for i in range(game.num_players))

@@ -67,6 +67,21 @@ class TestSolve:
         bad.write_text('{"players": 0}')
         assert run(["solve", "--game", str(bad)]) == 2
 
+    def test_infinite_eps_is_input_error(self, mp_file, capsys):
+        assert run(["solve", "--game", mp_file, "--eps", "inf"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+    def test_huge_integer_payoff_is_input_error(self, tmp_path, capsys):
+        game_file = tmp_path / "huge.json"
+        game_file.write_text(
+            '{"players": 1, "actions": [2], "payoffs": [[1, 1%s]]}' % ("0" * 400)
+        )
+        assert run(["solve", "--game", str(game_file)]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: payoffs[0][1]: integer is beyond the range of a float\n"
+
     def test_unreachable_tolerance_is_incomplete(self, tmp_path, capsys):
         game_file = tmp_path / "irr.json"
         save_game(Game((2, 2), ([0.1, -0.2, -0.3, 0.4], [-0.1, 0.2, 0.3, -0.4])), game_file)

@@ -66,6 +66,13 @@ class TestParseErrors:
         with pytest.raises(GameFormatError, match=r"payoffs\[0\]"):
             parse_game_document(text)
 
+    def test_huge_integer_names_position(self):
+        # a JSON integer beyond float range parses as a Python int; converting
+        # it used to escape as a bare OverflowError
+        text = '{"players": 1, "actions": [2], "payoffs": [[1, 1%s]]}' % ("0" * 400)
+        with pytest.raises(GameFormatError, match=r"payoffs\[0\]\[1\]"):
+            parse_game_document(text)
+
     def test_non_numeric_entry_names_position(self):
         doc = {"players": 1, "actions": [2], "payoffs": [[1.0, "x"]]}
         with pytest.raises(GameFormatError, match=r"payoffs\[0\]\[1\]"):

@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import satpath.solver
 from satpath import (
@@ -25,6 +29,7 @@ from satpath import (
 from conftest import (
     brute_expected_reward,
     brute_max_gap,
+    matching_pennies,
     pure,
     random_game,
     two_by_two_oracle,
@@ -49,6 +54,11 @@ class TestSolverConfig:
     def test_rejects_nonpositive_tolerances(self):
         with pytest.raises(GameInputError):
             SolverConfig(tolerance=0.0)
+
+    @pytest.mark.parametrize("tolerance", [math.inf, math.nan])
+    def test_rejects_non_finite_tolerances(self, tolerance):
+        with pytest.raises(GameInputError, match="finite positive"):
+            SolverConfig(tolerance=tolerance)
 
 
 class TestSolveOnSupport:
@@ -77,16 +87,7 @@ class TestSolveOnSupport:
         assert solve_on_support(rps, SupportProfile(((0, 1, 2), (0, 1)))) is None
 
     def test_three_player_mixed_support(self):
-        # three-player matching-pennies-style game: each player wants to
-        # match the next one; unique equilibrium is all-uniform
-        counts = (2, 2, 2)
-        tensors = []
-        for i in range(3):
-            t = np.zeros(counts)
-            for a in np.ndindex(*counts):
-                t[a] = 1.0 if a[i] == a[(i + 1) % 3] else -1.0
-            tensors.append(t.reshape(-1) * (1 if i % 2 == 0 else -1))
-        game = Game(counts, tuple(tensors))
+        game = three_player_cycle()
         sol = solve_on_support(game, SupportProfile(((0, 1),) * 3))
         assert sol is not None
         for i in range(3):
@@ -148,55 +149,218 @@ class TestFindNash:
         assert err.best_gap < 1e-12  # the true equilibrium was found, just not at eps=0
 
 
+@pytest.fixture
+def solver_work(monkeypatch):
+    """Every stage ``find_nash`` runs, in order: "pure" for the one-pass
+    pure stage, then each support handed to ``solve_on_support``."""
+    work = []
+    real_pure = satpath.solver._pure_candidate
+    real_support = satpath.solver.solve_on_support
+
+    def pure_stage(*args, **kwargs):
+        work.append("pure")
+        return real_pure(*args, **kwargs)
+
+    def support_stage(*args, **kwargs):
+        work.append(args[1])
+        return real_support(*args, **kwargs)
+
+    monkeypatch.setattr(satpath.solver, "_pure_candidate", pure_stage)
+    monkeypatch.setattr(satpath.solver, "solve_on_support", support_stage)
+    return work
+
+
 class TestFindNashMemo:
-    @pytest.fixture
-    def support_calls(self, monkeypatch):
-        calls = []
-        real = satpath.solver.solve_on_support
+    @staticmethod
+    def games():
+        """A 3-player game whose first equilibrium is pure, and one (the
+        3-player matching cycle) that only the mixed stage solves."""
+        return [random_game(np.random.default_rng(22), n=3), three_player_cycle()]
 
-        def counting(*args, **kwargs):
-            calls.append(args[1])
-            return real(*args, **kwargs)
+    def test_repeat_returns_same_profile_without_enumerating(self, solver_work):
+        for game in self.games():
+            solver_work.clear()
+            first = find_nash(game)
+            solved = len(solver_work)
+            assert solved > 0
+            assert find_nash(game) is first
+            assert find_nash(game, SolverConfig(tolerance=1e-9)) is first  # equal config
+            assert len(solver_work) == solved
+            assert not any(s.probs.flags.writeable for s in first.strategies)
 
-        monkeypatch.setattr(satpath.solver, "solve_on_support", counting)
-        return calls
+    def test_other_config_solves_again(self, solver_work):
+        for game in self.games():
+            solver_work.clear()
+            find_nash(game)
+            solved = len(solver_work)
+            other = find_nash(game, SolverConfig(tolerance=1e-10))
+            assert len(solver_work) > solved
+            assert find_nash(game, SolverConfig(tolerance=1e-10)) is other
+            assert len(solver_work) == 2 * solved
 
-    def test_repeat_returns_same_profile_without_enumerating(self, support_calls):
-        game = random_game(np.random.default_rng(22), n=3)
-        first = find_nash(game)
-        solved = len(support_calls)
-        assert solved > 0
-        assert find_nash(game) is first
-        assert find_nash(game, SolverConfig(tolerance=1e-9)) is first  # equal config
-        assert len(support_calls) == solved
-        assert not any(s.probs.flags.writeable for s in first.strategies)
+    def test_equal_games_do_not_share(self, solver_work):
+        for game in self.games():
+            solver_work.clear()
+            twin = Game(game.action_counts, game.payoffs)
+            assert twin == game and twin is not game
+            first = find_nash(game)
+            solved = len(solver_work)
+            second = find_nash(twin)
+            assert len(solver_work) == 2 * solved
+            assert second == first and second is not first
 
-    def test_other_config_solves_again(self, support_calls):
-        game = random_game(np.random.default_rng(22), n=3)
-        find_nash(game)
-        solved = len(support_calls)
-        other = find_nash(game, SolverConfig(tolerance=1e-10))
-        assert len(support_calls) > solved
-        assert find_nash(game, SolverConfig(tolerance=1e-10)) is other
-        assert len(support_calls) == 2 * solved
-
-    def test_equal_games_do_not_share(self, support_calls):
-        a = random_game(np.random.default_rng(22), n=3)
-        b = random_game(np.random.default_rng(22), n=3)
-        assert a == b and a is not b
-        first = find_nash(a)
-        solved = len(support_calls)
-        second = find_nash(b)
-        assert len(support_calls) == 2 * solved
-        assert second == first and second is not first
-
-    def test_incomplete_error_is_not_memoized(self, support_calls):
+    def test_incomplete_error_is_not_memoized(self, solver_work):
         game = Game((2, 2), ([0.1, -0.2, -0.3, 0.4], [-0.1, 0.2, 0.3, -0.4]))
         config = SolverConfig(tolerance=1e-300)
+        # every stage: the pure pass, then each support larger than a singleton
+        stages = ["pure"] + [
+            sp for sp in enumerate_supports(game, config) if _total(sp) > game.num_players
+        ]
+        assert len(stages) > 1
         for attempt in (1, 2):
             with pytest.raises(SolverIncompleteError):
                 find_nash(game, config)
-            assert len(support_calls) == attempt * len(list(enumerate_supports(game, config)))
+            assert solver_work == attempt * stages
+
+
+def _total(support: SupportProfile) -> int:
+    return sum(len(s) for s in support.supports)
+
+
+def three_player_cycle() -> Game:
+    """Each player wants to match the next one, signs alternating, so every
+    pure profile has a deviator and the unique equilibrium is all-uniform."""
+    counts = (2, 2, 2)
+    tensors = []
+    for i in range(3):
+        t = np.zeros(counts)
+        for a in np.ndindex(*counts):
+            t[a] = 1.0 if a[i] == a[(i + 1) % 3] else -1.0
+        tensors.append(t.reshape(-1) * (1 if i % 2 == 0 else -1))
+    return Game(counts, tuple(tensors))
+
+
+# --- the one-pass pure stage against the singleton-support loop ---------------
+
+PURE_TOL = SolverConfig().tolerance
+# differences of exactly the tolerance and one ulp either side of it
+_EDGE_OFFSETS = (
+    0.0,
+    float(np.nextafter(PURE_TOL, 0.0)),
+    PURE_TOL,
+    float(np.nextafter(PURE_TOL, 1.0)),
+)
+
+
+@st.composite
+def tie_prone_games(draw):
+    """1-4 players with 1-3 actions each (so 1-player games and 1-action
+    players occur).  Payoffs are small integers, so ties are common, each
+    plus an offset of 0, the tolerance, or the tolerance +- 1 ulp.  Half the
+    games are zero-sum (the last player gets minus the others' total), which
+    makes games without a pure equilibrium common."""
+    counts = tuple(draw(st.lists(st.integers(1, 3), min_size=1, max_size=4)))
+    size = int(np.prod(counts))
+    entry = st.tuples(st.integers(-2, 2), st.sampled_from(_EDGE_OFFSETS))
+    payoffs = [
+        np.array([b + off for b, off in draw(st.lists(entry, min_size=size, max_size=size))])
+        for _ in counts
+    ]
+    if len(counts) > 1 and draw(st.booleans()):
+        payoffs[-1] = -sum(payoffs[:-1])
+    return Game(counts, tuple(payoffs))
+
+
+def singleton_loop(game: Game, config: SolverConfig):
+    """Reference for the pure stage: singleton supports in enumeration order
+    through ``solve_on_support``; the first whose max gap is within tolerance,
+    else the first of least gap (the best candidate), else None."""
+    best, best_gap = None, math.inf
+    for support in enumerate_supports(game, config):
+        if _total(support) > game.num_players:
+            break
+        profile = solve_on_support(game, support, config)
+        if profile is None:
+            continue
+        gap = max(deviation_gap(game, profile, i) for i in range(game.num_players))
+        if gap <= config.tolerance:
+            return profile, gap
+        if gap < best_gap:
+            best, best_gap = profile, gap
+    return best, best_gap
+
+
+def _bitwise(a: StrategyProfile, b: StrategyProfile) -> bool:
+    return all(
+        x.probs.tobytes() == y.probs.tobytes() for x, y in zip(a.strategies, b.strategies)
+    )
+
+
+class TestPureStage:
+    @settings(max_examples=300, deadline=None)
+    @given(tie_prone_games())
+    def test_matches_singleton_loop(self, game):
+        config = SolverConfig()
+        expected, gap = singleton_loop(game, config)
+        got = satpath.solver._pure_candidate(game, config)
+        if expected is None:
+            assert got is None
+        else:
+            assert got is not None and _bitwise(got, expected)
+        capped = SolverConfig(max_support_size=1)
+        if gap <= config.tolerance:
+            assert _bitwise(find_nash(game, capped), expected)
+        else:
+            with pytest.raises(SolverIncompleteError) as exc_info:
+                find_nash(game, capped)
+            assert exc_info.value.best_gap == gap
+            if expected is not None:
+                assert _bitwise(exc_info.value.best_candidate, expected)
+
+    def test_near_miss_is_the_best_candidate(self):
+        # every pure profile has a player who gains fl(1 + tol) - 1, one ulp-ish
+        # above tol, yet within the off-support test fl(1 + tol) <= 1 + tol:
+        # the singleton loop accepts each as a candidate that fails verification
+        hi = 1.0 + PURE_TOL
+        game = Game((2, 2), ([hi, 1.0, 1.0, hi], [1.0, hi, hi, 1.0]))
+        assert hi - 1.0 > PURE_TOL
+        with pytest.raises(SolverIncompleteError) as exc_info:
+            find_nash(game, SolverConfig(max_support_size=1))
+        assert exc_info.value.best_gap == hi - 1.0
+        assert exc_info.value.best_candidate == pure(game, (0, 0))
+        assert verify_nash(game, find_nash(game), PURE_TOL)
+
+    def test_dominance_margin_still_rejects(self):
+        # at 1e15 one ulp is 0.125, so fl(1e15 + 0.1) = 1e15 + 0.125 and the
+        # off-support test passes, but 0.125 exceeds the dominance margin
+        # 1e-8 + 0.1: solve_on_support rejects every singleton outright
+        low = 1e15
+        high = low + 0.125
+        assert low + 0.1 == high
+        game = Game((2, 2), ([high, low, low, high], [low, high, high, low]))
+        config = SolverConfig(tolerance=0.1, max_support_size=1)
+        assert singleton_loop(game, config) == (None, math.inf)
+        assert satpath.solver._pure_candidate(game, config) is None
+        with pytest.raises(SolverIncompleteError) as exc_info:
+            find_nash(game, config)
+        assert exc_info.value.best_gap == math.inf
+
+    def test_no_pure_equilibrium_under_singleton_cap(self, mp):
+        with pytest.raises(SolverIncompleteError) as exc_info:
+            find_nash(mp, SolverConfig(max_support_size=1))
+        assert exc_info.value.best_gap == math.inf
+        assert exc_info.value.best_candidate is None
+
+    @pytest.mark.parametrize("make", [matching_pennies, three_player_cycle])
+    def test_no_pure_equilibrium_reaches_mixed_stage(self, make, solver_work):
+        game = make()
+        assert satpath.solver._pure_candidate(game, SolverConfig()) is None
+        solver_work.clear()
+        sol = find_nash(game)
+        assert solver_work[0] == "pure" and len(solver_work) > 1
+        assert all(_total(sp) > game.num_players for sp in solver_work[1:])
+        for i in range(game.num_players):
+            np.testing.assert_allclose(sol[i].probs, [0.5, 0.5], atol=1e-9)
 
 
 class TestVerifyNash:
