@@ -118,10 +118,16 @@ def game_document(game: Game) -> dict:
     return doc
 
 
+def _read_text(path) -> str:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise GameFormatError("document", f"not UTF-8 text ({exc})") from exc
+
+
 def load_game(path) -> Game:
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    return parse_game_document(text)
+    return parse_game_document(_read_text(path))
 
 
 def save_game(game: Game, path) -> None:
@@ -257,8 +263,7 @@ class ParsedTrace:
 
 def read_trace(path) -> ParsedTrace:
     """Read an emitted trace file, sniffing JSON vs CSV from the content."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    text = _read_text(path)
     stripped = text.lstrip()
     if stripped.startswith("{"):
         return _parse_json_trace(text)

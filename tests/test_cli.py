@@ -132,6 +132,18 @@ class TestPathVerifyPipeline:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("command", ["solve", "verify"])
+    def test_non_utf8_file_is_input_error(self, mp_file, tmp_path, command, capsys):
+        binary = tmp_path / "bin.json"
+        binary.write_bytes(b"\xff\xfe\x00garbage")
+        argv = {
+            "solve": ["solve", "--game", str(binary)],
+            "verify": ["verify", "--game", mp_file, "--in", str(binary)],
+        }[command]
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: document: not UTF-8") and err.count("\n") == 1
+
     def test_broken_path_invariant_exits_four(self, mp_file, monkeypatch, capsys):
         monkeypatch.setattr(
             satpath.paths,

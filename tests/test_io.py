@@ -182,6 +182,14 @@ class TestEmitAndParse:
         with pytest.raises(GameFormatError, match="header"):
             read_trace(bad)
 
+    @pytest.mark.parametrize("reader", [load_game, read_trace])
+    def test_non_utf8_file_is_format_error(self, tmp_path, reader):
+        binary = tmp_path / "bin.json"
+        binary.write_bytes(b"\xff\xfe\x00garbage")
+        with pytest.raises(GameFormatError, match="not UTF-8") as exc_info:
+            reader(binary)
+        assert exc_info.value.key == "document"
+
 
 _TRACE_HEADER = "step,step_kind,player,action,probability,gap,satisfied\n"
 # a well-formed two-step matching-pennies trace, one row per line

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -29,7 +30,9 @@ from satpath import (
 from conftest import (
     brute_expected_reward,
     brute_max_gap,
+    brute_pure_payoffs,
     matching_pennies,
+    profile_from,
     pure,
     random_game,
     two_by_two_oracle,
@@ -92,6 +95,90 @@ class TestSolveOnSupport:
         assert sol is not None
         for i in range(3):
             np.testing.assert_allclose(sol[i].probs, [0.5, 0.5], atol=1e-9)
+
+
+def _random_support(rng: np.random.Generator, game: Game) -> SupportProfile:
+    return SupportProfile(
+        tuple(
+            tuple(rng.choice(c, size=int(rng.integers(1, c + 1)), replace=False))
+            for c in game.action_counts
+        )
+    )
+
+
+def _newton_system(game: Game, support: SupportProfile):
+    """The sliced Newton residual and Jacobian of ``support`` as functions of u."""
+    _, box = satpath.solver._support_blocks(game, support, margin=math.inf)  # no pruning
+    offsets = [0, *itertools.accumulate(len(s) for s in support.supports)]
+
+    def residual(u):
+        return satpath.solver._newton_residual(box, u, offsets)
+
+    def jacobian(u):
+        return satpath.solver._newton_jacobian(box, residual(u)[1], offsets)
+
+    return residual, jacobian, offsets
+
+
+class TestSlicedNewtonSystem:
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_jacobian_is_the_unit_step_difference(self, n):
+        # each residual entry is affine in any single coordinate of u, so a
+        # unit step along coordinate k changes it by exactly column k
+        rng = np.random.default_rng(31 + n)
+        for _ in range(15):
+            game = random_game(rng, n=n)
+            support = _random_support(rng, game)
+            residual, jacobian, offsets = _newton_system(game, support)
+            u = rng.uniform(-1.0, 1.0, offsets[-1] + n)
+            base = residual(u)[0]
+            steps = np.array([residual(u + e)[0] - base for e in np.eye(u.size)]).T
+            np.testing.assert_allclose(jacobian(u), steps, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_residual_rows_match_brute_payoffs(self, n):
+        rng = np.random.default_rng(41 + n)
+        for _ in range(15):
+            game = random_game(rng, n=n)
+            support = _random_support(rng, game)
+            residual, _, offsets = _newton_system(game, support)
+            on_support = [rng.dirichlet(np.ones(len(s))) for s in support.supports]
+            values = rng.uniform(-1.0, 1.0, n)
+            res = residual(np.concatenate(on_support + [values]))[0]
+            full = [np.zeros(c) for c in game.action_counts]
+            for vec, own, p in zip(full, support.supports, on_support):
+                vec[list(own)] = p
+            profile = profile_from(full)
+            for i, own in enumerate(support.supports):
+                brute = brute_pure_payoffs(game, profile, i)
+                expected = [brute[a] - values[i] for a in own]
+                np.testing.assert_allclose(
+                    res[offsets[i] : offsets[i + 1]], expected, rtol=0.0, atol=1e-12
+                )
+            np.testing.assert_allclose(res[offsets[-1] :], 0.0, atol=1e-12)
+
+
+class TestEverySupport:
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_solutions_lie_in_support_and_pass_brute_checks(self, n):
+        rng = np.random.default_rng(51 + n)
+        tolerance = SolverConfig().tolerance
+        found_mixed = 0
+        for _ in range(4 if n == 2 else 2):
+            game = random_game(rng, n=n)
+            for support in enumerate_supports(game):
+                sol = solve_on_support(game, support)
+                if sol is None:
+                    continue
+                found_mixed += any(len(s) > 1 for s in support.supports)
+                for i, own in enumerate(support.supports):
+                    assert set(sol[i].support) <= set(own)
+                    payoffs = brute_pure_payoffs(game, sol, i)
+                    supported = [payoffs[a] for a in own]
+                    value = max(supported)
+                    assert value - min(supported) <= 1e-8 + 1e-12
+                    assert max(payoffs) <= value + tolerance + 1e-12
+        assert found_mixed > 0
 
 
 class TestEnumerationOrder:
@@ -466,7 +553,7 @@ class TestKnownDefects:
     @pytest.mark.xfail(
         strict=True,
         raises=SolverIncompleteError,
-        reason="no support yields a verified candidate on this 3x3x2x2 game (ROADMAP item 4)",
+        reason="no support yields a verified candidate on this 3x3x2x2 game (ROADMAP item 1)",
     )
     def test_held_out_corpus_game_143_solves(self):
         # game k = 143 of the corpus under held-out seed 354529847: the shape
