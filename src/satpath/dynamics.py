@@ -5,6 +5,14 @@ the unsatisfied players according to an exploration policy.  Every
 trajectory this produces is a satisficing path by construction, and
 epsilon-Nash profiles are fixed points.
 
+Trials step in lock-step through one loop over a (trials x total actions)
+array of profiles: each step evaluates every active trial's gaps with one
+batched contraction per player, then every unsatisfied player of every
+active trial redraws from that trial's own generator, in ascending player
+order, and a trial that hits an epsilon-Nash profile drops out.
+``run_dynamics`` is that loop on one trial, so every ``batch_experiment``
+row equals a replay of its trials through ``run_dynamics``.
+
 The default satisfaction tolerance here is looser (1e-6) than the path
 constructor's internal one: continuous resampling never lands exactly on
 a mixed equilibrium, so a strict tolerance would make mixed rest points
@@ -19,13 +27,15 @@ import numpy as np
 
 from .errors import GameInputError
 from .games import (
+    PROB_SUM_TOL,
     Game,
     MixedStrategy,
     SatisfactionReport,
     StrategyProfile,
+    _batch_gaps,
     _check_epsilon,
     _check_profile,
-    random_profile,
+    _readonly,
     satisfaction_report,
 )
 
@@ -35,6 +45,13 @@ EXPLORER_KINDS = ("dirichlet_uniform", "pure_uniform", "mixture_with_current")
 DYNAMICS_EPSILON = 1e-6
 
 _SEED_MASK = 0xFFFFFFFFFFFFFFFF
+
+#: Trace kind of every trajectory profile after the initial one.
+_STEP_KIND = "dynamics_step"
+
+# Most trials one lock-step loop runs at once: each trial holds a generator
+# (about 1 KB), so blocks keep batch_experiment's memory flat in the trial count.
+_TRIAL_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -90,29 +107,115 @@ class Trajectory:
         return len(self.profiles)
 
 
-def _explore(strategy: MixedStrategy, explorer: ExplorerPolicy, rng: np.random.Generator) -> MixedStrategy:
-    count = strategy.num_actions
-    if explorer.kind == "pure_uniform":
-        return MixedStrategy.pure(count, int(rng.integers(count)))
-    sample = rng.dirichlet(np.ones(count))
-    if explorer.kind == "dirichlet_uniform":
-        return MixedStrategy(sample)
-    w = explorer.mixture_weight
-    return MixedStrategy((1.0 - w) * strategy.probs + w * sample)
+def _check_explorer(explorer) -> ExplorerPolicy:
+    if explorer is None:
+        return ExplorerPolicy()
+    if not isinstance(explorer, ExplorerPolicy):
+        raise GameInputError(f"explorer must be an ExplorerPolicy, got {explorer!r}")
+    return explorer
 
 
-def _step_from_report(
-    profile: StrategyProfile,
-    report: SatisfactionReport,
+def _check_count(name: str, value) -> int:
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+        raise GameInputError(f"{name} must be an integer of at least 1, got {value!r}")
+    return int(value)
+
+
+def _segments(game: Game) -> list[slice]:
+    """Each player's columns in a row holding one profile."""
+    ends = np.cumsum(game.action_counts).tolist()
+    return [slice(end - c, end) for c, end in zip(game.action_counts, ends)]
+
+
+def _check_rows(rows: np.ndarray, segments: list[slice]) -> None:
+    """MixedStrategy's checks on every player's segment of every row: a NaN
+    fails the ``min``, an infinity the sum test."""
+    sums = np.add.reduceat(rows, [seg.start for seg in segments], axis=1)
+    off = np.abs(sums - 1.0).max()
+    if not (rows.min() >= 0.0 and off <= PROB_SUM_TOL):
+        raise GameInputError(
+            "drawn strategy is not a probability vector (a negative or non-finite "
+            f"entry, or a sum off 1 by {off!r})"
+        )
+
+
+def _redraw(
+    row: np.ndarray,
+    players,
+    segments: list[slice],
     explorer: ExplorerPolicy,
     rng: np.random.Generator,
+) -> None:
+    """Resample ``players`` of the profile in ``row`` in place from ``rng``.
+
+    Players draw in the order given (ascending), one generator call each, so
+    the draw order fixes every stream: ``pure_uniform`` jumps to vertex
+    ``rng.integers(c)``, the others draw ``rng.dirichlet(ones(c))``, which
+    ``mixture_with_current`` blends into the current strategy.
+    """
+    for i in players:
+        seg = segments[i]
+        count = seg.stop - seg.start
+        if explorer.kind == "pure_uniform":
+            row[seg] = 0.0
+            row[seg.start + int(rng.integers(count))] = 1.0
+            continue
+        sample = rng.dirichlet(np.ones(count))
+        if explorer.kind == "dirichlet_uniform":
+            row[seg] = sample
+        else:
+            w = explorer.mixture_weight
+            row[seg] = (1.0 - w) * row[seg] + w * sample
+
+
+def _rebuilt(
+    profile: StrategyProfile, row: np.ndarray, players, segments: list[slice]
 ) -> StrategyProfile:
-    if not report.unsatisfied:
-        return profile
+    """``profile`` with ``players``' strategies read from ``row``; every other
+    player keeps its strategy object."""
     strategies = list(profile.strategies)
-    for i in sorted(report.unsatisfied):
-        strategies[i] = _explore(strategies[i], explorer, rng)
+    for i in players:
+        strategies[i] = MixedStrategy(row[segments[i]].copy())
     return StrategyProfile(tuple(strategies))
+
+
+def _lockstep(
+    game: Game,
+    rows: np.ndarray,
+    rngs: list[np.random.Generator],
+    epsilon: float,
+    explorer: ExplorerPolicy,
+    max_steps: int,
+    record=None,
+) -> list[int | None]:
+    """Run trial t from profile ``rows[t]`` with generator ``rngs[t]`` until
+    it hits an epsilon-Nash profile or has ``max_steps`` profiles; returns
+    each trial's hit step, or None.  ``rows`` (trials x total actions) is
+    overwritten.  ``record(rows, gaps)``, if given, sees every step's active
+    rows and their gaps before any trial drops out."""
+    segments = _segments(game)
+    hits: list[int | None] = [None] * len(rngs)
+    live = list(range(len(rngs)))  # the trial behind each row of ``rows``
+    for step in range(1, max_steps + 1):
+        gaps = _batch_gaps(game, [rows[:, seg] for seg in segments])
+        if record is not None:
+            record(rows, gaps)
+        unsatisfied = gaps > epsilon
+        going = unsatisfied.any(axis=1)
+        if not going.all():
+            for r in np.flatnonzero(~going).tolist():
+                hits[live[r]] = step
+            rows, unsatisfied = rows[going], unsatisfied[going]
+            live = [t for t, keep in zip(live, going.tolist()) if keep]
+            if not live:
+                break
+        if step == max_steps:
+            break
+        for r, flags in enumerate(unsatisfied.tolist()):
+            players = [i for i, flag in enumerate(flags) if flag]
+            _redraw(rows[r], players, segments, explorer, rngs[live[r]])
+        _check_rows(rows, segments)
+    return hits
 
 
 def satisficing_step(
@@ -126,8 +229,15 @@ def satisficing_step(
     bitwise; unsatisfied players resample per the explorer (in ascending
     player order, which fixes the generator draw order)."""
     _check_profile(game, profile)
+    explorer = _check_explorer(explorer)
     report = satisfaction_report(game, profile, epsilon)
-    return _step_from_report(profile, report, explorer, rng)
+    if not report.unsatisfied:
+        return profile
+    segments = _segments(game)
+    row = np.concatenate([s.probs for s in profile.strategies])
+    players = sorted(report.unsatisfied)
+    _redraw(row, players, segments, explorer, rng)
+    return _rebuilt(profile, row, players, segments)
 
 
 def run_dynamics(
@@ -142,23 +252,34 @@ def run_dynamics(
     epsilon-Nash profile or once ``max_steps`` profiles have been emitted."""
     _check_profile(game, x1)
     epsilon = _check_epsilon(epsilon)
-    if max_steps < 1:
-        raise GameInputError(f"max_steps must be at least 1, got {max_steps}")
-    explorer = explorer or ExplorerPolicy()
+    max_steps = _check_count("max_steps", max_steps)
+    explorer = _check_explorer(explorer)
     seed = int(seed) & _SEED_MASK
-    rng = np.random.default_rng(seed)
-    profiles = [x1]
-    reports = [satisfaction_report(game, x1, epsilon)]
-    hit = 1 if reports[0].max_gap <= epsilon else None
-    while hit is None and len(profiles) < max_steps:
-        nxt = _step_from_report(profiles[-1], reports[-1], explorer, rng)
-        profiles.append(nxt)
-        reports.append(satisfaction_report(game, nxt, epsilon))
-        if reports[-1].max_gap <= epsilon:
-            hit = len(profiles)
-    return Trajectory(
-        profiles=tuple(profiles), reports=tuple(reports), hit_step=hit, seed=seed
+    segments = _segments(game)
+    profiles: list[StrategyProfile] = []
+    reports: list[SatisfactionReport] = []
+
+    def record(rows, gaps):
+        if profiles:
+            redrawn = sorted(reports[-1].unsatisfied)
+            profiles.append(_rebuilt(profiles[-1], rows[0], redrawn, segments))
+        else:
+            profiles.append(x1)
+        satisfied = frozenset(i for i, gap in enumerate(gaps[0].tolist()) if gap <= epsilon)
+        reports.append(
+            SatisfactionReport(
+                gaps=_readonly(gaps[0].copy()),
+                satisfied=satisfied,
+                unsatisfied=frozenset(range(game.num_players)) - satisfied,
+                epsilon=epsilon,
+            )
+        )
+
+    rows = np.concatenate([s.probs for s in x1.strategies])[None, :]
+    (hit,) = _lockstep(
+        game, rows, [np.random.default_rng(seed)], epsilon, explorer, max_steps, record
     )
+    return Trajectory(profiles=tuple(profiles), reports=tuple(reports), hit_step=hit, seed=seed)
 
 
 def batch_experiment(
@@ -175,36 +296,46 @@ def batch_experiment(
     Trial t of game g derives its randomness from
     SeedSequence([master_seed, g, t]), so results depend only on the
     arguments; each trial draws its own initial profile uniformly from the
-    product of simplices.  Returns one row per game with the hit frequency
-    and the mean/median hitting time among hits.
+    product of simplices.  A game's trials step in lock-step, up to
+    ``_TRIAL_BLOCK`` at a time, and each row equals a per-trial replay:
+    ``run_dynamics`` from that initial profile, seeded from the second child
+    of the trial's SeedSequence.  Returns one row per game with the hit
+    frequency and the mean/median hitting time among hits.
     """
     epsilon = _check_epsilon(epsilon)
-    if trials_per_game < 1:
-        raise GameInputError(f"trials_per_game must be at least 1, got {trials_per_game}")
-    explorer = explorer or ExplorerPolicy()
-    master = int(master_seed) & _SEED_MASK
-    rows: list[dict] = []
+    trials = _check_count("trials_per_game", trials_per_game)
+    max_steps = _check_count("max_steps", max_steps)
+    explorer = _check_explorer(explorer)
+    games = list(games)
     for g, game in enumerate(games):
         if not isinstance(game, Game):
             raise GameInputError(f"games[{g}] is not a Game")
+    master = int(master_seed) & _SEED_MASK
+    out: list[dict] = []
+    for g, game in enumerate(games):
         hit_steps: list[int] = []
-        for t in range(trials_per_game):
-            root = np.random.SeedSequence([master, g, t])
-            init_ss, run_ss = root.spawn(2)
-            x1 = random_profile(game, np.random.default_rng(init_ss))
-            run_seed = int(run_ss.generate_state(1, np.uint64)[0])
-            trajectory = run_dynamics(game, x1, epsilon, max_steps, explorer, run_seed)
-            if trajectory.hit_step is not None:
-                hit_steps.append(trajectory.hit_step)
-        rows.append(
+        for first in range(0, trials, _TRIAL_BLOCK):
+            block = range(first, min(first + _TRIAL_BLOCK, trials))
+            starts = np.empty((len(block), sum(game.action_counts)))
+            rngs = []
+            for r, t in enumerate(block):
+                init_ss, run_ss = np.random.SeedSequence([master, g, t]).spawn(2)
+                init = np.random.default_rng(init_ss)
+                # random_profile's draws, without building the profile
+                starts[r] = np.concatenate([init.dirichlet(np.ones(c)) for c in game.action_counts])
+                rngs.append(np.random.default_rng(int(run_ss.generate_state(1, np.uint64)[0])))
+            _check_rows(starts, _segments(game))
+            hits = _lockstep(game, starts, rngs, epsilon, explorer, max_steps)
+            hit_steps += [h for h in hits if h is not None]
+        out.append(
             {
                 "game": game.name or f"game-{g}",
                 "game_index": g,
-                "trials": trials_per_game,
+                "trials": trials,
                 "hits": len(hit_steps),
-                "hit_frequency": len(hit_steps) / trials_per_game,
+                "hit_frequency": len(hit_steps) / trials,
                 "mean_hit_step": float(np.mean(hit_steps)) if hit_steps else None,
                 "median_hit_step": float(np.median(hit_steps)) if hit_steps else None,
             }
         )
-    return rows
+    return out

@@ -34,13 +34,15 @@ from math import prod
 
 import numpy as np
 
-from .dynamics import Trajectory
+from .dynamics import _STEP_KIND, Trajectory
 from .errors import GameFormatError, GameInputError
 from .games import MAX_ACTIONS, MAX_PLAYERS, Game, MixedStrategy, StrategyProfile
-from .paths import SatisficingPath
+from .paths import STEP_KINDS, SatisficingPath
 
 TRACE_FORMATS = ("csv", "json")
 _CSV_HEADER = ["step", "step_kind", "player", "action", "probability", "gap", "satisfied"]
+# every step kind a path or trajectory trace can carry
+_TRACE_KINDS = (*STEP_KINDS, _STEP_KIND)
 
 
 def _reject_json_constant(token: str):
@@ -178,7 +180,7 @@ def _trace_steps(obj) -> tuple[list[_TraceStep], dict]:
     if isinstance(obj, Trajectory):
         steps = [
             _TraceStep(
-                kind="initial" if t == 0 else "dynamics_step",
+                kind="initial" if t == 0 else _STEP_KIND,
                 profile=p,
                 gaps=tuple(float(g) for g in r.gaps),
                 satisfied=tuple(sorted(r.satisfied)),
@@ -281,17 +283,40 @@ def _parse_json_trace(text: str) -> ParsedTrace:
     kinds, profiles, gaps, satisfied = [], [], [], []
     for t, raw in enumerate(raw_steps):
         try:
-            kinds.append(str(raw["step_kind"]))
+            kind = raw["step_kind"]
             profile = StrategyProfile(
                 tuple(MixedStrategy(np.asarray(vec, dtype=float)) for vec in raw["profile"])
             )
-            profiles.append(profile)
-            gaps.append(tuple(float(g) for g in raw["gaps"]))
-            satisfied.append(tuple(int(i) for i in raw["satisfied"]))
+            step_gaps = tuple(float(g) for g in raw["gaps"])
+            step_sat = tuple(raw["satisfied"])
         except (KeyError, TypeError, ValueError, GameInputError) as exc:
             raise GameFormatError(f"steps[{t}]", f"malformed step ({exc})") from exc
+        _check_kind(kind, f"steps[{t}]", "has ")
+        players = len(profile)
+        if len(step_gaps) != players:
+            raise GameFormatError(
+                f"steps[{t}]", f"has {len(step_gaps)} gaps for {players} players"
+            )
+        for i in step_sat:
+            if isinstance(i, bool) or not isinstance(i, int) or not 0 <= i < players:
+                raise GameFormatError(
+                    f"steps[{t}]", f"satisfied entry {i!r} is not a player index below {players}"
+                )
+        if len(set(step_sat)) != len(step_sat):
+            raise GameFormatError(f"steps[{t}]", f"satisfied {list(step_sat)} repeats a player")
+        kinds.append(kind)
+        profiles.append(profile)
+        gaps.append(step_gaps)
+        satisfied.append(step_sat)
     meta = {k: v for k, v in doc.items() if k != "steps"}
     return ParsedTrace(tuple(kinds), tuple(profiles), tuple(gaps), tuple(satisfied), meta)
+
+
+def _check_kind(kind, key: str, where: str = "") -> None:
+    if not isinstance(kind, str) or kind not in _TRACE_KINDS:
+        raise GameFormatError(
+            key, f"{where}unknown step kind {kind!r}; expected one of {_TRACE_KINDS}"
+        )
 
 
 def _check_no_gap(indices, first: int, what: str) -> None:
@@ -329,6 +354,7 @@ def _parse_csv_trace(text: str) -> ParsedTrace:
                 f"row {row_num} has an out-of-range index (step counts from 1, "
                 "player and action from 0)",
             )
+        _check_kind(row[1], "document", f"row {row_num} has ")
         entry = by_step.setdefault(step, {"kind": row[1], "players": {}})
         if row[1] != entry["kind"]:
             raise GameFormatError(

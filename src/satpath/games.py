@@ -285,10 +285,11 @@ def _check_epsilon(epsilon: float) -> float:
 
 
 @cache
-def _subscripts(ndim: int, keep: tuple[int, ...]) -> str:
+def _subscripts(ndim: int, keep: tuple[int, ...], batched: bool) -> str:
     axes = string.ascii_lowercase[:ndim]
-    averaged = [axes[j] for j in range(ndim) if j not in keep]
-    return ",".join([axes, *averaged]) + "->" + "".join(axes[j] for j in keep)
+    batch = "z" if batched else ""
+    averaged = [batch + axes[j] for j in range(ndim) if j not in keep]
+    return ",".join([axes, *averaged]) + "->" + batch + "".join(axes[j] for j in keep)
 
 
 def _contract(tensor: np.ndarray, probs, keep: tuple[int, ...]) -> np.ndarray:
@@ -299,9 +300,18 @@ def _contract(tensor: np.ndarray, probs, keep: tuple[int, ...]) -> np.ndarray:
     package goes through here: keep=() is an expected reward, keep=(i,) the
     pure-action payoffs, keep=(i, j) a pairwise payoff matrix, and keeping the
     free players reduces a game to the subgame induced by frozen strategies.
+
+    The averaged ``probs[j]`` may instead all be (B, c_j) arrays, one row per
+    profile of a batch; the result then gains a leading batch axis of size B.
+    Unbatched calls keep their subscripts, so their results do not change.
+    A batched row equals the unbatched call bitwise unless the unbatched
+    result has a single entry (every kept axis of size 1, or none kept):
+    einsum then groups that full reduction differently, and the two may
+    differ in the last place.
     """
     averaged = [probs[j] for j in range(tensor.ndim) if j not in keep]
-    return np.einsum(_subscripts(tensor.ndim, keep), tensor, *averaged)
+    batched = bool(averaged) and averaged[0].ndim == 2
+    return np.einsum(_subscripts(tensor.ndim, keep, batched), tensor, *averaged)
 
 
 def expected_reward(game: Game, profile: StrategyProfile, player: int) -> float:
@@ -332,6 +342,20 @@ def _deviation_gap_raw(game: Game, probs: list[np.ndarray], player: int) -> floa
     w = _contract(game.payoff_tensor(player), probs, (player,))
     gap = float(w.max()) - float(w @ probs[player])
     return gap if gap > 0.0 else 0.0
+
+
+def _batch_gaps(game: Game, probs: list[np.ndarray]) -> np.ndarray:
+    """Every player's deviation gap at each profile of a batch: ``probs[j]``
+    is a (B, c_j) array of player j's strategies, and row b of the (B, n)
+    result equals the gaps ``satisfaction_report`` gives at profile b bitwise
+    (the batched matmul runs the same dot product as ``w @ probs[player]``)."""
+    gaps = np.empty((len(probs[0]), game.num_players))
+    for i, p in enumerate(probs):
+        w = _contract(game._tensors[i], probs, (i,))
+        if w.ndim == 1:  # a one-player game averages over no one
+            w = np.broadcast_to(w, p.shape)
+        gaps[:, i] = np.maximum.reduce(w, axis=1) - (w[:, None, :] @ p[:, :, None])[:, 0, 0]
+    return np.where(gaps > 0.0, gaps, 0.0)
 
 
 def satisfaction_report(

@@ -132,6 +132,23 @@ class TestPathVerifyPipeline:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("broken", ["json-structure", "csv-kind"])
+    def test_structurally_broken_trace_is_input_error(self, mp_file, tmp_path, broken, capsys):
+        fmt = broken.split("-")[0]
+        trace = tmp_path / f"trace.{fmt}"
+        run(["path", "--game", mp_file, "--init", "pure:0,0", "--format", fmt,
+             "--out", str(trace)])
+        if fmt == "json":
+            doc = json.loads(trace.read_text())
+            doc["steps"][0].update(step_kind=["x"], satisfied=[7], gaps=[1.0])
+            trace.write_text(json.dumps(doc))
+        else:
+            trace.write_text(trace.read_text().replace(",initial,", ",bogus_kind,"))
+        capsys.readouterr()
+        assert run(["verify", "--game", mp_file, "--in", str(trace)]) == 2
+        err = capsys.readouterr().err
+        assert "unknown step kind" in err and err.startswith("error: ") and err.count("\n") == 1
+
     @pytest.mark.parametrize("command", ["solve", "verify"])
     def test_non_utf8_file_is_input_error(self, mp_file, tmp_path, command, capsys):
         binary = tmp_path / "bin.json"

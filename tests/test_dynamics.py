@@ -7,14 +7,20 @@ import pytest
 
 from satpath import (
     ExplorerPolicy,
+    Game,
     GameInputError,
+    MixedStrategy,
+    StrategyProfile,
     Trajectory,
     batch_experiment,
+    generate_random_game,
+    random_profile,
     run_dynamics,
     satisfaction_report,
     satisficing_step,
     verify_path,
 )
+from satpath import dynamics
 
 from conftest import pure, uniform
 
@@ -173,3 +179,169 @@ class TestBatchExperiment:
     def test_trials_validated(self, pd):
         with pytest.raises(GameInputError, match="trials"):
             batch_experiment([pd], trials_per_game=0)
+
+
+class TestEntryValidation:
+    @pytest.mark.parametrize("max_steps", [2.5, True, "3", None])
+    def test_run_dynamics_max_steps(self, mp, max_steps):
+        with pytest.raises(GameInputError, match="max_steps"):
+            run_dynamics(mp, uniform(mp), 1e-6, max_steps)
+
+    @pytest.mark.parametrize("trials", [2.5, True, "2"])
+    def test_batch_trials(self, mp, trials):
+        with pytest.raises(GameInputError, match="trials_per_game"):
+            batch_experiment([mp], trials)
+
+    @pytest.mark.parametrize("max_steps", [2.5, False])
+    def test_batch_max_steps(self, mp, max_steps):
+        with pytest.raises(GameInputError, match="max_steps"):
+            batch_experiment([mp], 2, max_steps=max_steps)
+
+    def test_numpy_integer_counts_accepted(self, pd):
+        rows = batch_experiment([pd], np.int64(3), explorer=ExplorerPolicy("pure_uniform"),
+                                max_steps=np.int32(50))
+        assert rows[0]["trials"] == 3 and type(rows[0]["trials"]) is int
+        assert len(run_dynamics(pd, uniform(pd), 1e-6, np.int64(2))) <= 2
+
+    @pytest.mark.parametrize("call", ["run", "batch", "step"])
+    def test_explorer_must_be_a_policy(self, mp, call):
+        with pytest.raises(GameInputError, match="ExplorerPolicy"):
+            if call == "run":
+                run_dynamics(mp, pure(mp, (0, 0)), 1e-6, 10, "pure_uniform")
+            elif call == "batch":
+                batch_experiment([mp], 2, explorer="pure_uniform")
+            else:
+                satisficing_step(mp, pure(mp, (0, 0)), 1e-6, "pure_uniform",
+                                 np.random.default_rng(0))
+
+    def test_every_game_checked_before_any_trial(self, pd, monkeypatch):
+        def no_trials(*args, **kwargs):
+            raise AssertionError("a trial ran before every game was checked")
+
+        monkeypatch.setattr(dynamics, "_lockstep", no_trials)
+        with pytest.raises(GameInputError, match=r"games\[1\]"):
+            batch_experiment([pd, "not a game"], 2)
+
+
+def reference_trial(game, x1, epsilon, max_steps, explorer, seed):
+    """The dynamics one trial at a time through public calls: one
+    satisfaction_report per step, then one validated MixedStrategy per
+    unsatisfied player, drawn in ascending player order."""
+    rng = np.random.default_rng(seed)
+    profiles = [x1]
+    reports = [satisfaction_report(game, x1, epsilon)]
+    while reports[-1].unsatisfied and len(profiles) < max_steps:
+        strategies = list(profiles[-1].strategies)
+        for i in sorted(reports[-1].unsatisfied):
+            count = game.action_counts[i]
+            if explorer.kind == "pure_uniform":
+                strategies[i] = MixedStrategy.pure(count, int(rng.integers(count)))
+                continue
+            sample = rng.dirichlet(np.ones(count))
+            if explorer.kind == "mixture_with_current":
+                w = explorer.mixture_weight
+                sample = (1.0 - w) * strategies[i].probs + w * sample
+            strategies[i] = MixedStrategy(sample)
+        profiles.append(StrategyProfile(tuple(strategies)))
+        reports.append(satisfaction_report(game, profiles[-1], epsilon))
+    hit = None if reports[-1].unsatisfied else len(profiles)
+    return profiles, reports, hit
+
+
+def replayed_rows(games, trials, epsilon, explorer, max_steps, master):
+    """batch_experiment's rows rebuilt trial by trial from the reference."""
+    rows = []
+    for g, game in enumerate(games):
+        hits = []
+        for t in range(trials):
+            init_ss, run_ss = np.random.SeedSequence([master, g, t]).spawn(2)
+            x1 = random_profile(game, np.random.default_rng(init_ss))
+            seed = int(run_ss.generate_state(1, np.uint64)[0])
+            _, _, hit = reference_trial(game, x1, epsilon, max_steps, explorer, seed)
+            if hit is not None:
+                hits.append(hit)
+        rows.append({
+            "game": game.name or f"game-{g}",
+            "game_index": g,
+            "trials": trials,
+            "hits": len(hits),
+            "hit_frequency": len(hits) / trials,
+            "mean_hit_step": float(np.mean(hits)) if hits else None,
+            "median_hit_step": float(np.median(hits)) if hits else None,
+        })
+    return rows
+
+
+EXPLORERS = [
+    ExplorerPolicy("dirichlet_uniform"),
+    ExplorerPolicy("pure_uniform"),
+    ExplorerPolicy("mixture_with_current", mixture_weight=0.3),
+]
+# 1-4 players, one of them with a one-action player
+SHAPES = [(3,), (2, 2), (1, 3), (2, 3, 2), (2, 2, 2, 2)]
+
+
+class TestLockStep:
+    @pytest.mark.parametrize("explorer", EXPLORERS, ids=lambda e: e.kind)
+    def test_rows_equal_per_trial_replay(self, explorer):
+        # a loose epsilon lets continuous explorers hit too, at varied steps
+        epsilon = 0.05 if explorer.kind != "pure_uniform" else 1e-6
+        games = [generate_random_game(len(s), s, 300 + k) for k, s in enumerate(SHAPES)]
+        rows = batch_experiment(games, 8, epsilon, explorer, max_steps=60, master_seed=17)
+        assert rows == replayed_rows(games, 8, epsilon, explorer, 60, 17)
+        assert sum(row["hits"] for row in rows) > 0
+
+    @pytest.mark.parametrize("explorer", EXPLORERS, ids=lambda e: e.kind)
+    def test_run_dynamics_equals_reference(self, explorer):
+        for k, shape in enumerate(SHAPES):
+            game = generate_random_game(len(shape), shape, 400 + k)
+            x1 = random_profile(game, np.random.default_rng(k))
+            traj = run_dynamics(game, x1, 0.05, 40, explorer, seed=k)
+            profiles, reports, hit = reference_trial(game, x1, 0.05, 40, explorer, k)
+            assert traj.hit_step == hit
+            assert list(traj.profiles) == profiles  # bitwise
+            for got, want in zip(traj.reports, reports):
+                assert np.array_equal(got.gaps, want.gaps)
+                assert (got.satisfied, got.unsatisfied) == (want.satisfied, want.unsatisfied)
+
+    def test_satisfied_players_keep_their_strategy_objects(self, mp):
+        traj = run_dynamics(mp, pure(mp, (0, 0)), 1e-6, 20, seed=3)
+        for before, after, report in zip(traj.profiles, traj.profiles[1:], traj.reports):
+            for i in report.satisfied:
+                assert after[i] is before[i]
+
+    def test_trials_run_in_blocks(self, monkeypatch):
+        game = generate_random_game(3, (2, 3, 2), 450)
+        explorer = ExplorerPolicy("pure_uniform")
+        monkeypatch.setattr(dynamics, "_TRIAL_BLOCK", 3)
+        rows = batch_experiment([game, game], 8, 1e-6, explorer, max_steps=40, master_seed=5)
+        assert rows == replayed_rows([game, game], 8, 1e-6, explorer, 40, 5)
+
+    def test_one_step_cap(self, pd, mp):
+        for explorer in EXPLORERS:
+            rows = batch_experiment([pd, mp], 5, 1e-6, explorer, max_steps=1, master_seed=2)
+            assert rows == replayed_rows([pd, mp], 5, 1e-6, explorer, 1, 2)
+            assert all(row["hits"] == 0 for row in rows)
+
+    def test_hit_at_step_one(self):
+        # every player has one action, so every start is an equilibrium
+        trivial = Game((1, 1), ([0.5], [-2.0]))
+        (row,) = batch_experiment([trivial], 4, max_steps=10)
+        assert (row["hits"], row["mean_hit_step"], row["median_hit_step"]) == (4, 1.0, 1.0)
+        traj = run_dynamics(trivial, uniform(trivial), max_steps=10)
+        assert (len(traj), traj.hit_step) == (1, 1)
+
+    def test_no_trial_hits(self, mp):
+        # continuous draws never land on the mixed equilibrium of matching pennies
+        explorer = ExplorerPolicy("dirichlet_uniform")
+        (row,) = batch_experiment([mp], 6, 1e-9, explorer, max_steps=25, master_seed=8)
+        assert row == replayed_rows([mp], 6, 1e-9, explorer, 25, 8)[0]
+        assert (row["hits"], row["mean_hit_step"], row["median_hit_step"]) == (0, None, None)
+
+    def test_invalid_draw_raises_input_error(self, mp, monkeypatch):
+        def bad_draw(row, players, segments, explorer, rng):
+            row[segments[players[0]]] = [0.7, 0.7]
+
+        monkeypatch.setattr(dynamics, "_redraw", bad_draw)
+        with pytest.raises(GameInputError, match="probability vector"):
+            batch_experiment([mp], 2, max_steps=5)

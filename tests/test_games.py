@@ -21,7 +21,7 @@ from satpath import (
     random_profile,
     satisfaction_report,
 )
-from satpath.games import _contract
+from satpath.games import _batch_gaps, _contract
 
 from conftest import (
     brute_expected_reward,
@@ -318,13 +318,20 @@ def games_and_profiles(draw):
     payoffs = tuple(
         draw(st.lists(unit, min_size=size, max_size=size)) for _ in counts
     )
+    game = Game(counts, payoffs)
+    return game, draw(profiles_of(game))
+
+
+@st.composite
+def profiles_of(draw, game):
+    """A profile of ``game`` that may put zeros anywhere."""
     vectors = []
-    for c in counts:
+    for c in game.action_counts:
         weights = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=c, max_size=c)))
         if weights.sum() == 0.0:
             weights[0] = 1.0
         vectors.append(weights / weights.sum())
-    return Game(counts, payoffs), profile_from(vectors)
+    return profile_from(vectors)
 
 
 def brute_contract(game, profile, player, keep):
@@ -368,3 +375,52 @@ class TestContractionKernel:
         best = int(np.argmax(pure_action_payoffs(game, profile, i)))
         at_best = profile.replace(i, MixedStrategy.pure(game.action_counts[i], best))
         assert deviation_gap(game, at_best, i) == 0.0
+
+
+class TestBatchedKernel:
+    """The batch axis of ``_contract`` and ``_batch_gaps`` against the
+    single-profile calls, compared bitwise."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(games_and_profiles(), st.data())
+    def test_batch_rows_equal_single_profile_calls(self, game_and_profile, data):
+        game, first = game_and_profile
+        n = game.num_players
+        profiles = [first] + data.draw(st.lists(profiles_of(game), max_size=5))
+        # some profiles get one player on a pure best response, whose gap is 0
+        best = []
+        for b, profile in enumerate(profiles):
+            i = data.draw(st.none() | st.integers(0, n - 1))
+            if i is not None:
+                a = int(np.argmax(pure_action_payoffs(game, profile, i)))
+                profiles[b] = profile.replace(i, MixedStrategy.pure(game.action_counts[i], a))
+                best.append((b, i))
+        rows = np.array([np.concatenate([s.probs for s in p.strategies]) for p in profiles])
+        # any batch size and any rows, repeats allowed, as fancy indexing gives them
+        picked = data.draw(st.lists(st.integers(0, len(profiles) - 1), min_size=1, max_size=9))
+        batch = rows[picked]
+        ends = np.cumsum(game.action_counts)
+        probs = [batch[:, end - c : end] for c, end in zip(game.action_counts, ends)]
+
+        gaps = _batch_gaps(game, probs)
+        assert gaps.shape == (len(picked), n)
+        for r, b in enumerate(picked):
+            want = satisfaction_report(game, profiles[b], 0.0).gaps
+            assert gaps[r].tobytes() == want.tobytes()
+        for b, i in best:
+            for r in np.flatnonzero(np.array(picked) == b):
+                assert gaps[r, i] == 0.0
+        if n == 1:
+            return
+        for i in range(n):
+            w = _contract(game.payoff_tensor(i), probs, (i,))
+            assert w.shape == (len(picked), game.action_counts[i])
+            for r, b in enumerate(picked):
+                want = pure_action_payoffs(game, profiles[b], i)
+                if game.action_counts[i] > 1:
+                    assert w[r].tobytes() == want.tobytes()
+                else:
+                    # unbatched, a one-action player's payoff is a full
+                    # reduction, which einsum groups differently (last ulp);
+                    # its gap is exactly 0 either way, checked above
+                    np.testing.assert_allclose(w[r], want, rtol=0.0, atol=KERNEL_TOL)

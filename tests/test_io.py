@@ -263,3 +263,42 @@ class TestCsvTraceConsistency:
     def test_disagreeing_rows_rejected(self, tmp_path, rows):
         with pytest.raises(GameFormatError, match="disagreeing"):
             read_trace(_write_trace(tmp_path, rows))
+
+
+def _broken_json_trace(tmp_path, mp, **step):
+    """A two-player matching-pennies JSON trace with its first step's fields
+    replaced by ``step``."""
+    target = tmp_path / "trace.json"
+    emit_path(construct_path(mp, pure(mp, (0, 0))), "json", target)
+    doc = json.loads(target.read_text())
+    doc["steps"][0].update(step)
+    target.write_text(json.dumps(doc))
+    return target
+
+
+class TestTraceStructure:
+    @pytest.mark.parametrize(
+        "step, match",
+        [
+            ({"step_kind": ["x"]}, "unknown step kind"),
+            ({"step_kind": "bogus_kind"}, "unknown step kind"),
+            ({"gaps": [1.0]}, "1 gaps for 2 players"),
+            ({"gaps": [0.0, 2.0, 0.0]}, "3 gaps for 2 players"),
+            ({"satisfied": [7]}, "satisfied entry 7"),
+            ({"satisfied": [-1]}, "satisfied entry -1"),
+            ({"satisfied": [True]}, "satisfied entry True"),
+            ({"satisfied": [0.0]}, "satisfied entry 0.0"),
+            ({"satisfied": [0, 0]}, "repeats a player"),
+        ],
+        ids=["list-kind", "unknown-kind", "short-gaps", "long-gaps", "player-out-of-range",
+             "negative-player", "bool-player", "float-player", "repeated-player"],
+    )
+    def test_json_structure_rejected(self, mp, tmp_path, step, match):
+        with pytest.raises(GameFormatError, match=match) as exc_info:
+            read_trace(_broken_json_trace(tmp_path, mp, **step))
+        assert exc_info.value.key == "steps[0]"
+
+    def test_csv_unknown_kind_rejected(self, tmp_path):
+        rows = [row.replace("worse_step", "bogus_kind") for row in _TRACE_ROWS]
+        with pytest.raises(GameFormatError, match="row 6 has unknown step kind 'bogus_kind'"):
+            read_trace(_write_trace(tmp_path, rows))
