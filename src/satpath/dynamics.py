@@ -35,7 +35,7 @@ from .games import (
     _batch_gaps,
     _check_epsilon,
     _check_profile,
-    _readonly,
+    _report,
     satisfaction_report,
 )
 
@@ -171,11 +171,11 @@ def _redraw(
 def _rebuilt(
     profile: StrategyProfile, row: np.ndarray, players, segments: list[slice]
 ) -> StrategyProfile:
-    """``profile`` with ``players``' strategies read from ``row``; every other
-    player keeps its strategy object."""
+    """``profile`` with ``players``' strategies read from ``row``, which has
+    passed ``_check_rows``; every other player keeps its strategy object."""
     strategies = list(profile.strategies)
     for i in players:
-        strategies[i] = MixedStrategy(row[segments[i]].copy())
+        strategies[i] = MixedStrategy._prechecked(row[segments[i]].copy())
     return StrategyProfile(tuple(strategies))
 
 
@@ -237,6 +237,7 @@ def satisficing_step(
     row = np.concatenate([s.probs for s in profile.strategies])
     players = sorted(report.unsatisfied)
     _redraw(row, players, segments, explorer, rng)
+    _check_rows(row[None, :], segments)
     return _rebuilt(profile, row, players, segments)
 
 
@@ -265,15 +266,7 @@ def run_dynamics(
             profiles.append(_rebuilt(profiles[-1], rows[0], redrawn, segments))
         else:
             profiles.append(x1)
-        satisfied = frozenset(i for i, gap in enumerate(gaps[0].tolist()) if gap <= epsilon)
-        reports.append(
-            SatisfactionReport(
-                gaps=_readonly(gaps[0].copy()),
-                satisfied=satisfied,
-                unsatisfied=frozenset(range(game.num_players)) - satisfied,
-                epsilon=epsilon,
-            )
-        )
+        reports.append(_report(gaps[0].copy(), epsilon))
 
     rows = np.concatenate([s.probs for s in x1.strategies])[None, :]
     (hit,) = _lockstep(

@@ -140,6 +140,14 @@ class MixedStrategy:
         object.__setattr__(self, "probs", arr)
 
     @classmethod
+    def _prechecked(cls, probs: np.ndarray) -> "MixedStrategy":
+        """A strategy over ``probs``, which the caller has already put through
+        these checks (the dynamics check every drawn row at once)."""
+        strategy = object.__new__(cls)
+        object.__setattr__(strategy, "probs", _readonly(probs))
+        return strategy
+
+    @classmethod
     def pure(cls, num_actions: int, action: int) -> "MixedStrategy":
         """The point mass on ``action``."""
         if not 0 <= action < num_actions:
@@ -358,6 +366,15 @@ def _batch_gaps(game: Game, probs: list[np.ndarray]) -> np.ndarray:
     return np.where(gaps > 0.0, gaps, 0.0)
 
 
+def _report(gaps, epsilon: float) -> SatisfactionReport:
+    """The report for one profile's ``gaps``: a player is satisfied when its
+    gap is at most ``epsilon``."""
+    gaps = _readonly(gaps)
+    satisfied = frozenset(i for i, gap in enumerate(gaps.tolist()) if gap <= epsilon)
+    unsatisfied = frozenset(range(gaps.size)) - satisfied
+    return SatisfactionReport(gaps=gaps, satisfied=satisfied, unsatisfied=unsatisfied, epsilon=epsilon)
+
+
 def satisfaction_report(
     game: Game, profile: StrategyProfile, epsilon: float = DEFAULT_EPSILON
 ) -> SatisfactionReport:
@@ -370,10 +387,7 @@ def satisfaction_report(
     _check_profile(game, profile)
     epsilon = _check_epsilon(epsilon)
     probs = [s.probs for s in profile.strategies]
-    gaps = _readonly([_deviation_gap_raw(game, probs, i) for i in range(game.num_players)])
-    satisfied = frozenset(i for i in range(game.num_players) if gaps[i] <= epsilon)
-    unsatisfied = frozenset(range(game.num_players)) - satisfied
-    return SatisfactionReport(gaps=gaps, satisfied=satisfied, unsatisfied=unsatisfied, epsilon=epsilon)
+    return _report([_deviation_gap_raw(game, probs, i) for i in range(game.num_players)], epsilon)
 
 
 def is_eps_best_response(

@@ -338,10 +338,18 @@ class TestLockStep:
         assert row == replayed_rows([mp], 6, 1e-9, explorer, 25, 8)[0]
         assert (row["hits"], row["mean_hit_step"], row["median_hit_step"]) == (0, None, None)
 
-    def test_invalid_draw_raises_input_error(self, mp, monkeypatch):
+    @pytest.mark.parametrize("bad", [[0.7, 0.7], [np.nan, 1.0], [-0.5, 1.5], [np.inf, 0.0]])
+    @pytest.mark.parametrize("entry", ["batch", "run", "step"])
+    def test_invalid_draw_raises_input_error(self, mp, monkeypatch, entry, bad):
         def bad_draw(row, players, segments, explorer, rng):
-            row[segments[players[0]]] = [0.7, 0.7]
+            row[segments[players[0]]] = bad
 
         monkeypatch.setattr(dynamics, "_redraw", bad_draw)
+        x1 = StrategyProfile.pure(mp, (0, 0))
         with pytest.raises(GameInputError, match="probability vector"):
-            batch_experiment([mp], 2, max_steps=5)
+            if entry == "batch":
+                batch_experiment([mp], 2, max_steps=5)
+            elif entry == "run":
+                run_dynamics(mp, x1, max_steps=5)
+            else:
+                satisficing_step(mp, x1, 1e-6, ExplorerPolicy(), np.random.default_rng(0))
