@@ -25,7 +25,7 @@ from .games import (
     DEFAULT_EPSILON,
     Game,
     StrategyProfile,
-    deviation_gap,
+    _profile_gaps,
     random_profile,
 )
 from .gameio import (
@@ -86,7 +86,7 @@ def _cmd_solve(args) -> int:
     game = load_game(args.game)
     config = SolverConfig(tolerance=args.eps)
     profile = find_nash(game, config)
-    gaps = [deviation_gap(game, profile, i) for i in range(game.num_players)]
+    gaps = _profile_gaps(game, profile).tolist()
     doc = {
         "game": game.name,
         "epsilon": args.eps,

@@ -33,8 +33,10 @@ from .games import (
     SatisfactionReport,
     StrategyProfile,
     _batch_gaps,
+    _check_count,
     _check_epsilon,
     _check_profile,
+    _readonly,
     _report,
     satisfaction_report,
 )
@@ -115,12 +117,6 @@ def _check_explorer(explorer) -> ExplorerPolicy:
     return explorer
 
 
-def _check_count(name: str, value) -> int:
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
-        raise GameInputError(f"{name} must be an integer of at least 1, got {value!r}")
-    return int(value)
-
-
 def _segments(game: Game) -> list[slice]:
     """Each player's columns in a row holding one profile."""
     ends = np.cumsum(game.action_counts).tolist()
@@ -175,7 +171,7 @@ def _rebuilt(
     passed ``_check_rows``; every other player keeps its strategy object."""
     strategies = list(profile.strategies)
     for i in players:
-        strategies[i] = MixedStrategy._prechecked(row[segments[i]].copy())
+        strategies[i] = MixedStrategy._prechecked(row[segments[i]])
     return StrategyProfile(tuple(strategies))
 
 
@@ -266,7 +262,7 @@ def run_dynamics(
             profiles.append(_rebuilt(profiles[-1], rows[0], redrawn, segments))
         else:
             profiles.append(x1)
-        reports.append(_report(gaps[0].copy(), epsilon))
+        reports.append(_report(_readonly(gaps[0]), epsilon))
 
     rows = np.concatenate([s.probs for s in x1.strategies])[None, :]
     (hit,) = _lockstep(

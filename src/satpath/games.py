@@ -17,6 +17,15 @@ quantity is the deviation gap
 which is continuous, nonnegative, and zero exactly when player i best
 responds, i.e. when x_i is supported on the argmax of the pure-action
 payoff vector.
+
+Games, strategies and profiles are immutable: every array they hold is a
+read-only copy of what the caller passed, so nothing the caller keeps can
+change them.  Two memos rely on that.  A profile's gap vector is a pure
+function of the (game, profile) pair, so ``_profile_gaps`` computes it once
+per pair and keeps it on the profile, where every whole-profile gap read
+(``satisfaction_report``, ``deviation_gap``, ``is_eps_best_response``,
+``solver.verify_nash``, ``solver.find_nash``) finds it; and ``find_nash``
+keeps its equilibria on the game.
 """
 
 from __future__ import annotations
@@ -42,7 +51,9 @@ DEFAULT_EPSILON = 1e-9
 
 
 def _readonly(values, dtype=np.float64) -> np.ndarray:
-    arr = np.ascontiguousarray(values, dtype=dtype)
+    """A read-only contiguous copy of ``values``: a copy even when ``values``
+    is already such an array, whose owner could make it writable again."""
+    arr = np.array(values, dtype=dtype, order="C")
     arr.setflags(write=False)
     return arr
 
@@ -211,6 +222,17 @@ class StrategyProfile:
     def uniform(cls, game: Game) -> "StrategyProfile":
         return cls(tuple(MixedStrategy.uniform(c) for c in game.action_counts))
 
+    @cached_property
+    def _gaps(self) -> dict:
+        """``_profile_gaps`` results for this profile, keyed by ``id(game)``."""
+        return {}
+
+    def __getstate__(self) -> dict:
+        # Copy and pickle the strategies alone: the gap memo's keys are ids of
+        # games in this process, which a copy does not share, and each entry
+        # holds a whole game.
+        return {"strategies": self.strategies}
+
     def __len__(self) -> int:
         return len(self.strategies)
 
@@ -292,6 +314,13 @@ def _check_epsilon(epsilon: float) -> float:
     return epsilon
 
 
+def _check_count(name: str, value) -> int:
+    """``value`` as an int, which must be an integer (not a bool) of at least 1."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+        raise GameInputError(f"{name} must be an integer of at least 1, got {value!r}")
+    return int(value)
+
+
 @cache
 def _subscripts(ndim: int, keep: tuple[int, ...], batched: bool) -> str:
     axes = string.ascii_lowercase[:ndim]
@@ -343,13 +372,33 @@ def deviation_gap(game: Game, profile: StrategyProfile, player: int) -> float:
     """Best pure-action payoff minus current expected payoff, clamped at 0."""
     _check_profile(game, profile)
     _check_player(game, player)
-    return _deviation_gap_raw(game, [s.probs for s in profile.strategies], player)
+    return float(_profile_gaps(game, profile)[player])
 
 
 def _deviation_gap_raw(game: Game, probs: list[np.ndarray], player: int) -> float:
     w = _contract(game.payoff_tensor(player), probs, (player,))
     gap = float(w.max()) - float(w @ probs[player])
     return gap if gap > 0.0 else 0.0
+
+
+def _profile_gaps(game: Game, profile: StrategyProfile) -> np.ndarray:
+    """Every player's deviation gap at ``profile``, which the caller has
+    checked against ``game``, as a read-only array.
+
+    The gaps are a pure function of the immutable pair, so they are computed
+    once per game and kept on the profile: a profile that is freed takes
+    them with it, and nothing is stored on the game.  The memo is keyed by
+    ``id(game)`` and holds the game beside the gaps, so that id cannot be
+    reused while the entry lives; an equal but distinct game computes anew.
+    Copies and pickles of a profile leave the memo behind (``__getstate__``).
+    """
+    memo = profile._gaps
+    entry = memo.get(id(game))
+    if entry is None:
+        probs = [s.probs for s in profile.strategies]
+        gaps = _readonly([_deviation_gap_raw(game, probs, i) for i in range(game.num_players)])
+        memo[id(game)] = entry = (game, gaps)
+    return entry[1]
 
 
 def _batch_gaps(game: Game, probs: list[np.ndarray]) -> np.ndarray:
@@ -366,10 +415,9 @@ def _batch_gaps(game: Game, probs: list[np.ndarray]) -> np.ndarray:
     return np.where(gaps > 0.0, gaps, 0.0)
 
 
-def _report(gaps, epsilon: float) -> SatisfactionReport:
-    """The report for one profile's ``gaps``: a player is satisfied when its
-    gap is at most ``epsilon``."""
-    gaps = _readonly(gaps)
+def _report(gaps: np.ndarray, epsilon: float) -> SatisfactionReport:
+    """The report for one profile's read-only ``gaps``, which it keeps: a
+    player is satisfied when its gap is at most ``epsilon``."""
     satisfied = frozenset(i for i, gap in enumerate(gaps.tolist()) if gap <= epsilon)
     unsatisfied = frozenset(range(gaps.size)) - satisfied
     return SatisfactionReport(gaps=gaps, satisfied=satisfied, unsatisfied=unsatisfied, epsilon=epsilon)
@@ -386,8 +434,7 @@ def satisfaction_report(
     """
     _check_profile(game, profile)
     epsilon = _check_epsilon(epsilon)
-    probs = [s.probs for s in profile.strategies]
-    return _report([_deviation_gap_raw(game, probs, i) for i in range(game.num_players)], epsilon)
+    return _report(_profile_gaps(game, profile), epsilon)
 
 
 def is_eps_best_response(

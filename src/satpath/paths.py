@@ -29,6 +29,7 @@ is achievable and unambiguous.
 from __future__ import annotations
 
 import itertools
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -41,6 +42,7 @@ from .games import (
     MixedStrategy,
     SatisfactionReport,
     StrategyProfile,
+    _check_count,
     _check_epsilon,
     _check_profile,
     _deviation_gap_raw,
@@ -100,15 +102,22 @@ class WorseSearchConfig:
     Candidates are tried in a low-entropy-first order: single-player pure
     deviations, then the uniform blends ``build_w_xi`` for the fixed grid
     xi = 0.5, 0.1, 0.01, then joint Dirichlet resamples seeded by
-    ``rng_seed``, until ``budget`` candidates have been examined.
+    ``rng_seed``, until ``budget`` candidates have been examined.  Both are
+    integers (not bools); ``budget`` lies in 1..sys.maxsize, and the budget
+    escalations of ``construct_path`` stop growing at sys.maxsize.
     """
 
     budget: int = 5000
     rng_seed: int = 0
 
     def __post_init__(self):
-        if self.budget < 1:
-            raise GameInputError(f"budget must be at least 1, got {self.budget}")
+        budget = _check_count("budget", self.budget)
+        if budget > sys.maxsize:
+            raise GameInputError(f"budget must be at most {sys.maxsize}, got {budget}")
+        if isinstance(self.rng_seed, bool) or not isinstance(self.rng_seed, (int, np.integer)):
+            raise GameInputError(f"rng_seed must be an integer, got {self.rng_seed!r}")
+        object.__setattr__(self, "budget", budget)
+        object.__setattr__(self, "rng_seed", int(self.rng_seed))
 
 
 @dataclass(frozen=True)
@@ -388,7 +397,8 @@ def construct_path(
                 )
             )
             break
-        search = replace(worse_config, budget=worse_config.budget * 10**escalations)
+        budget = min(worse_config.budget * 10**escalations, sys.maxsize)
+        search = replace(worse_config, budget=budget)
         candidate = find_worse_candidate(game, current, epsilon, search)
         if candidate is not None:
             candidate_report = satisfaction_report(game, candidate, epsilon)

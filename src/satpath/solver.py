@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,10 +42,11 @@ from .games import (
     Game,
     MixedStrategy,
     StrategyProfile,
+    _check_count,
     _check_profile,
     _check_epsilon,
     _contract,
-    deviation_gap,
+    _profile_gaps,
 )
 
 _NEWTON_MAX_ITER = 200
@@ -101,21 +103,22 @@ class SolverConfig:
     max_support_size: int | None = None
 
     def __post_init__(self):
-        if not 0.0 < self.tolerance < math.inf:
-            raise GameInputError(
-                f"tolerance must be a finite positive real, got {self.tolerance!r}"
-            )
-        if self.max_support_size is not None and self.max_support_size < 1:
-            raise GameInputError("max_support_size must be at least 1")
+        tolerance = self.tolerance
+        if (
+            isinstance(tolerance, bool)
+            or not isinstance(tolerance, numbers.Real)
+            or not 0.0 < tolerance < math.inf
+        ):
+            raise GameInputError(f"tolerance must be a finite positive real, got {tolerance!r}")
+        if self.max_support_size is not None:
+            _check_count("max_support_size", self.max_support_size)
 
 
 def verify_nash(game: Game, profile: StrategyProfile, epsilon: float) -> bool:
     """True iff every player's deviation gap is at most ``epsilon``."""
     _check_profile(game, profile)
     epsilon = _check_epsilon(epsilon)
-    return all(
-        deviation_gap(game, profile, i) <= epsilon for i in range(game.num_players)
-    )
+    return bool(_profile_gaps(game, profile).max() <= epsilon)
 
 
 def _support_blocks(
@@ -393,7 +396,8 @@ def find_nash(game: Game, config: SolverConfig | None = None) -> StrategyProfile
     grid (``_pure_candidate``) rather than one singleton support at a time;
     the support enumeration then starts at total support size n + 1.  Every
     candidate, pure or mixed, is accepted only once its deviation gaps are
-    all at most ``config.tolerance``.
+    all at most ``config.tolerance``; those gaps stay memoized on the
+    returned profile (``games._profile_gaps``), so reading them again is free.
 
     The result is a pure function of the immutable game and the config, so
     it is memoized on the ``Game`` instance per (equal) ``SolverConfig``: a
@@ -420,7 +424,7 @@ def find_nash(game: Game, config: SolverConfig | None = None) -> StrategyProfile
     for profile in candidates:
         if profile is None:
             continue
-        gap = max(deviation_gap(game, profile, i) for i in range(game.num_players))
+        gap = float(_profile_gaps(game, profile).max())
         if gap <= config.tolerance:
             memo[config] = profile
             return profile

@@ -261,6 +261,16 @@ class TestRunFlagValidation:
     def test_zero_budget(self, mp_file):
         assert run(["path", "--game", mp_file, "--budget", "0"]) == 2
 
+    def test_budget_beyond_maxsize_is_input_error(self, tmp_path, capsys):
+        game_file = tmp_path / "g.json"
+        assert run(["gen", "--players", "3", "--actions", "2,2,2", "--seed", "5",
+                    "--out", str(game_file)]) == 0
+        code = run(["path", "--game", str(game_file), "--init", "pure:0,0,0",
+                    "--budget", "100000000000000000000"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: budget must be at most") and err.count("\n") == 1
+
     @pytest.mark.parametrize("command", ["simulate", "batch"])
     def test_zero_max_steps(self, mp_file, command):
         assert run([command, "--game", mp_file, "--max-steps", "0"]) == 2

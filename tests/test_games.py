@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
+import copy
 import itertools
+import pickle
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import satpath.games
 from satpath import (
     Game,
     GameInputError,
@@ -16,10 +20,12 @@ from satpath import (
     StrategyProfile,
     deviation_gap,
     expected_reward,
+    find_nash,
     is_eps_best_response,
     pure_action_payoffs,
     random_profile,
     satisfaction_report,
+    verify_nash,
 )
 from satpath.games import _batch_gaps, _contract
 
@@ -424,3 +430,123 @@ class TestBatchedKernel:
                     # reduction, which einsum groups differently (last ulp);
                     # its gap is exactly 0 either way, checked above
                     np.testing.assert_allclose(w[r], want, rtol=0.0, atol=KERNEL_TOL)
+
+
+# --- read-only copies and the per-profile gap memo ----------------------------
+
+
+class TestReadOnlyCopies:
+    def test_mutating_the_source_array_changes_nothing(self):
+        probs = np.array([0.5, 0.5])
+        payoffs = np.array([1.0, -1.0, -1.0, 1.0])
+        strategy = MixedStrategy(probs)
+        game = Game((2, 2), (payoffs, -payoffs))
+        profile = StrategyProfile((strategy, MixedStrategy(probs)))
+        gaps = satisfaction_report(game, profile, 0.0).gaps.copy()
+        solved = [s.probs.copy() for s in find_nash(game).strategies]
+        # a caller that owns an array may make it writable again, even after
+        # marking it read-only itself
+        for arr in (probs, payoffs):
+            arr.setflags(write=False)
+            arr.setflags(write=True)
+        probs[:] = [0.9, 0.1]
+        payoffs[:] = [5.0, 0.0, 0.0, 5.0]
+        assert strategy.probs.tolist() == [0.5, 0.5]
+        assert game.payoffs[0].tolist() == [1.0, -1.0, -1.0, 1.0]
+        assert satisfaction_report(game, profile, 0.0).gaps.tobytes() == gaps.tobytes()
+        # and the memo is not stale: an equal game and profile built now agree
+        twin = Game(game.action_counts, game.payoffs)
+        assert satisfaction_report(twin, copied(profile), 0.0).gaps.tobytes() == gaps.tobytes()
+        assert [s.probs.tolist() for s in find_nash(game).strategies] == [
+            p.tolist() for p in solved
+        ]
+        for arr in (strategy.probs, game.payoffs[0], satisfaction_report(game, profile).gaps):
+            assert not arr.flags.writeable
+
+
+@pytest.fixture
+def gap_kernel_calls(monkeypatch):
+    """Every player index the per-player gap kernel is run for, in order."""
+    calls = []
+    real = satpath.games._deviation_gap_raw
+
+    def counted(game, probs, player):
+        calls.append(player)
+        return real(game, probs, player)
+
+    monkeypatch.setattr(satpath.games, "_deviation_gap_raw", counted)
+    return calls
+
+
+def copied(profile: StrategyProfile) -> StrategyProfile:
+    """An equal profile with fresh strategy objects, so a fresh memo."""
+    return StrategyProfile(tuple(MixedStrategy(s.probs) for s in profile.strategies))
+
+
+class TestProfileGapMemo:
+    def test_repeat_reads_run_the_kernel_once(self, gap_kernel_calls):
+        game = random_game(np.random.default_rng(31), n=3)
+        profile = random_profile(game, np.random.default_rng(32))
+        first = satisfaction_report(game, profile, 1e-9)
+        assert gap_kernel_calls == [0, 1, 2]
+        again = satisfaction_report(game, profile, 0.5)  # epsilon is not part of the key
+        assert again.gaps is first.gaps
+        assert [deviation_gap(game, profile, i) for i in range(3)] == first.gaps.tolist()
+        assert is_eps_best_response(game, profile, 1, 1e-9) == (first.gaps[1] <= 1e-9)
+        assert verify_nash(game, profile, 1e-9) == (first.max_gap <= 1e-9)
+        assert gap_kernel_calls == [0, 1, 2]
+
+    def test_equal_games_do_not_share(self, gap_kernel_calls):
+        game = random_game(np.random.default_rng(33), n=2)
+        twin = Game(game.action_counts, game.payoffs)
+        assert twin == game and twin is not game
+        profile = random_profile(game, np.random.default_rng(34))
+        first = satisfaction_report(game, profile).gaps
+        second = satisfaction_report(twin, profile).gaps
+        assert gap_kernel_calls == [0, 1, 0, 1]
+        assert second is not first and second.tobytes() == first.tobytes()
+
+    @pytest.mark.parametrize(
+        "duplicate", [copy.deepcopy, lambda p: pickle.loads(pickle.dumps(p))]
+    )
+    def test_a_copy_leaves_the_memo_behind(self, gap_kernel_calls, duplicate):
+        game = random_game(np.random.default_rng(38), n=2)
+        profile = random_profile(game, np.random.default_rng(39))
+        gaps = satisfaction_report(game, profile).gaps
+        twin = duplicate(profile)
+        # a carried entry would sit under id(game) beside a copy of the game,
+        # and be read for whatever game later takes that id
+        assert twin == profile and "_gaps" not in vars(twin)
+        assert satisfaction_report(game, twin).gaps.tobytes() == gaps.tobytes()
+        assert gap_kernel_calls == [0, 1, 0, 1]
+
+    def test_find_nash_leaves_its_result_warm(self, gap_kernel_calls):
+        game = random_game(np.random.default_rng(35), n=3)
+        target = find_nash(game)
+        computed = len(gap_kernel_calls)
+        for _ in range(3):
+            assert satisfaction_report(game, target).max_gap <= 1e-9
+            assert verify_nash(game, target, 1e-9)
+        assert len(gap_kernel_calls) == computed
+
+    @settings(max_examples=150, deadline=None)
+    @given(games_and_profiles(), st.data())
+    def test_memo_is_bitwise_a_fresh_computation(self, game_and_profile, data):
+        game, profile = game_and_profile
+        i = data.draw(st.integers(0, game.num_players - 1))
+        best = int(np.argmax(pure_action_payoffs(game, profile, i)))
+        at_best = profile.replace(i, MixedStrategy.pure(game.action_counts[i], best))
+        for p in (profile, at_best):
+            memo = satisfaction_report(game, p).gaps
+            assert satisfaction_report(game, p).gaps is memo
+            assert memo.tobytes() == satisfaction_report(game, copied(p)).gaps.tobytes()
+        assert satisfaction_report(game, at_best).gaps[i] == 0.0
+
+    def test_a_dropped_profile_is_freed(self):
+        game = random_game(np.random.default_rng(36), n=2)
+        profile = random_profile(game, np.random.default_rng(37))
+        satisfaction_report(game, profile)
+        assert any(entry[0] is game for entry in profile._gaps.values())
+        ref = weakref.ref(profile)
+        del profile
+        assert ref() is None  # freed by its reference count: no cycle through the game

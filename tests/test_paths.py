@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -187,6 +189,50 @@ class TestFindWorseCandidate:
         # which fail here; budget 4 leaves no room for Dirichlet samples
         config = WorseSearchConfig(budget=4, rng_seed=0)
         assert find_worse_candidate(mp, x, EPS, config) is None
+
+
+class TestWorseSearchConfig:
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"budget": 2.5},
+            {"budget": True},
+            {"budget": 0},
+            {"budget": sys.maxsize + 1},
+            {"rng_seed": 1.5},
+            {"rng_seed": False},
+            {"rng_seed": "0"},
+        ],
+    )
+    def test_rejects_bad_fields(self, kwargs):
+        with pytest.raises(GameInputError):
+            WorseSearchConfig(**kwargs)
+
+    def test_numpy_integers_become_ints(self, mp):
+        config = WorseSearchConfig(budget=np.int64(7), rng_seed=np.int64(-3))
+        assert config == WorseSearchConfig(budget=7, rng_seed=-3)
+        assert type(config.budget) is int and type(config.rng_seed) is int
+        # a negative numpy seed once overflowed when masked to 64 bits
+        x = pure(mp, (0, 0))
+        assert find_worse_candidate(mp, x, EPS, config) == find_worse_candidate(
+            mp, x, EPS, WorseSearchConfig(budget=7, rng_seed=-3)
+        )
+
+    def test_escalated_budget_stops_at_maxsize(self, mp, monkeypatch):
+        budgets = []
+        real = satpath.paths.find_worse_candidate
+
+        def spy(game, x, epsilon, config):
+            budgets.append(config.budget)
+            return real(game, x, epsilon, WorseSearchConfig(budget=1))
+
+        monkeypatch.setattr(satpath.paths, "find_worse_candidate", spy)
+        monkeypatch.setattr(satpath.paths, "find_subgame_nash", lambda *args: pure(mp, (0, 0)))
+        budget = sys.maxsize // 100
+        with pytest.raises(WorseSearchIncompleteError):
+            construct_path(mp, pure(mp, (0, 0)), EPS, WorseSearchConfig(budget=budget))
+        # the last escalation, budget * 1000, would pass sys.maxsize
+        assert budgets == [budget, budget * 10, budget * 100, sys.maxsize]
 
 
 class TestWorseSearchStageOrder:
@@ -411,6 +457,15 @@ class TestVerifyPath:
         assert not result.ok
         assert result.step == 1 and result.player == 0
         assert "satisfied" in result.reason
+
+    def test_satisfied_mover_is_flagged_with_every_memo_warm(self, mp):
+        x1 = pure(mp, (0, 0))
+        x2 = profile_from([[0.5, 0.5], [0.0, 1.0]])
+        for x in (x1, x2):
+            report(mp, x)  # every profile's gaps are already memoized
+        result = verify_path(mp, [x1, x2], EPS, require_terminal_nash=False)
+        assert not result.ok
+        assert result.step == 1 and result.player == 0
 
     def test_terminal_nash_check(self, mp):
         x1 = pure(mp, (0, 0))

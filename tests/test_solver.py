@@ -64,6 +64,26 @@ class TestSolverConfig:
             SolverConfig(tolerance=tolerance)
 
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"tolerance": "1e-9"},
+            {"tolerance": True},
+            {"max_support_size": 2.5},
+            {"max_support_size": True},
+            {"max_support_size": 0},
+        ],
+    )
+    def test_rejects_mistyped_fields(self, kwargs):
+        with pytest.raises(GameInputError):
+            SolverConfig(**kwargs)
+
+    def test_numpy_scalars_are_accepted(self):
+        assert SolverConfig(tolerance=np.float64(1e-9), max_support_size=np.int64(2)) == (
+            SolverConfig(max_support_size=2)
+        )
+
+
 class TestSolveOnSupport:
     def test_matching_pennies_full_support(self, mp):
         sol = solve_on_support(mp, SupportProfile(((0, 1), (0, 1))))
