@@ -25,6 +25,7 @@ from .games import (
     DEFAULT_EPSILON,
     Game,
     StrategyProfile,
+    _check_seed,
     _profile_gaps,
     random_profile,
 )
@@ -40,13 +41,6 @@ from .paths import WorseSearchConfig, construct_path, verify_path
 from .solver import SolverConfig, find_nash
 
 import numpy as np
-
-
-def _emit_or_print(text: str, out: str | None) -> None:
-    if out:
-        _write_text(out, text)
-    else:
-        sys.stdout.write(text)
 
 
 def _parse_actions(spec: str) -> tuple[int, ...]:
@@ -78,7 +72,7 @@ def _cmd_gen(args) -> int:
     game = generate_random_game(
         args.players, _parse_actions(args.actions), args.seed, name=args.name
     )
-    _emit_or_print(json.dumps(game_document(game), indent=2) + "\n", args.out)
+    _write_text(args.out or sys.stdout, json.dumps(game_document(game), indent=2) + "\n")
     return 0
 
 
@@ -94,7 +88,7 @@ def _cmd_solve(args) -> int:
         "gaps": gaps,
         "max_gap": max(gaps),
     }
-    _emit_or_print(json.dumps(doc, indent=2) + "\n", args.out)
+    _write_text(args.out or sys.stdout, json.dumps(doc, indent=2) + "\n")
     return 0
 
 
@@ -102,10 +96,10 @@ def _cmd_path(args) -> int:
     solver = SolverConfig(tolerance=args.eps)
     worse = WorseSearchConfig(budget=args.budget, rng_seed=args.seed)
     game = load_game(args.game)
-    rng = np.random.default_rng(args.seed & 0xFFFFFFFFFFFFFFFF)
+    rng = np.random.default_rng(_check_seed("--seed", args.seed))
     x1 = _initial_profile(game, args.init, rng)
     path = construct_path(game, x1, args.eps, worse_config=worse, solver_config=solver)
-    emit_path(path, args.format, args.out if args.out else sys.stdout)
+    emit_path(path, args.format, args.out or sys.stdout)
     return 0
 
 
@@ -126,17 +120,17 @@ def _cmd_verify(args) -> int:
         "step": result.step,
         "player": result.player,
     }
-    _emit_or_print(json.dumps(doc, indent=2) + "\n", args.out)
+    _write_text(args.out or sys.stdout, json.dumps(doc, indent=2) + "\n")
     return 0 if result.ok else 1
 
 
 def _cmd_simulate(args) -> int:
     game = load_game(args.game)
-    rng = np.random.default_rng(args.seed & 0xFFFFFFFFFFFFFFFF)
+    rng = np.random.default_rng(_check_seed("--seed", args.seed))
     x1 = _initial_profile(game, args.init, rng)
     explorer = ExplorerPolicy(kind=args.explorer, mixture_weight=args.mixture_weight)
     trajectory = run_dynamics(game, x1, args.eps, args.max_steps, explorer, args.seed)
-    emit_path(trajectory, args.format, args.out if args.out else sys.stdout)
+    emit_path(trajectory, args.format, args.out or sys.stdout)
     return 0
 
 
@@ -154,22 +148,14 @@ def _cmd_batch(args) -> int:
     if args.format == "json":
         text = json.dumps(rows, indent=2) + "\n"
     else:
-        header = [
-            "game",
-            "game_index",
-            "trials",
-            "hits",
-            "hit_frequency",
-            "mean_hit_step",
-            "median_hit_step",
-        ]
+        # --game is required, so there is a row to take the columns from
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(header)
+        writer.writerow(rows[0])
         # csv writes None as an empty field and a float as its repr
-        writer.writerows([row[key] for key in header] for row in rows)
+        writer.writerows(row.values() for row in rows)
         text = buf.getvalue()
-    _emit_or_print(text, args.out)
+    _write_text(args.out or sys.stdout, text)
     return 0
 
 

@@ -21,6 +21,7 @@ unreachable.  It is a knob, not a claim.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,9 +34,11 @@ from .games import (
     SatisfactionReport,
     StrategyProfile,
     _batch_gaps,
-    _check_count,
-    _check_epsilon,
+    _check_instance,
+    _check_int,
     _check_profile,
+    _check_real,
+    _check_seed,
     _readonly,
     _report,
     satisfaction_report,
@@ -45,8 +48,6 @@ EXPLORER_KINDS = ("dirichlet_uniform", "pure_uniform", "mixture_with_current")
 
 #: Default satisfaction tolerance for the dynamics.
 DYNAMICS_EPSILON = 1e-6
-
-_SEED_MASK = 0xFFFFFFFFFFFFFFFF
 
 #: Trace kind of every trajectory profile after the initial one.
 _STEP_KIND = "dynamics_step"
@@ -74,10 +75,12 @@ class ExplorerPolicy:
             raise GameInputError(
                 f"unknown explorer kind {self.kind!r}; choose from {EXPLORER_KINDS}"
             )
-        if not 0.0 <= self.mixture_weight <= 1.0:
-            raise GameInputError(
-                f"mixture_weight must lie in [0, 1], got {self.mixture_weight!r}"
-            )
+        weight = _check_real("mixture_weight", self.mixture_weight, high=1.0)
+        object.__setattr__(self, "mixture_weight", weight)
+
+
+#: The policy every dynamics entry point uses when given None.
+_DEFAULT_EXPLORER = ExplorerPolicy()
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,22 +102,13 @@ class Trajectory:
         if len(self.profiles) != len(self.reports):
             raise GameInputError("trajectory profiles and reports differ in length")
         if self.hit_step is not None:
-            if not 1 <= self.hit_step <= len(self.profiles):
-                raise GameInputError(f"hit_step {self.hit_step} out of range")
+            _check_int("hit_step", self.hit_step, 1, len(self.profiles))
             report = self.reports[self.hit_step - 1]
             if report.max_gap > report.epsilon:
                 raise GameInputError("hit_step does not index an epsilon-Nash profile")
 
     def __len__(self) -> int:
         return len(self.profiles)
-
-
-def _check_explorer(explorer) -> ExplorerPolicy:
-    if explorer is None:
-        return ExplorerPolicy()
-    if not isinstance(explorer, ExplorerPolicy):
-        raise GameInputError(f"explorer must be an ExplorerPolicy, got {explorer!r}")
-    return explorer
 
 
 def _segments(game: Game) -> list[slice]:
@@ -225,7 +219,8 @@ def satisficing_step(
     bitwise; unsatisfied players resample per the explorer (in ascending
     player order, which fixes the generator draw order)."""
     _check_profile(game, profile)
-    explorer = _check_explorer(explorer)
+    explorer = _check_instance("explorer", explorer, ExplorerPolicy, _DEFAULT_EXPLORER)
+    _check_instance("rng", rng, np.random.Generator)
     report = satisfaction_report(game, profile, epsilon)
     if not report.unsatisfied:
         return profile
@@ -248,10 +243,10 @@ def run_dynamics(
     """Iterate satisficing steps from ``x1``, stopping at the first
     epsilon-Nash profile or once ``max_steps`` profiles have been emitted."""
     _check_profile(game, x1)
-    epsilon = _check_epsilon(epsilon)
-    max_steps = _check_count("max_steps", max_steps)
-    explorer = _check_explorer(explorer)
-    seed = int(seed) & _SEED_MASK
+    epsilon = _check_real("epsilon", epsilon)
+    max_steps = _check_int("max_steps", max_steps, 1)
+    explorer = _check_instance("explorer", explorer, ExplorerPolicy, _DEFAULT_EXPLORER)
+    seed = _check_seed("seed", seed)
     segments = _segments(game)
     profiles: list[StrategyProfile] = []
     reports: list[SatisfactionReport] = []
@@ -291,15 +286,14 @@ def batch_experiment(
     of the trial's SeedSequence.  Returns one row per game with the hit
     frequency and the mean/median hitting time among hits.
     """
-    epsilon = _check_epsilon(epsilon)
-    trials = _check_count("trials_per_game", trials_per_game)
-    max_steps = _check_count("max_steps", max_steps)
-    explorer = _check_explorer(explorer)
-    games = list(games)
+    epsilon = _check_real("epsilon", epsilon)
+    trials = _check_int("trials_per_game", trials_per_game, 1)
+    max_steps = _check_int("max_steps", max_steps, 1)
+    explorer = _check_instance("explorer", explorer, ExplorerPolicy, _DEFAULT_EXPLORER)
+    games = list(_check_instance("games", games, Iterable))
     for g, game in enumerate(games):
-        if not isinstance(game, Game):
-            raise GameInputError(f"games[{g}] is not a Game")
-    master = int(master_seed) & _SEED_MASK
+        _check_instance(f"games[{g}]", game, Game)
+    master = _check_seed("master_seed", master_seed)
     out: list[dict] = []
     for g, game in enumerate(games):
         hit_steps: list[int] = []

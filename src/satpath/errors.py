@@ -1,5 +1,12 @@
 """Exception types shared across the package.
 
+Public functions check each integer, index, seed, real, config, explorer
+and generator argument where it enters, and a malformed one raises
+GameInputError naming the argument: an integer, index or seed that is a
+bool, a float or a string; a real that is a bool, a string, nan or inf; a
+value outside the argument's range; or an object of the wrong type.  None
+of these is coerced into a different valid value.
+
 The CLI maps these onto exit codes: invalid input -> 2, incomplete
 solver or candidate search -> 3, a broken internal invariant of path
 construction -> 4.  Exit code 1 is reserved for a failed ``verify``.
@@ -9,7 +16,7 @@ from __future__ import annotations
 
 
 class GameInputError(ValueError):
-    """Malformed or out-of-contract input: bad shapes, ranges, or values."""
+    """Malformed or out-of-contract input: bad types, shapes, ranges, or values."""
 
 
 class GameFormatError(GameInputError):

@@ -36,7 +36,15 @@ import numpy as np
 
 from .dynamics import _STEP_KIND, Trajectory
 from .errors import GameFormatError, GameInputError
-from .games import MAX_ACTIONS, MAX_PLAYERS, Game, MixedStrategy, StrategyProfile
+from .games import (
+    MAX_ACTIONS,
+    MAX_PLAYERS,
+    Game,
+    MixedStrategy,
+    StrategyProfile,
+    _check_int,
+    _check_seed,
+)
 from .paths import STEP_KINDS, SatisficingPath
 
 TRACE_FORMATS = ("csv", "json")
@@ -47,6 +55,17 @@ _TRACE_KINDS = (*STEP_KINDS, _STEP_KIND)
 
 def _reject_json_constant(token: str):
     raise GameFormatError("payoffs", f"non-finite value {token} is not allowed")
+
+
+def _number(value, key: str, what: str = "") -> float:
+    """A JSON number (not a bool) as a float; ``key`` and ``what`` name it on
+    failure."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise GameFormatError(key, f"{what}must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise GameFormatError(key, f"{what}integer is beyond the range of a float") from None
 
 
 def parse_game_document(text: str) -> Game:
@@ -88,16 +107,7 @@ def parse_game_document(text: str) -> Game:
                 f"(product of the action counts), got "
                 f"{len(raw) if isinstance(raw, list) else type(raw).__name__}",
             )
-        for j, value in enumerate(raw):
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise GameFormatError(f"payoffs[{i}][{j}]", f"must be a number, got {value!r}")
-            try:
-                float(value)
-            except OverflowError:
-                raise GameFormatError(
-                    f"payoffs[{i}][{j}]", "integer is beyond the range of a float"
-                ) from None
-        arr = np.asarray(raw, dtype=float)
+        arr = np.array([_number(v, f"payoffs[{i}][{j}]") for j, v in enumerate(raw)])
         if not np.all(np.isfinite(arr)):
             raise GameFormatError(f"payoffs[{i}]", "contains non-finite values")
         arrays.append(arr)
@@ -140,12 +150,12 @@ def generate_random_game(
     num_players: int, action_counts, seed: int, name: str | None = None
 ) -> Game:
     """A game with i.i.d. payoffs uniform on [-1, 1], deterministic per seed."""
-    counts = tuple(int(c) for c in action_counts)
-    if len(counts) != num_players:
+    counts = tuple(_check_int("action count", c, 1, MAX_ACTIONS) for c in action_counts)
+    if len(counts) != _check_int("num_players", num_players, 1, MAX_PLAYERS):
         raise GameInputError(
             f"num_players is {num_players} but {len(counts)} action counts were given"
         )
-    rng = np.random.default_rng(int(seed) & 0xFFFFFFFFFFFFFFFF)
+    rng = np.random.default_rng(_check_seed("seed", seed))
     size = prod(counts)
     payoffs = tuple(rng.uniform(-1.0, 1.0, size) for _ in range(num_players))
     return Game(action_counts=counts, payoffs=payoffs, name=name)
@@ -287,10 +297,13 @@ def _parse_json_trace(text: str) -> ParsedTrace:
             profile = StrategyProfile(
                 tuple(MixedStrategy(np.asarray(vec, dtype=float)) for vec in raw["profile"])
             )
-            step_gaps = tuple(float(g) for g in raw["gaps"])
+            raw_gaps = raw["gaps"]
             step_sat = tuple(raw["satisfied"])
         except (KeyError, TypeError, ValueError, GameInputError) as exc:
             raise GameFormatError(f"steps[{t}]", f"malformed step ({exc})") from exc
+        if not isinstance(raw_gaps, list):
+            raise GameFormatError(f"steps[{t}]", f"gaps must be a list, got {raw_gaps!r}")
+        step_gaps = tuple(_number(g, f"steps[{t}]", f"gaps[{i}] ") for i, g in enumerate(raw_gaps))
         _check_kind(kind, f"steps[{t}]", "has ")
         players = len(profile)
         if len(step_gaps) != players:

@@ -30,6 +30,8 @@ keeps its equilibria on the game.
 
 from __future__ import annotations
 
+import math
+import numbers
 import string
 from dataclasses import dataclass
 from functools import cache, cached_property
@@ -67,20 +69,12 @@ class Game:
     name: str | None = None
 
     def __post_init__(self):
-        counts = tuple(int(c) for c in self.action_counts)
-        if len(counts) < 1:
-            raise GameInputError("a game needs at least one player")
-        if len(counts) > MAX_PLAYERS:
-            raise GameInputError(
-                f"{len(counts)} players exceeds the supported maximum of {MAX_PLAYERS}"
-            )
-        for i, c in enumerate(counts):
-            if c < 1:
-                raise GameInputError(f"player {i} has {c} actions; need at least 1")
-            if c > MAX_ACTIONS:
-                raise GameInputError(
-                    f"player {i} has {c} actions; maximum supported is {MAX_ACTIONS}"
-                )
+        counts = tuple(self.action_counts)
+        _check_int("number of players", len(counts), 1, MAX_PLAYERS)
+        counts = tuple(
+            _check_int(f"player {i}'s action count", c, 1, MAX_ACTIONS)
+            for i, c in enumerate(counts)
+        )
         if len(self.payoffs) != len(counts):
             raise GameInputError(
                 f"got {len(self.payoffs)} payoff arrays for {len(counts)} players"
@@ -114,8 +108,7 @@ class Game:
 
     def payoff_tensor(self, player: int) -> np.ndarray:
         """Player's payoffs reshaped to the joint action space (read-only view)."""
-        _check_player(self, player)
-        return self._tensors[player]
+        return self._tensors[_check_int("player", player, 0, self.num_players - 1)]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Game):
@@ -161,14 +154,15 @@ class MixedStrategy:
     @classmethod
     def pure(cls, num_actions: int, action: int) -> "MixedStrategy":
         """The point mass on ``action``."""
-        if not 0 <= action < num_actions:
-            raise GameInputError(f"action {action} out of range for {num_actions} actions")
+        num_actions = _check_int("num_actions", num_actions, 1)
+        action = _check_int("action", action, 0, num_actions - 1)
         vec = np.zeros(num_actions)
         vec[action] = 1.0
         return cls(vec)
 
     @classmethod
     def uniform(cls, num_actions: int) -> "MixedStrategy":
+        num_actions = _check_int("num_actions", num_actions, 1)
         return cls(np.full(num_actions, 1.0 / num_actions))
 
     @property
@@ -241,10 +235,8 @@ class StrategyProfile:
 
     def replace(self, player: int, strategy: MixedStrategy) -> "StrategyProfile":
         """A new profile with one player's strategy swapped; others are shared."""
-        if not 0 <= player < len(self.strategies):
-            raise GameInputError(f"player {player} out of range")
         parts = list(self.strategies)
-        parts[player] = strategy
+        parts[_check_int("player", player, 0, len(parts) - 1)] = strategy
         return StrategyProfile(tuple(parts))
 
     def __eq__(self, other) -> bool:
@@ -281,16 +273,10 @@ class SatisfactionReport:
 def random_profile(game: Game, rng: np.random.Generator) -> StrategyProfile:
     """A profile with each player's strategy drawn Dirichlet(1, ..., 1),
     i.e. uniform on its simplex."""
+    _check_instance("rng", rng, np.random.Generator)
     return StrategyProfile(
         tuple(MixedStrategy(rng.dirichlet(np.ones(c))) for c in game.action_counts)
     )
-
-
-def _check_player(game: Game, player: int) -> None:
-    if not isinstance(player, (int, np.integer)) or not 0 <= player < game.num_players:
-        raise GameInputError(
-            f"player index {player!r} out of range for {game.num_players} players"
-        )
 
 
 def _check_profile(game: Game, profile: StrategyProfile) -> None:
@@ -307,18 +293,60 @@ def _check_profile(game: Game, profile: StrategyProfile) -> None:
             )
 
 
-def _check_epsilon(epsilon: float) -> float:
-    epsilon = float(epsilon)
-    if not epsilon >= 0.0 or not np.isfinite(epsilon):
-        raise GameInputError(f"epsilon must be a finite nonnegative real, got {epsilon!r}")
-    return epsilon
+# The four argument checks every public entry point uses; each raises
+# GameInputError naming the argument.
 
 
-def _check_count(name: str, value) -> int:
-    """``value`` as an int, which must be an integer (not a bool) of at least 1."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
-        raise GameInputError(f"{name} must be an integer of at least 1, got {value!r}")
-    return int(value)
+def _check_int(name: str, value, low: int | None = None, high: int | None = None) -> int:
+    """``value`` as an int: a Python or numpy integer, not a bool, of at least
+    ``low`` and at most ``high`` where they are given.  An index into n items
+    is an integer in 0..n - 1."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise GameInputError(f"{name} must be an integer, got {value!r}")
+    value = int(value)
+    if low is not None and value < low:
+        raise GameInputError(f"{name} must be at least {low}, got {value}: out of range")
+    if high is not None and value > high:
+        raise GameInputError(
+            f"{name} must be at most {high}, the maximum, got {value}: out of range"
+        )
+    return value
+
+
+def _check_real(name: str, value, positive: bool = False, high: float | None = None) -> float:
+    """``value`` as a float: a finite real, not a bool or a string, that is
+    nonnegative (positive when ``positive``) and at most ``high`` if given."""
+    real = math.nan
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            real = float(value)
+        except OverflowError:  # an integer beyond the range of a float
+            pass
+    if not (
+        math.isfinite(real)
+        and (real > 0.0 if positive else real >= 0.0)
+        and (high is None or real <= high)
+    ):
+        bound = "" if high is None else f" at most {high}"
+        sign = "positive" if positive else "nonnegative"
+        raise GameInputError(f"{name} must be a finite {sign} real{bound}, got {value!r}")
+    return real
+
+
+def _check_seed(name: str, value) -> int:
+    """A seed: any integer (not a bool), reduced to the 64 bits numpy's
+    generators take; negative seeds wrap around."""
+    return _check_int(name, value) % 2**64
+
+
+def _check_instance(name: str, value, cls, default=None):
+    """``value``, which must be a ``cls``; None stands for ``default`` when one
+    is given.  Defaults are shared instances built once, at import."""
+    if value is None and default is not None:
+        return default
+    if not isinstance(value, cls):
+        raise GameInputError(f"{name} must be of type {cls.__name__}, got {value!r}")
+    return value
 
 
 @cache
@@ -354,29 +382,29 @@ def _contract(tensor: np.ndarray, probs, keep: tuple[int, ...]) -> np.ndarray:
 def expected_reward(game: Game, profile: StrategyProfile, player: int) -> float:
     """Exact expected reward of ``player`` at ``profile``."""
     _check_profile(game, profile)
-    _check_player(game, player)
+    player = _check_int("player", player, 0, game.num_players - 1)
     probs = [s.probs for s in profile.strategies]
-    return float(_contract(game.payoff_tensor(player), probs, ()))
+    return float(_contract(game._tensors[player], probs, ()))
 
 
 def pure_action_payoffs(game: Game, profile: StrategyProfile, player: int) -> np.ndarray:
     """Vector of ``player``'s expected rewards from each pure action, holding
     the other players at ``profile``.  Its maximum is the best-reply value."""
     _check_profile(game, profile)
-    _check_player(game, player)
+    player = _check_int("player", player, 0, game.num_players - 1)
     probs = [s.probs for s in profile.strategies]
-    return _contract(game.payoff_tensor(player), probs, (player,))
+    return _contract(game._tensors[player], probs, (player,))
 
 
 def deviation_gap(game: Game, profile: StrategyProfile, player: int) -> float:
     """Best pure-action payoff minus current expected payoff, clamped at 0."""
     _check_profile(game, profile)
-    _check_player(game, player)
+    player = _check_int("player", player, 0, game.num_players - 1)
     return float(_profile_gaps(game, profile)[player])
 
 
 def _deviation_gap_raw(game: Game, probs: list[np.ndarray], player: int) -> float:
-    w = _contract(game.payoff_tensor(player), probs, (player,))
+    w = _contract(game._tensors[player], probs, (player,))
     gap = float(w.max()) - float(w @ probs[player])
     return gap if gap > 0.0 else 0.0
 
@@ -433,7 +461,7 @@ def satisfaction_report(
     certify, hence the tolerance.
     """
     _check_profile(game, profile)
-    epsilon = _check_epsilon(epsilon)
+    epsilon = _check_real("epsilon", epsilon)
     return _report(_profile_gaps(game, profile), epsilon)
 
 
@@ -441,5 +469,5 @@ def is_eps_best_response(
     game: Game, profile: StrategyProfile, player: int, epsilon: float
 ) -> bool:
     """Whether ``player``'s strategy is within ``epsilon`` of its best reply value."""
-    epsilon = _check_epsilon(epsilon)
+    epsilon = _check_real("epsilon", epsilon)
     return deviation_gap(game, profile, player) <= epsilon

@@ -42,14 +42,16 @@ from .games import (
     MixedStrategy,
     SatisfactionReport,
     StrategyProfile,
-    _check_count,
-    _check_epsilon,
+    _check_instance,
+    _check_int,
     _check_profile,
+    _check_real,
+    _check_seed,
     _deviation_gap_raw,
     pure_action_payoffs,
     satisfaction_report,
 )
-from .solver import SolverConfig, find_nash, find_subgame_nash
+from .solver import _DEFAULT_CONFIG, SolverConfig, find_nash, find_subgame_nash
 
 STEP_KINDS = ("initial", "worse_step", "case1_jump", "case2_jump")
 
@@ -105,19 +107,19 @@ class WorseSearchConfig:
     ``rng_seed``, until ``budget`` candidates have been examined.  Both are
     integers (not bools); ``budget`` lies in 1..sys.maxsize, and the budget
     escalations of ``construct_path`` stop growing at sys.maxsize.
+    ``rng_seed`` is stored reduced to 64 bits, the seed the draws use.
     """
 
     budget: int = 5000
     rng_seed: int = 0
 
     def __post_init__(self):
-        budget = _check_count("budget", self.budget)
-        if budget > sys.maxsize:
-            raise GameInputError(f"budget must be at most {sys.maxsize}, got {budget}")
-        if isinstance(self.rng_seed, bool) or not isinstance(self.rng_seed, (int, np.integer)):
-            raise GameInputError(f"rng_seed must be an integer, got {self.rng_seed!r}")
-        object.__setattr__(self, "budget", budget)
-        object.__setattr__(self, "rng_seed", int(self.rng_seed))
+        object.__setattr__(self, "budget", _check_int("budget", self.budget, 1, sys.maxsize))
+        object.__setattr__(self, "rng_seed", _check_seed("rng_seed", self.rng_seed))
+
+
+#: The search config ``find_worse_candidate`` and ``construct_path`` use when given None.
+_DEFAULT_WORSE = WorseSearchConfig()
 
 
 @dataclass(frozen=True)
@@ -190,9 +192,7 @@ def build_w_xi(
     the result is accessible from x_k, and unsatisfied players become fully
     mixed with every coordinate at least xi / num_actions."""
     _check_profile(game, x_k)
-    xi = float(xi)
-    if not 0.0 < xi <= 1.0:
-        raise GameInputError(f"xi must lie in (0, 1], got {xi}")
+    xi = _check_real("xi", xi, positive=True, high=1.0)
     probs = _blend_uniform([s.probs for s in x_k.strategies], report_k.unsatisfied, xi)
     return _profile_from(x_k, probs)
 
@@ -221,15 +221,10 @@ def build_z_lambda(
 ) -> StrategyProfile:
     """Interpolate unsatisfied players between x_star (lam = 0) and w_xi
     (lam = 1); players outside ``unsat_set`` keep their x_k strategy."""
-    lam = float(lam)
-    if not 0.0 <= lam <= 1.0:
-        raise GameInputError(f"lambda must lie in [0, 1], got {lam}")
+    lam = _check_real("lambda", lam, high=1.0)
     if not len(x_star) == len(w_xi) == len(x_k):
         raise GameInputError("profiles cover different numbers of players")
-    unsat = set(int(i) for i in unsat_set)
-    for i in unsat:
-        if not 0 <= i < len(x_k):
-            raise GameInputError(f"unsatisfied player index {i} out of range")
+    unsat = {_check_int("unsatisfied player index", i, 0, len(x_k) - 1) for i in unsat_set}
     strategies = []
     for i in range(len(x_k)):
         if x_star[i].num_actions != w_xi[i].num_actions or x_star[i].num_actions != x_k[i].num_actions:
@@ -264,12 +259,9 @@ def indifference_poly(
     """
     _check_profile(game, x_k)
     n = game.num_players
-    if not 0 <= player < n:
-        raise GameInputError(f"player index {player} out of range")
-    count = game.action_counts[player]
-    for label, action in (("a", a), ("a_prime", a_prime)):
-        if not 0 <= action < count:
-            raise GameInputError(f"action {label}={action} out of range for {count} actions")
+    player = _check_int("player", player, 0, n - 1)
+    a = _check_int("a", a, 0, game.action_counts[player] - 1)
+    a_prime = _check_int("a_prime", a_prime, 0, game.action_counts[player] - 1)
     if a == a_prime:
         raise GameInputError("the two actions to compare must differ")
     nodes = np.array([0.0]) if n == 1 else np.linspace(0.0, 1.0, n)
@@ -287,9 +279,7 @@ def zero_poly_check(coeffs, roots_observed, tolerance: float) -> bool:
     polynomial.  True iff there are more distinct roots than the degree and
     the polynomial evaluates within ``tolerance`` of zero at each."""
     coeffs = np.asarray(coeffs, dtype=float)
-    tolerance = float(tolerance)
-    if tolerance < 0.0:
-        raise GameInputError(f"tolerance must be nonnegative, got {tolerance}")
+    tolerance = _check_real("tolerance", tolerance)
     nonzero = np.nonzero(coeffs)[0]
     degree = int(nonzero[-1]) if nonzero.size else 0
     roots = sorted({float(r) for r in roots_observed})
@@ -316,7 +306,7 @@ def _worse_candidates(game: Game, x: StrategyProfile, report: SatisfactionReport
                 yield [vec if j == i else p for j, p in enumerate(base)]
     for xi in _XI_GRID:
         yield _blend_uniform(base, report.unsatisfied, xi)
-    rng = np.random.default_rng(rng_seed & 0xFFFFFFFFFFFFFFFF)
+    rng = np.random.default_rng(rng_seed)
     while True:
         probs = list(base)
         for i in unsat:
@@ -334,8 +324,8 @@ def find_worse_candidate(
     out (presumptive emptiness) or when Worse(x) is irrelevant because no
     player is satisfied, or trivially empty because none is unsatisfied."""
     _check_profile(game, x)
-    epsilon = _check_epsilon(epsilon)
-    config = config or WorseSearchConfig()
+    epsilon = _check_real("epsilon", epsilon)
+    config = _check_instance("config", config, WorseSearchConfig, _DEFAULT_WORSE)
     report = satisfaction_report(game, x, epsilon)
     if not report.satisfied or not report.unsatisfied:
         return None
@@ -371,9 +361,9 @@ def construct_path(
     defaults agree at 1e-9.
     """
     _check_profile(game, x1)
-    epsilon = _check_epsilon(epsilon)
-    worse_config = worse_config or WorseSearchConfig()
-    solver_config = solver_config or SolverConfig()
+    epsilon = _check_real("epsilon", epsilon)
+    worse_config = _check_instance("worse_config", worse_config, WorseSearchConfig, _DEFAULT_WORSE)
+    solver_config = _check_instance("solver_config", solver_config, SolverConfig, _DEFAULT_CONFIG)
     if solver_config.tolerance > epsilon:
         raise GameInputError(
             f"solver tolerance {solver_config.tolerance:g} exceeds epsilon {epsilon:g}; "
@@ -467,7 +457,7 @@ def verify_path(
         raise GameInputError("path must contain at least one profile")
     for p in profiles:
         _check_profile(game, p)
-    epsilon = _check_epsilon(epsilon)
+    epsilon = _check_real("epsilon", epsilon)
     for t in range(len(profiles) - 1):
         report = satisfaction_report(game, profiles[t], epsilon)
         for i in sorted(report.satisfied):

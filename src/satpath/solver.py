@@ -31,8 +31,6 @@ Xeon VM.
 from __future__ import annotations
 
 import itertools
-import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,9 +40,10 @@ from .games import (
     Game,
     MixedStrategy,
     StrategyProfile,
-    _check_count,
+    _check_instance,
+    _check_int,
     _check_profile,
-    _check_epsilon,
+    _check_real,
     _contract,
     _profile_gaps,
 )
@@ -69,7 +68,12 @@ class SupportProfile:
     supports: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        supports = tuple(tuple(sorted(int(a) for a in s)) for s in self.supports)
+        # the support enumeration builds one per support from plain ints,
+        # which skip the call
+        supports = tuple(
+            tuple(sorted(a if type(a) is int else _check_int("support action", a) for a in s))
+            for s in self.supports
+        )
         for i, s in enumerate(supports):
             if not s:
                 raise GameInputError(f"support for player {i} is empty")
@@ -103,21 +107,21 @@ class SolverConfig:
     max_support_size: int | None = None
 
     def __post_init__(self):
-        tolerance = self.tolerance
-        if (
-            isinstance(tolerance, bool)
-            or not isinstance(tolerance, numbers.Real)
-            or not 0.0 < tolerance < math.inf
-        ):
-            raise GameInputError(f"tolerance must be a finite positive real, got {tolerance!r}")
+        tolerance = _check_real("tolerance", self.tolerance, positive=True)
+        object.__setattr__(self, "tolerance", tolerance)
         if self.max_support_size is not None:
-            _check_count("max_support_size", self.max_support_size)
+            cap = _check_int("max_support_size", self.max_support_size, 1)
+            object.__setattr__(self, "max_support_size", cap)
+
+
+#: The config every solver entry point uses when given None.
+_DEFAULT_CONFIG = SolverConfig()
 
 
 def verify_nash(game: Game, profile: StrategyProfile, epsilon: float) -> bool:
     """True iff every player's deviation gap is at most ``epsilon``."""
     _check_profile(game, profile)
-    epsilon = _check_epsilon(epsilon)
+    epsilon = _check_real("epsilon", epsilon)
     return bool(_profile_gaps(game, profile).max() <= epsilon)
 
 
@@ -139,7 +143,7 @@ def _support_blocks(
     for i, own in enumerate(support.supports):
         idx = list(support.supports)
         idx[i] = range(game.action_counts[i])
-        block = game.payoff_tensor(i)[np.ix_(*idx)]
+        block = game._tensors[i][np.ix_(*idx)]
         if _conditionally_dominated(block, i, own, margin):
             return None
         wide.append(block)
@@ -306,8 +310,8 @@ def solve_on_support(
     Singular or non-convergent solves count as "no equilibrium on this
     support"; they never raise.
     """
-    config = config or SolverConfig()
-    support.validate_for(game)
+    config = _check_instance("config", config, SolverConfig, _DEFAULT_CONFIG)
+    _check_instance("support", support, SupportProfile).validate_for(game)
     n = game.num_players
     blocks = _support_blocks(game, support, _RESIDUAL_TOLERANCE + config.tolerance)
     if blocks is None:
@@ -336,7 +340,8 @@ def solve_on_support(
 
 def enumerate_supports(game: Game, config: SolverConfig | None = None):
     """Yield support profiles in increasing total size, then lexicographic order."""
-    yield from _supports_from(game, config or SolverConfig(), game.num_players)
+    config = _check_instance("config", config, SolverConfig, _DEFAULT_CONFIG)
+    yield from _supports_from(game, config, game.num_players)
 
 
 def _supports_from(game: Game, config: SolverConfig, smallest_total: int):
@@ -374,7 +379,7 @@ def _pure_candidate(game: Game, config: SolverConfig) -> StrategyProfile | None:
     accepted = np.ones(game.action_counts, dtype=bool)
     gap = np.zeros(game.action_counts)
     for i in range(game.num_players):
-        payoff = game.payoff_tensor(i)
+        payoff = game._tensors[i]
         best = payoff.max(axis=i, keepdims=True)
         shortfall = best - payoff
         accepted &= (shortfall <= margin) & (best <= payoff + config.tolerance)
@@ -408,7 +413,7 @@ def find_nash(game: Game, config: SolverConfig | None = None) -> StrategyProfile
     verified profile, carrying the best (minimum max-gap) candidate seen;
     failures are not memoized, so every such call solves again and raises.
     """
-    config = config or SolverConfig()
+    config = _check_instance("config", config, SolverConfig, _DEFAULT_CONFIG)
     memo = game._equilibria
     if config in memo:
         return memo[config]
@@ -448,13 +453,11 @@ def find_subgame_nash(
     for the full game, with the frozen strategies reinserted untouched, so
     every free player best responds (up to tolerance) in the full game.
     """
-    config = config or SolverConfig()
+    config = _check_instance("config", config, SolverConfig, _DEFAULT_CONFIG)
     n = game.num_players
-    for i, strategy in frozen.items():
-        if not isinstance(i, (int, np.integer)) or not 0 <= i < n:
-            raise GameInputError(f"frozen player index {i!r} out of range")
-        if not isinstance(strategy, MixedStrategy):
-            raise GameInputError(f"frozen strategy for player {i} is not a MixedStrategy")
+    for i, strategy in _check_instance("frozen", frozen, dict).items():
+        _check_int("frozen player index", i, 0, n - 1)
+        _check_instance(f"frozen strategy for player {i}", strategy, MixedStrategy)
         if strategy.num_actions != game.action_counts[i]:
             raise GameInputError(
                 f"frozen strategy for player {i} has {strategy.num_actions} entries; "
@@ -469,7 +472,7 @@ def find_subgame_nash(
     reduced = Game(
         action_counts=tuple(game.action_counts[f] for f in free),
         payoffs=tuple(
-            _contract(game.payoff_tensor(f), probs, free).reshape(-1) for f in free
+            _contract(game._tensors[f], probs, free).reshape(-1) for f in free
         ),
     )
     solved = find_nash(reduced, config)

@@ -1,0 +1,189 @@
+"""Argument checks at the public entry points.
+
+Every malformed argument of a public function, of any kind (integer, index,
+real, seed, config, explorer, generator, or a number in a trace file), must
+raise GameInputError naming it, never a TypeError, AttributeError or
+IndexError, and never be coerced into a different valid value.
+"""
+
+from __future__ import annotations
+
+import json
+import math
+
+import numpy as np
+import pytest
+
+from satpath import (
+    ExplorerPolicy,
+    Game,
+    GameFormatError,
+    GameInputError,
+    MixedStrategy,
+    SolverConfig,
+    SupportProfile,
+    WorseSearchConfig,
+    batch_experiment,
+    build_w_xi,
+    build_z_lambda,
+    construct_path,
+    deviation_gap,
+    emit_path,
+    enumerate_supports,
+    expected_reward,
+    find_nash,
+    find_subgame_nash,
+    find_worse_candidate,
+    generate_random_game,
+    indifference_poly,
+    is_eps_best_response,
+    random_profile,
+    read_trace,
+    run_dynamics,
+    satisfaction_report,
+    satisficing_step,
+    solve_on_support,
+    verify_nash,
+    zero_poly_check,
+)
+from satpath.cli import run
+
+from conftest import matching_pennies, pure, uniform
+
+MP = matching_pennies()
+X = uniform(MP)
+PURE = pure(MP, (0, 0))
+
+
+def _trace_with_gaps(tmp_path, gaps):
+    """A matching-pennies JSON path trace whose first step's gaps are ``gaps``."""
+    target = tmp_path / "trace.json"
+    emit_path(construct_path(MP, PURE), "json", target)
+    doc = json.loads(target.read_text())
+    doc["steps"][0]["gaps"] = gaps
+    target.write_text(json.dumps(doc))
+    return target
+
+
+# (id, call): each call gets pytest's tmp_path and must raise GameInputError.
+# Cases that other modules' tests already cover (SolverConfig, WorseSearchConfig,
+# max_steps, trials_per_game, explorer types) are not repeated here.
+BAD_ARGUMENTS = [
+    # integers and indices: floats, bools and strings are rejected, not truncated
+    ("game-float-count", lambda tmp: Game((2.5, 2), ([0] * 4, [0] * 4))),
+    ("game-bool-count", lambda tmp: Game((True, 2), ([0] * 2, [0] * 2))),
+    ("pure-float-action", lambda tmp: MixedStrategy.pure(2, 1.0)),
+    ("pure-float-count", lambda tmp: MixedStrategy.pure(2.0, 1)),
+    ("uniform-float-count", lambda tmp: MixedStrategy.uniform(2.5)),
+    ("replace-float-player", lambda tmp: X.replace(1.0, X[0])),
+    ("payoff-tensor-bool-player", lambda tmp: MP.payoff_tensor(True)),
+    ("reward-float-player", lambda tmp: expected_reward(MP, X, 1.0)),
+    ("gap-bool-player", lambda tmp: deviation_gap(MP, X, True)),
+    ("support-float-action", lambda tmp: SupportProfile(((0.5,), (0,)))),
+    ("subgame-float-index", lambda tmp: find_subgame_nash(MP, {0.0: X[0]})),
+    ("z-lambda-float-index", lambda tmp: build_z_lambda(X, X, {0.5}, X, 0.5)),
+    ("poly-float-action", lambda tmp: indifference_poly(MP, X, X, {1}, X, 0, a=1.0, a_prime=0)),
+    ("poly-string-player", lambda tmp: indifference_poly(MP, X, X, {1}, X, "0", 1, 0)),
+    ("gen-float-count", lambda tmp: generate_random_game(2, (2.5, 2), 0)),
+    ("gen-string-players", lambda tmp: generate_random_game("2", (2, 2), 0)),
+    # seeds
+    ("dynamics-float-seed", lambda tmp: run_dynamics(MP, X, seed=1.7)),
+    ("batch-string-seed", lambda tmp: batch_experiment([MP], 2, master_seed="1")),
+    ("gen-float-seed", lambda tmp: generate_random_game(2, (2, 2), 1.5)),
+    # reals: strings, bools and non-finite values are rejected
+    ("report-string-epsilon", lambda tmp: satisfaction_report(MP, X, "a")),
+    ("report-numeric-string-epsilon", lambda tmp: satisfaction_report(MP, X, "0.5")),
+    ("report-bool-epsilon", lambda tmp: satisfaction_report(MP, X, True)),
+    ("best-response-nan-epsilon", lambda tmp: is_eps_best_response(MP, X, 0, math.nan)),
+    ("verify-nash-huge-int-epsilon", lambda tmp: verify_nash(MP, X, 10**400)),
+    ("w-xi-string", lambda tmp: build_w_xi(MP, X, satisfaction_report(MP, X), xi="a")),
+    ("z-lambda-string", lambda tmp: build_z_lambda(X, X, {1}, X, "0.5")),
+    ("zero-poly-nan-tolerance", lambda tmp: zero_poly_check([0.0, 1.0], [0.0, 1.0], math.nan)),
+    ("zero-poly-inf-tolerance", lambda tmp: zero_poly_check([0.0, 1.0], [0.0, 1.0], math.inf)),
+    ("mixture-weight-string", lambda tmp: ExplorerPolicy(mixture_weight="0.5")),
+    # configs, explorers, generators and containers of the wrong type
+    ("find-nash-string-config", lambda tmp: find_nash(MP, "x")),
+    ("solve-on-support-int-config",
+     lambda tmp: solve_on_support(MP, SupportProfile(((0,), (0,))), 5)),
+    ("solve-on-support-tuple-support", lambda tmp: solve_on_support(MP, ((0,), (0,)))),
+    ("enumerate-string-config", lambda tmp: next(enumerate_supports(MP, "x"))),
+    ("subgame-list-frozen", lambda tmp: find_subgame_nash(MP, [1])),
+    ("subgame-array-strategy", lambda tmp: find_subgame_nash(MP, {0: np.array([1.0, 0.0])})),
+    ("worse-int-config", lambda tmp: find_worse_candidate(MP, PURE, config=5)),
+    ("path-int-worse-config", lambda tmp: construct_path(MP, PURE, worse_config=5)),
+    ("path-worse-as-solver-config",
+     lambda tmp: construct_path(MP, PURE, solver_config=WorseSearchConfig())),
+    ("random-profile-int-rng", lambda tmp: random_profile(MP, 3)),
+    ("step-int-rng", lambda tmp: satisficing_step(MP, X, 1e-6, ExplorerPolicy(), 3)),
+    ("batch-one-game", lambda tmp: batch_experiment(MP, 2)),
+    # numbers in a JSON trace: gaps must be a list of numbers
+    ("trace-string-gaps", lambda tmp: read_trace(_trace_with_gaps(tmp, "12"))),
+    ("trace-bool-gap", lambda tmp: read_trace(_trace_with_gaps(tmp, [True, 0.5]))),
+    ("trace-null-gap", lambda tmp: read_trace(_trace_with_gaps(tmp, [None, 0.5]))),
+]
+
+
+@pytest.mark.parametrize("call", [c for _, c in BAD_ARGUMENTS], ids=[i for i, _ in BAD_ARGUMENTS])
+def test_bad_argument_raises_game_input_error(call, tmp_path):
+    # pytest.raises lets any other exception type through, failing the test
+    with pytest.raises(GameInputError):
+        call(tmp_path)
+
+
+def test_trace_gap_errors_name_the_step_and_exit_2(tmp_path, capsys):
+    with pytest.raises(GameFormatError, match=r"gaps\[0\] must be a number") as exc_info:
+        read_trace(_trace_with_gaps(tmp_path, [True, 0.5]))
+    assert exc_info.value.key == "steps[0]"
+    game_file = tmp_path / "mp.json"
+    game_file.write_text(json.dumps({"players": 2, "actions": [2, 2],
+                                     "payoffs": [list(p) for p in MP.payoffs]}))
+    trace = _trace_with_gaps(tmp_path, "12")
+    assert run(["verify", "--game", str(game_file), "--in", str(trace)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: steps[0]: gaps must be a list") and err.count("\n") == 1
+
+
+class TestValidEdges:
+    """Values at the edge of each argument kind that stay accepted."""
+
+    def test_numpy_integers_and_floats(self):
+        assert MixedStrategy.pure(np.int64(2), np.int32(1)) == MixedStrategy.pure(2, 1)
+        assert deviation_gap(MP, PURE, np.int64(1)) == deviation_gap(MP, PURE, 1)
+        assert expected_reward(MP, X, np.uint8(0)) == expected_reward(MP, X, 0)
+        assert satisfaction_report(MP, PURE, np.float32(0.5)).satisfied == {0}
+        assert ExplorerPolicy(mixture_weight=np.float64(0.25)).mixture_weight == 0.25
+        assert Game(np.array([2, 2]), MP.payoffs) == Game((2, 2), MP.payoffs)
+        assert build_w_xi(MP, PURE, satisfaction_report(MP, PURE), np.float64(0.5)) == (
+            build_w_xi(MP, PURE, satisfaction_report(MP, PURE), 0.5)
+        )
+        assert find_subgame_nash(MP, {np.int64(0): PURE[0]})[0] == PURE[0]
+
+    def test_zero_epsilon_and_bounds(self):
+        # epsilon = 0 certifies an exact best response only
+        assert satisfaction_report(MP, PURE, 0).satisfied == {0}
+        assert verify_nash(MP, X, 0.0)
+        assert build_z_lambda(X, PURE, {1}, X, 0) == X
+        assert build_z_lambda(X, PURE, {1}, X, 1) == X.replace(1, PURE[1])
+        assert zero_poly_check([0.0], [0.0], 0)
+
+    @pytest.mark.parametrize("seed", [-1, -(2**63), 2**64 - 1, 2**70, np.int64(-5)])
+    def test_seeds_are_reduced_to_64_bits(self, seed):
+        reduced = int(seed) % 2**64
+        a = run_dynamics(MP, X, max_steps=5, seed=seed)
+        b = run_dynamics(MP, X, max_steps=5, seed=reduced)
+        assert a.seed == b.seed == reduced
+        assert all(p == q for p, q in zip(a.profiles, b.profiles)) and len(a) == len(b)
+        assert generate_random_game(2, (2, 3), seed) == generate_random_game(2, (2, 3), reduced)
+        assert batch_experiment([MP], 3, master_seed=seed) == (
+            batch_experiment([MP], 3, master_seed=reduced)
+        )
+        assert WorseSearchConfig(rng_seed=seed) == WorseSearchConfig(rng_seed=reduced)
+
+    def test_none_stands_for_the_default(self):
+        assert find_nash(MP, None) is find_nash(MP, SolverConfig())
+        assert find_worse_candidate(MP, PURE, config=None) == (
+            find_worse_candidate(MP, PURE, config=WorseSearchConfig())
+        )
+        rng = np.random.default_rng(4)
+        step = satisficing_step(MP, PURE, 1e-6, None, rng)
+        assert step[0] == PURE[0]
