@@ -39,6 +39,7 @@ from .games import (
     _check_profile,
     _check_real,
     _check_seed,
+    _dirichlet_alpha,
     _readonly,
     _report,
     satisfaction_report,
@@ -150,7 +151,7 @@ def _redraw(
             row[seg] = 0.0
             row[seg.start + int(rng.integers(count))] = 1.0
             continue
-        sample = rng.dirichlet(np.ones(count))
+        sample = rng.dirichlet(_dirichlet_alpha(count))
         if explorer.kind == "dirichlet_uniform":
             row[seg] = sample
         else:
@@ -305,7 +306,9 @@ def batch_experiment(
                 init_ss, run_ss = np.random.SeedSequence([master, g, t]).spawn(2)
                 init = np.random.default_rng(init_ss)
                 # random_profile's draws, without building the profile
-                starts[r] = np.concatenate([init.dirichlet(np.ones(c)) for c in game.action_counts])
+                starts[r] = np.concatenate(
+                    [init.dirichlet(_dirichlet_alpha(c)) for c in game.action_counts]
+                )
                 rngs.append(np.random.default_rng(int(run_ss.generate_state(1, np.uint64)[0])))
             _check_rows(starts, _segments(game))
             hits = _lockstep(game, starts, rngs, epsilon, explorer, max_steps)

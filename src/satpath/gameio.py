@@ -42,6 +42,7 @@ from .games import (
     Game,
     MixedStrategy,
     StrategyProfile,
+    _check_instance,
     _check_int,
     _check_seed,
 )
@@ -121,6 +122,7 @@ def parse_game_document(text: str) -> Game:
 
 def game_document(game: Game) -> dict:
     """The JSON-ready dict form of a game."""
+    _check_instance("game", game, Game)
     doc: dict = {}
     if game.name is not None:
         doc["name"] = game.name

@@ -18,6 +18,13 @@ which is continuous, nonnegative, and zero exactly when player i best
 responds, i.e. when x_i is supported on the argmax of the pure-action
 payoff vector.
 
+One player's gap is one ``np.einsum`` call on a plan the game builds once:
+that player's payoff tensor, the subscripts that keep the player's own axis
+and average every other one, and the opponents' indices
+(``Game._gap_plan``).  The plan is the call ``_contract`` makes for the
+pure-action payoffs, so a gap is bitwise what ``_contract`` gives; it only
+skips rebuilding the call for each gap.
+
 Games, strategies and profiles are immutable: every array they hold is a
 read-only copy of what the caller passed, so nothing the caller keeps can
 change them.  Two memos rely on that.  A profile's gap vector is a pure
@@ -25,7 +32,10 @@ function of the (game, profile) pair, so ``_profile_gaps`` computes it once
 per pair and keeps it on the profile, where every whole-profile gap read
 (``satisfaction_report``, ``deviation_gap``, ``is_eps_best_response``,
 ``solver.verify_nash``, ``solver.find_nash``) finds it; and ``find_nash``
-keeps its equilibria on the game.
+keeps its equilibria on the game.  A profile built from gaps already in
+hand starts with its memo filled (``_seed_gaps``): the Worse search keeps
+the gaps it computed to accept a candidate, so the Worse step's report and
+its verification compute none.
 """
 
 from __future__ import annotations
@@ -33,6 +43,7 @@ from __future__ import annotations
 import math
 import numbers
 import string
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cache, cached_property
 from math import prod
@@ -102,6 +113,17 @@ class Game:
         return tuple(arr.reshape(self.action_counts) for arr in self.payoffs)
 
     @cached_property
+    def _gap_plan(self) -> tuple[tuple[str, np.ndarray, tuple[int, ...]], ...]:
+        """Per player: the ``np.einsum`` subscripts ``_contract`` uses for that
+        player's pure-action payoffs, the payoff tensor, and the opponents
+        whose strategies it averages over, in axis order."""
+        n = self.num_players
+        return tuple(
+            (_subscripts(n, (i,), False), tensor, tuple(j for j in range(n) if j != i))
+            for i, tensor in enumerate(self._tensors)
+        )
+
+    @cached_property
     def _equilibria(self) -> dict:
         """``solver.find_nash`` results of this game, keyed by SolverConfig."""
         return {}
@@ -131,22 +153,26 @@ class MixedStrategy:
     probs: np.ndarray
 
     def __post_init__(self):
-        arr = _readonly(self.probs)
+        try:
+            arr = _readonly(self.probs)
+        except (TypeError, ValueError):
+            raise GameInputError(
+                f"a mixed strategy must be a vector of reals, got {self.probs!r}"
+            ) from None
         if arr.ndim != 1 or arr.size < 1:
             raise GameInputError("a mixed strategy must be a nonempty vector")
-        if not np.all(np.isfinite(arr)):
-            raise GameInputError("mixed strategy contains non-finite entries")
-        if np.any(arr < 0.0):
-            raise GameInputError(f"mixed strategy has negative entries: {arr}")
-        total = float(arr.sum())
-        if abs(total - 1.0) > PROB_SUM_TOL:
-            raise GameInputError(f"mixed strategy sums to {total!r}, not 1")
+        # Two reductions accept every valid vector: a NaN or a negative entry
+        # fails the minimum, and an infinity then makes the sum infinite.
+        # Summing only nonnegative entries never meets inf - inf.
+        if not (arr.min() >= 0.0 and abs(float(arr.sum()) - 1.0) <= PROB_SUM_TOL):
+            raise GameInputError(_strategy_fault(arr))
         object.__setattr__(self, "probs", arr)
 
     @classmethod
     def _prechecked(cls, probs: np.ndarray) -> "MixedStrategy":
         """A strategy over ``probs``, which the caller has already put through
-        these checks (the dynamics check every drawn row at once)."""
+        these checks (the dynamics check every drawn row at once) or built as
+        a point mass."""
         strategy = object.__new__(cls)
         object.__setattr__(strategy, "probs", _readonly(probs))
         return strategy
@@ -158,7 +184,7 @@ class MixedStrategy:
         action = _check_int("action", action, 0, num_actions - 1)
         vec = np.zeros(num_actions)
         vec[action] = 1.0
-        return cls(vec)
+        return cls._prechecked(vec)
 
     @classmethod
     def uniform(cls, num_actions: int) -> "MixedStrategy":
@@ -183,6 +209,16 @@ class MixedStrategy:
         return f"MixedStrategy({np.array2string(self.probs, precision=6)})"
 
 
+def _strategy_fault(arr: np.ndarray) -> str:
+    """Why ``arr`` is not a probability vector: the first failing check of
+    non-finite entries, negative entries and the sum."""
+    if not np.all(np.isfinite(arr)):
+        return "mixed strategy contains non-finite entries"
+    if np.any(arr < 0.0):
+        return f"mixed strategy has negative entries: {arr}"
+    return f"mixed strategy sums to {float(arr.sum())!r}, not 1"
+
+
 @dataclass(frozen=True, eq=False)
 class StrategyProfile:
     """One mixed strategy per player."""
@@ -201,7 +237,8 @@ class StrategyProfile:
     @classmethod
     def pure(cls, game: Game, actions) -> "StrategyProfile":
         """The pure profile playing ``actions[i]`` for each player i."""
-        actions = tuple(actions)
+        _check_instance("game", game, Game)
+        actions = tuple(_check_instance("actions", actions, Iterable))
         if len(actions) != game.num_players:
             raise GameInputError(
                 f"got {len(actions)} actions for {game.num_players} players"
@@ -214,7 +251,14 @@ class StrategyProfile:
 
     @classmethod
     def uniform(cls, game: Game) -> "StrategyProfile":
+        _check_instance("game", game, Game)
         return cls(tuple(MixedStrategy.uniform(c) for c in game.action_counts))
+
+    @cached_property
+    def _action_counts(self) -> tuple[int, ...]:
+        """Each player's number of actions, which ``_check_profile`` compares
+        with the game's on every call."""
+        return tuple(s.num_actions for s in self.strategies)
 
     @cached_property
     def _gaps(self) -> dict:
@@ -273,15 +317,26 @@ class SatisfactionReport:
 def random_profile(game: Game, rng: np.random.Generator) -> StrategyProfile:
     """A profile with each player's strategy drawn Dirichlet(1, ..., 1),
     i.e. uniform on its simplex."""
+    _check_instance("game", game, Game)
     _check_instance("rng", rng, np.random.Generator)
     return StrategyProfile(
-        tuple(MixedStrategy(rng.dirichlet(np.ones(c))) for c in game.action_counts)
+        tuple(MixedStrategy(rng.dirichlet(_dirichlet_alpha(c))) for c in game.action_counts)
     )
 
 
+@cache
+def _dirichlet_alpha(count: int) -> np.ndarray:
+    """The read-only concentration vector (1, ..., 1) of a uniform draw on a
+    simplex of ``count`` actions, built once per count."""
+    return _readonly(np.ones(count))
+
+
 def _check_profile(game: Game, profile: StrategyProfile) -> None:
+    _check_instance("game", game, Game)
     if not isinstance(profile, StrategyProfile):
         raise GameInputError("expected a StrategyProfile")
+    if profile._action_counts == game.action_counts:
+        return
     if len(profile) != game.num_players:
         raise GameInputError(
             f"profile covers {len(profile)} players; game has {game.num_players}"
@@ -404,8 +459,11 @@ def deviation_gap(game: Game, profile: StrategyProfile, player: int) -> float:
 
 
 def _deviation_gap_raw(game: Game, probs: list[np.ndarray], player: int) -> float:
-    w = _contract(game._tensors[player], probs, (player,))
-    gap = float(w.max()) - float(w @ probs[player])
+    """``player``'s deviation gap at the profile whose strategies are
+    ``probs``: ``_contract``'s pure-action payoffs, through the game's plan."""
+    subscripts, tensor, others = game._gap_plan[player]
+    w = np.einsum(subscripts, tensor, *[probs[j] for j in others])
+    gap = max(w.tolist()) - float(w.dot(probs[player]))
     return gap if gap > 0.0 else 0.0
 
 
@@ -429,11 +487,18 @@ def _profile_gaps(game: Game, profile: StrategyProfile) -> np.ndarray:
     return entry[1]
 
 
+def _seed_gaps(game: Game, profile: StrategyProfile, gaps: list[float]) -> None:
+    """Fill ``profile``'s memo entry for ``game`` with ``gaps``, every
+    player's ``_deviation_gap_raw`` at ``profile``'s probabilities: the entry
+    ``_profile_gaps`` would have computed, bit for bit."""
+    profile._gaps[id(game)] = (game, _readonly(gaps))
+
+
 def _batch_gaps(game: Game, probs: list[np.ndarray]) -> np.ndarray:
     """Every player's deviation gap at each profile of a batch: ``probs[j]``
     is a (B, c_j) array of player j's strategies, and row b of the (B, n)
     result equals the gaps ``satisfaction_report`` gives at profile b bitwise
-    (the batched matmul runs the same dot product as ``w @ probs[player]``)."""
+    (the batched matmul runs the same dot product as ``_deviation_gap_raw``)."""
     gaps = np.empty((len(probs[0]), game.num_players))
     for i, p in enumerate(probs):
         w = _contract(game._tensors[i], probs, (i,))

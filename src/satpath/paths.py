@@ -48,6 +48,8 @@ from .games import (
     _check_real,
     _check_seed,
     _deviation_gap_raw,
+    _dirichlet_alpha,
+    _seed_gaps,
     pure_action_payoffs,
     satisfaction_report,
 )
@@ -146,18 +148,29 @@ def is_accessible(x: StrategyProfile, y: StrategyProfile, report_x: Satisfaction
     return all(y[i] == x[i] for i in report_x.satisfied)
 
 
-def _keeps_unsatisfied(game: Game, probs: list[np.ndarray], report_x: SatisfactionReport) -> bool:
-    """Whether every player unsatisfied at x stays unsatisfied at ``probs``."""
-    return all(
-        _deviation_gap_raw(game, probs, i) > report_x.epsilon for i in report_x.unsatisfied
-    )
+def _keeps_unsatisfied(
+    game: Game, probs: list[np.ndarray], report_x: SatisfactionReport, gaps: list
+) -> bool:
+    """Whether every player unsatisfied at x stays unsatisfied at ``probs``;
+    stops at the first that does not, and records each gap it computes in
+    ``gaps``."""
+    for i in report_x.unsatisfied:
+        gaps[i] = _deviation_gap_raw(game, probs, i)
+        if gaps[i] <= report_x.epsilon:
+            return False
+    return True
 
 
-def _flips_satisfied(game: Game, probs: list[np.ndarray], report_x: SatisfactionReport) -> bool:
-    """Whether some player satisfied at x is unsatisfied at ``probs``."""
-    return any(
-        _deviation_gap_raw(game, probs, i) > report_x.epsilon for i in report_x.satisfied
-    )
+def _flips_satisfied(
+    game: Game, probs: list[np.ndarray], report_x: SatisfactionReport, gaps: list
+) -> bool:
+    """Whether some player satisfied at x is unsatisfied at ``probs``; stops
+    at the first that is, and records each gap it computes in ``gaps``."""
+    for i in report_x.satisfied:
+        gaps[i] = _deviation_gap_raw(game, probs, i)
+        if gaps[i] > report_x.epsilon:
+            return True
+    return False
 
 
 def in_nob(game: Game, x: StrategyProfile, y: StrategyProfile, epsilon: float) -> bool:
@@ -167,7 +180,8 @@ def in_nob(game: Game, x: StrategyProfile, y: StrategyProfile, epsilon: float) -
     _check_profile(game, y)
     report_x = satisfaction_report(game, x, epsilon)
     probs = [s.probs for s in y.strategies]
-    return is_accessible(x, y, report_x) and _keeps_unsatisfied(game, probs, report_x)
+    gaps = [None] * game.num_players
+    return is_accessible(x, y, report_x) and _keeps_unsatisfied(game, probs, report_x, gaps)
 
 
 def in_worse(game: Game, x: StrategyProfile, y: StrategyProfile, epsilon: float) -> bool:
@@ -177,10 +191,11 @@ def in_worse(game: Game, x: StrategyProfile, y: StrategyProfile, epsilon: float)
     _check_profile(game, y)
     report_x = satisfaction_report(game, x, epsilon)
     probs = [s.probs for s in y.strategies]
+    gaps = [None] * game.num_players
     return (
         is_accessible(x, y, report_x)
-        and _keeps_unsatisfied(game, probs, report_x)
-        and _flips_satisfied(game, probs, report_x)
+        and _keeps_unsatisfied(game, probs, report_x, gaps)
+        and _flips_satisfied(game, probs, report_x, gaps)
     )
 
 
@@ -299,10 +314,11 @@ def _worse_candidates(game: Game, x: StrategyProfile, report: SatisfactionReport
     unsat = sorted(report.unsatisfied)
     for i in unsat:
         count = game.action_counts[i]
+        own = base[i].tolist()
         for action in range(count):
             vec = np.zeros(count)
             vec[action] = 1.0
-            if not np.array_equal(vec, base[i]):  # skip non-deviations
+            if vec.tolist() != own:  # skip non-deviations
                 yield [vec if j == i else p for j, p in enumerate(base)]
     for xi in _XI_GRID:
         yield _blend_uniform(base, report.unsatisfied, xi)
@@ -310,7 +326,7 @@ def _worse_candidates(game: Game, x: StrategyProfile, report: SatisfactionReport
     while True:
         probs = list(base)
         for i in unsat:
-            probs[i] = rng.dirichlet(np.ones(game.action_counts[i]))
+            probs[i] = rng.dirichlet(_dirichlet_alpha(game.action_counts[i]))
         yield probs
 
 
@@ -322,7 +338,11 @@ def find_worse_candidate(
 ) -> StrategyProfile | None:
     """Search Access(x) for a member of Worse(x); None when the budget runs
     out (presumptive emptiness) or when Worse(x) is irrelevant because no
-    player is satisfied, or trivially empty because none is unsatisfied."""
+    player is satisfied, or trivially empty because none is unsatisfied.
+
+    The profile returned carries its gaps for ``game`` in its memo: those the
+    two predicates computed to accept it, and the remaining players' from
+    the same kernel, so its ``satisfaction_report`` computes none."""
     _check_profile(game, x)
     epsilon = _check_real("epsilon", epsilon)
     config = _check_instance("config", config, WorseSearchConfig, _DEFAULT_WORSE)
@@ -333,8 +353,16 @@ def find_worse_candidate(
     # candidates only move unsatisfied players, so accessibility holds by
     # construction and membership in Worse is the two gap predicates
     for probs in itertools.islice(candidates, config.budget):
-        if _keeps_unsatisfied(game, probs, report) and _flips_satisfied(game, probs, report):
-            return _profile_from(x, probs)
+        gaps = [None] * game.num_players
+        if _keeps_unsatisfied(game, probs, report, gaps) and _flips_satisfied(
+            game, probs, report, gaps
+        ):
+            profile = _profile_from(x, probs)
+            for i, gap in enumerate(gaps):
+                if gap is None:
+                    gaps[i] = _deviation_gap_raw(game, probs, i)
+            _seed_gaps(game, profile, gaps)
+            return profile
     return None
 
 
@@ -387,8 +415,10 @@ def construct_path(
                 )
             )
             break
-        budget = min(worse_config.budget * 10**escalations, sys.maxsize)
-        search = replace(worse_config, budget=budget)
+        search = worse_config
+        if escalations:
+            budget = min(worse_config.budget * 10**escalations, sys.maxsize)
+            search = replace(worse_config, budget=budget)
         candidate = find_worse_candidate(game, current, epsilon, search)
         if candidate is not None:
             candidate_report = satisfaction_report(game, candidate, epsilon)

@@ -310,6 +310,7 @@ def solve_on_support(
     Singular or non-convergent solves count as "no equilibrium on this
     support"; they never raise.
     """
+    _check_instance("game", game, Game)
     config = _check_instance("config", config, SolverConfig, _DEFAULT_CONFIG)
     _check_instance("support", support, SupportProfile).validate_for(game)
     n = game.num_players
@@ -340,6 +341,7 @@ def solve_on_support(
 
 def enumerate_supports(game: Game, config: SolverConfig | None = None):
     """Yield support profiles in increasing total size, then lexicographic order."""
+    _check_instance("game", game, Game)
     config = _check_instance("config", config, SolverConfig, _DEFAULT_CONFIG)
     yield from _supports_from(game, config, game.num_players)
 
@@ -413,10 +415,12 @@ def find_nash(game: Game, config: SolverConfig | None = None) -> StrategyProfile
     verified profile, carrying the best (minimum max-gap) candidate seen;
     failures are not memoized, so every such call solves again and raises.
     """
+    _check_instance("game", game, Game)
     config = _check_instance("config", config, SolverConfig, _DEFAULT_CONFIG)
     memo = game._equilibria
-    if config in memo:
-        return memo[config]
+    solved = memo.get(config)  # one hash of the config, not two
+    if solved is not None:
+        return solved
     best: StrategyProfile | None = None
     best_gap = float("inf")
     candidates = itertools.chain(
@@ -453,6 +457,7 @@ def find_subgame_nash(
     for the full game, with the frozen strategies reinserted untouched, so
     every free player best responds (up to tolerance) in the full game.
     """
+    _check_instance("game", game, Game)
     config = _check_instance("config", config, SolverConfig, _DEFAULT_CONFIG)
     n = game.num_players
     for i, strategy in _check_instance("frozen", frozen, dict).items():

@@ -1,7 +1,7 @@
 """Argument checks at the public entry points.
 
-Every malformed argument of a public function, of any kind (integer, index,
-real, seed, config, explorer, generator, or a number in a trace file), must
+Every malformed argument of a public function, of any kind (game, integer,
+index, real, seed, config, explorer, generator, or a number in a trace file), must
 raise GameInputError naming it, never a TypeError, AttributeError or
 IndexError, and never be coerced into a different valid value.
 """
@@ -21,6 +21,7 @@ from satpath import (
     GameInputError,
     MixedStrategy,
     SolverConfig,
+    StrategyProfile,
     SupportProfile,
     WorseSearchConfig,
     batch_experiment,
@@ -34,6 +35,7 @@ from satpath import (
     find_nash,
     find_subgame_nash,
     find_worse_candidate,
+    game_document,
     generate_random_game,
     indifference_poly,
     is_eps_best_response,
@@ -44,6 +46,7 @@ from satpath import (
     satisficing_step,
     solve_on_support,
     verify_nash,
+    verify_path,
     zero_poly_check,
 )
 from satpath.cli import run
@@ -68,7 +71,26 @@ def _trace_with_gaps(tmp_path, gaps):
 # (id, call): each call gets pytest's tmp_path and must raise GameInputError.
 # Cases that other modules' tests already cover (SolverConfig, WorseSearchConfig,
 # max_steps, trials_per_game, explorer types) are not repeated here.
-BAD_ARGUMENTS = [
+# A game that is not a Game: entry points that take a profile check it with
+# the profile, the others on their own; the error names ``game``.
+BAD_GAMES = [
+    ("find-nash-string-game", lambda tmp: find_nash("x")),
+    ("report-string-game", lambda tmp: satisfaction_report("g", X)),
+    ("path-none-game", lambda tmp: construct_path(None, X)),
+    ("verify-path-string-game", lambda tmp: verify_path("g", [X])),
+    ("dynamics-string-game", lambda tmp: run_dynamics("g", X)),
+    ("solve-on-support-string-game",
+     lambda tmp: solve_on_support("g", SupportProfile(((0,), (0,))))),
+    ("subgame-string-game", lambda tmp: find_subgame_nash("g", {})),
+    ("gap-string-game", lambda tmp: deviation_gap("g", X, 0)),
+    ("game-document-string-game", lambda tmp: game_document("g")),
+    ("enumerate-string-game", lambda tmp: next(enumerate_supports("g"))),
+    ("random-profile-string-game", lambda tmp: random_profile("g", np.random.default_rng(0))),
+    ("profile-pure-string-game", lambda tmp: StrategyProfile.pure("g", (0, 0))),
+    ("profile-uniform-string-game", lambda tmp: StrategyProfile.uniform("g")),
+]
+
+BAD_ARGUMENTS = BAD_GAMES + [
     # integers and indices: floats, bools and strings are rejected, not truncated
     ("game-float-count", lambda tmp: Game((2.5, 2), ([0] * 4, [0] * 4))),
     ("game-bool-count", lambda tmp: Game((True, 2), ([0] * 2, [0] * 2))),
@@ -116,6 +138,9 @@ BAD_ARGUMENTS = [
     ("random-profile-int-rng", lambda tmp: random_profile(MP, 3)),
     ("step-int-rng", lambda tmp: satisficing_step(MP, X, 1e-6, ExplorerPolicy(), 3)),
     ("batch-one-game", lambda tmp: batch_experiment(MP, 2)),
+    # sequences that are not vectors of reals or of actions
+    ("strategy-string", lambda tmp: MixedStrategy("ab")),
+    ("profile-pure-int-actions", lambda tmp: StrategyProfile.pure(MP, 5)),
     # numbers in a JSON trace: gaps must be a list of numbers
     ("trace-string-gaps", lambda tmp: read_trace(_trace_with_gaps(tmp, "12"))),
     ("trace-bool-gap", lambda tmp: read_trace(_trace_with_gaps(tmp, [True, 0.5]))),
@@ -127,6 +152,12 @@ BAD_ARGUMENTS = [
 def test_bad_argument_raises_game_input_error(call, tmp_path):
     # pytest.raises lets any other exception type through, failing the test
     with pytest.raises(GameInputError):
+        call(tmp_path)
+
+
+@pytest.mark.parametrize("call", [c for _, c in BAD_GAMES], ids=[i for i, _ in BAD_GAMES])
+def test_bad_game_error_names_the_game(call, tmp_path):
+    with pytest.raises(GameInputError, match=r"^game must be of type Game, got "):
         call(tmp_path)
 
 

@@ -27,7 +27,7 @@ from satpath import (
     satisfaction_report,
     verify_nash,
 )
-from satpath.games import _batch_gaps, _contract
+from satpath.games import _batch_gaps, _contract, _deviation_gap_raw
 
 from conftest import (
     brute_expected_reward,
@@ -82,6 +82,25 @@ class TestMixedStrategy:
     def test_rejects_bad_sum(self):
         with pytest.raises(GameInputError, match="sums to"):
             MixedStrategy(np.array([0.6, 0.6]))
+
+    @pytest.mark.parametrize(
+        "probs, message",
+        [
+            ([np.nan, 1.0], "mixed strategy contains non-finite entries"),
+            ([np.inf, 0.0], "mixed strategy contains non-finite entries"),
+            ([np.inf, -np.inf], "mixed strategy contains non-finite entries"),
+            ([-np.inf, 2.0], "mixed strategy contains non-finite entries"),
+            ([np.nan, -1.0], "mixed strategy contains non-finite entries"),
+            ([-0.5, 1.5], r"mixed strategy has negative entries: \[-0\.5  1\.5\]"),
+            ([0.6, 0.6], r"mixed strategy sums to 1\.2, not 1"),
+        ],
+        ids=["nan", "inf", "inf-minus-inf", "minus-inf", "nan-and-negative", "negative", "off-sum"],
+    )
+    def test_rejections_keep_their_messages(self, probs, message):
+        # the first failing check names the fault, in the order non-finite,
+        # negative, sum; no RuntimeWarning is raised on the way
+        with pytest.raises(GameInputError, match=f"^{message}$"):
+            MixedStrategy(np.array(probs))
 
     def test_sum_tolerance_is_tight(self):
         MixedStrategy(np.array([0.5, 0.5 + 9e-13]))
@@ -381,6 +400,33 @@ class TestContractionKernel:
         best = int(np.argmax(pure_action_payoffs(game, profile, i)))
         at_best = profile.replace(i, MixedStrategy.pure(game.action_counts[i], best))
         assert deviation_gap(game, at_best, i) == 0.0
+
+
+def contract_gap(game, probs, player):
+    """The deviation gap as ``_contract`` computes it, before the gap plan."""
+    w = _contract(game.payoff_tensor(player), probs, (player,))
+    gap = float(w.max()) - float(w @ probs[player])
+    return gap if gap > 0.0 else 0.0
+
+
+class TestGapPlan:
+    """``_deviation_gap_raw`` runs ``_contract``'s einsum call from the game's
+    plan, so every gap is bitwise the ``_contract``-based one."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(games_and_profiles(), st.data())
+    def test_gap_equals_contract_formula_and_brute_force(self, game_and_profile, data):
+        game, profile = game_and_profile
+        probs = [s.probs for s in profile.strategies]
+        for i in range(game.num_players):
+            gap = _deviation_gap_raw(game, probs, i)
+            assert type(gap) is float
+            assert np.float64(gap).tobytes() == np.float64(contract_gap(game, probs, i)).tobytes()
+            assert abs(gap - brute_gap(game, profile, i)) <= KERNEL_TOL
+        i = data.draw(st.integers(0, game.num_players - 1))
+        best = int(np.argmax(pure_action_payoffs(game, profile, i)))
+        probs[i] = MixedStrategy.pure(game.action_counts[i], best).probs
+        assert _deviation_gap_raw(game, probs, i) == 0.0
 
 
 class TestBatchedKernel:

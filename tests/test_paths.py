@@ -282,6 +282,60 @@ class TestWorseSearchStageOrder:
         assert find_worse_candidate(mp, x, EPS, WorseSearchConfig(rng_seed=3)) == expected
 
 
+def fresh_gaps(game, profile):
+    """Every player's gap at an equal profile with fresh strategy objects,
+    whose memo is empty, so the kernel runs once per player."""
+    twin = StrategyProfile(tuple(MixedStrategy(s.probs) for s in profile.strategies))
+    assert "_gaps" not in vars(twin)
+    return satisfaction_report(game, twin).gaps
+
+
+class TestSeededWorseGaps:
+    """A Worse hit keeps the gaps its predicates computed, computes the rest,
+    and leaves them in the candidate's gap memo, bitwise equal to a fresh
+    per-player computation."""
+
+    def check_seeded(self, game, y):
+        owner, seeded = y._gaps[id(game)]
+        assert owner is game and not seeded.flags.writeable
+        assert seeded.tobytes() == fresh_gaps(game, y).tobytes()
+        assert satisfaction_report(game, y, EPS).gaps is seeded
+
+    def test_each_candidate_stage(self, mp):
+        # a pure-deviation, a blend and a Dirichlet hit, from the games of
+        # TestWorseSearchStageOrder
+        for payoffs, config in [
+            (([1, 0, 0, 0, 5, 0], [0, 1, 2, 0, 0, 0]), None),
+            (([1, 0, 0, 0, 3, 3], [0, 5, 5, 0, 0, 0]), WorseSearchConfig(rng_seed=0)),
+        ]:
+            game = Game((2, 3), payoffs)
+            self.check_seeded(game, find_worse_candidate(game, pure(game, (0, 0)), EPS, config))
+        x = pure(mp, (0, 0))
+        self.check_seeded(mp, find_worse_candidate(mp, x, EPS, WorseSearchConfig(rng_seed=3)))
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_random_games(self, n):
+        # with three or more players the predicates can stop before some
+        # player's gap, which the hit then computes
+        hits = 0
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            game = random_game(rng, n=n)
+            x = pure(game, tuple(int(rng.integers(c)) for c in game.action_counts))
+            y = find_worse_candidate(game, x, EPS)
+            if y is not None:
+                self.check_seeded(game, y)
+                hits += 1
+        assert hits >= 5
+
+    def test_worse_step_report_reads_the_memo(self, mp):
+        path = construct_path(mp, pure(mp, (0, 0)))
+        step = path.steps[1]
+        assert step.kind == "worse_step"
+        assert step.report.gaps is step.profile._gaps[id(mp)][1]
+        assert step.report.gaps.tobytes() == fresh_gaps(mp, step.profile).tobytes()
+
+
 class TestBuildWXi:
     def test_formula_and_access(self, mp):
         x = pure(mp, (0, 0))
