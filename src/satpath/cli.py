@@ -14,7 +14,14 @@ import io
 import json
 import sys
 
-from .dynamics import DYNAMICS_EPSILON, EXPLORER_KINDS, ExplorerPolicy, run_dynamics, batch_experiment
+from .dynamics import (
+    DYNAMICS_EPSILON,
+    EXPLORER_KINDS,
+    ExplorerPolicy,
+    _trial_streams,
+    batch_experiment,
+    run_dynamics,
+)
 from .errors import (
     GameInputError,
     PathInvariantError,
@@ -126,10 +133,12 @@ def _cmd_verify(args) -> int:
 
 def _cmd_simulate(args) -> int:
     game = load_game(args.game)
-    rng = np.random.default_rng(_check_seed("--seed", args.seed))
-    x1 = _initial_profile(game, args.init, rng)
+    # trial 0 of game 0 in `batch --seed`: the start and the run draw from
+    # separate streams, so a random start is not the run's first redraw
+    init, run_seed = _trial_streams(_check_seed("--seed", args.seed), 0, 0)
+    x1 = _initial_profile(game, args.init, init)
     explorer = ExplorerPolicy(kind=args.explorer, mixture_weight=args.mixture_weight)
-    trajectory = run_dynamics(game, x1, args.eps, args.max_steps, explorer, args.seed)
+    trajectory = run_dynamics(game, x1, args.eps, args.max_steps, explorer, run_seed)
     emit_path(trajectory, args.format, args.out or sys.stdout)
     return 0
 

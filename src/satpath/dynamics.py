@@ -5,13 +5,17 @@ the unsatisfied players according to an exploration policy.  Every
 trajectory this produces is a satisficing path by construction, and
 epsilon-Nash profiles are fixed points.
 
-Trials step in lock-step through one loop over a (trials x total actions)
-array of profiles: each step evaluates every active trial's gaps with one
-batched contraction per player, then every unsatisfied player of every
-active trial redraws from that trial's own generator, in ascending player
-order, and a trial that hits an epsilon-Nash profile drops out.
-``run_dynamics`` is that loop on one trial, so every ``batch_experiment``
-row equals a replay of its trials through ``run_dynamics``.
+``run_dynamics`` iterates the single-profile step of ``satisficing_step``,
+reading each profile's gaps from ``satisfaction_report``.
+``batch_experiment`` steps a game's trials in lock-step through one loop
+over a (trials x total actions) array of profiles: each step evaluates
+every active trial's gaps with one batched contraction per player
+(``_batch_gaps``), then every unsatisfied player of every active trial
+redraws from that trial's own generator, and a trial that hits an
+epsilon-Nash profile drops out.  Every ``batch_experiment`` row equals a
+replay of its trials through ``run_dynamics`` because ``_batch_gaps`` rows
+equal ``satisfaction_report`` gaps bitwise and both paths draw in the same
+order: one generator call per unsatisfied player, in ascending player order.
 
 The default satisfaction tolerance here is looser (1e-6) than the path
 constructor's internal one: continuous resampling never lands exactly on
@@ -40,8 +44,6 @@ from .games import (
     _check_real,
     _check_seed,
     _dirichlet_alpha,
-    _readonly,
-    _report,
     satisfaction_report,
 )
 
@@ -112,6 +114,13 @@ class Trajectory:
         return len(self.profiles)
 
 
+def _trial_streams(master: int, game_index: int, trial: int) -> tuple[np.random.Generator, int]:
+    """The generator that draws a trial's initial profile and the seed of its
+    run, both spawned from SeedSequence([master, game_index, trial])."""
+    init_ss, run_ss = np.random.SeedSequence([master, game_index, trial]).spawn(2)
+    return np.random.default_rng(init_ss), int(run_ss.generate_state(1, np.uint64)[0])
+
+
 def _segments(game: Game) -> list[slice]:
     """Each player's columns in a row holding one profile."""
     ends = np.cumsum(game.action_counts).tolist()
@@ -159,11 +168,20 @@ def _redraw(
             row[seg] = (1.0 - w) * row[seg] + w * sample
 
 
-def _rebuilt(
-    profile: StrategyProfile, row: np.ndarray, players, segments: list[slice]
+def _step(
+    profile: StrategyProfile,
+    report: SatisfactionReport,
+    segments: list[slice],
+    explorer: ExplorerPolicy,
+    rng: np.random.Generator,
 ) -> StrategyProfile:
-    """``profile`` with ``players``' strategies read from ``row``, which has
-    passed ``_check_rows``; every other player keeps its strategy object."""
+    """The profile after one update from ``profile``, whose report is
+    ``report``: its unsatisfied players redraw from ``rng`` and every other
+    player keeps its strategy object."""
+    row = np.concatenate([s.probs for s in profile.strategies])
+    players = sorted(report.unsatisfied)
+    _redraw(row, players, segments, explorer, rng)
+    _check_rows(row[None, :], segments)
     strategies = list(profile.strategies)
     for i in players:
         strategies[i] = MixedStrategy._prechecked(row[segments[i]])
@@ -177,20 +195,16 @@ def _lockstep(
     epsilon: float,
     explorer: ExplorerPolicy,
     max_steps: int,
-    record=None,
 ) -> list[int | None]:
     """Run trial t from profile ``rows[t]`` with generator ``rngs[t]`` until
     it hits an epsilon-Nash profile or has ``max_steps`` profiles; returns
     each trial's hit step, or None.  ``rows`` (trials x total actions) is
-    overwritten.  ``record(rows, gaps)``, if given, sees every step's active
-    rows and their gaps before any trial drops out."""
+    overwritten."""
     segments = _segments(game)
     hits: list[int | None] = [None] * len(rngs)
     live = list(range(len(rngs)))  # the trial behind each row of ``rows``
     for step in range(1, max_steps + 1):
         gaps = _batch_gaps(game, [rows[:, seg] for seg in segments])
-        if record is not None:
-            record(rows, gaps)
         unsatisfied = gaps > epsilon
         going = unsatisfied.any(axis=1)
         if not going.all():
@@ -225,12 +239,7 @@ def satisficing_step(
     report = satisfaction_report(game, profile, epsilon)
     if not report.unsatisfied:
         return profile
-    segments = _segments(game)
-    row = np.concatenate([s.probs for s in profile.strategies])
-    players = sorted(report.unsatisfied)
-    _redraw(row, players, segments, explorer, rng)
-    _check_rows(row[None, :], segments)
-    return _rebuilt(profile, row, players, segments)
+    return _step(profile, report, _segments(game), explorer, rng)
 
 
 def run_dynamics(
@@ -249,21 +258,13 @@ def run_dynamics(
     explorer = _check_instance("explorer", explorer, ExplorerPolicy, _DEFAULT_EXPLORER)
     seed = _check_seed("seed", seed)
     segments = _segments(game)
-    profiles: list[StrategyProfile] = []
-    reports: list[SatisfactionReport] = []
-
-    def record(rows, gaps):
-        if profiles:
-            redrawn = sorted(reports[-1].unsatisfied)
-            profiles.append(_rebuilt(profiles[-1], rows[0], redrawn, segments))
-        else:
-            profiles.append(x1)
-        reports.append(_report(_readonly(gaps[0]), epsilon))
-
-    rows = np.concatenate([s.probs for s in x1.strategies])[None, :]
-    (hit,) = _lockstep(
-        game, rows, [np.random.default_rng(seed)], epsilon, explorer, max_steps, record
-    )
+    rng = np.random.default_rng(seed)
+    profiles = [x1]
+    reports = [satisfaction_report(game, x1, epsilon)]
+    while reports[-1].unsatisfied and len(profiles) < max_steps:
+        profiles.append(_step(profiles[-1], reports[-1], segments, explorer, rng))
+        reports.append(satisfaction_report(game, profiles[-1], epsilon))
+    hit = None if reports[-1].unsatisfied else len(profiles)
     return Trajectory(profiles=tuple(profiles), reports=tuple(reports), hit_step=hit, seed=seed)
 
 
@@ -303,13 +304,12 @@ def batch_experiment(
             starts = np.empty((len(block), sum(game.action_counts)))
             rngs = []
             for r, t in enumerate(block):
-                init_ss, run_ss = np.random.SeedSequence([master, g, t]).spawn(2)
-                init = np.random.default_rng(init_ss)
+                init, run_seed = _trial_streams(master, g, t)
                 # random_profile's draws, without building the profile
                 starts[r] = np.concatenate(
                     [init.dirichlet(_dirichlet_alpha(c)) for c in game.action_counts]
                 )
-                rngs.append(np.random.default_rng(int(run_ss.generate_state(1, np.uint64)[0])))
+                rngs.append(np.random.default_rng(run_seed))
             _check_rows(starts, _segments(game))
             hits = _lockstep(game, starts, rngs, epsilon, explorer, max_steps)
             hit_steps += [h for h in hits if h is not None]

@@ -29,6 +29,8 @@ import csv
 import io
 import json
 import math
+import os
+from collections.abc import Iterable
 from dataclasses import dataclass
 from math import prod
 
@@ -41,6 +43,7 @@ from .games import (
     MAX_PLAYERS,
     Game,
     MixedStrategy,
+    SatisfactionReport,
     StrategyProfile,
     _check_instance,
     _check_int,
@@ -133,6 +136,7 @@ def game_document(game: Game) -> dict:
 
 
 def _read_text(path) -> str:
+    _check_instance("path", path, (str, os.PathLike))
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
@@ -152,7 +156,10 @@ def generate_random_game(
     num_players: int, action_counts, seed: int, name: str | None = None
 ) -> Game:
     """A game with i.i.d. payoffs uniform on [-1, 1], deterministic per seed."""
-    counts = tuple(_check_int("action count", c, 1, MAX_ACTIONS) for c in action_counts)
+    counts = tuple(
+        _check_int("action count", c, 1, MAX_ACTIONS)
+        for c in _check_instance("action_counts", action_counts, Iterable)
+    )
     if len(counts) != _check_int("num_players", num_players, 1, MAX_PLAYERS):
         raise GameInputError(
             f"num_players is {num_players} but {len(counts)} action counts were given"
@@ -163,25 +170,10 @@ def generate_random_game(
     return Game(action_counts=counts, payoffs=payoffs, name=name)
 
 
-@dataclass(frozen=True)
-class _TraceStep:
-    kind: str
-    profile: StrategyProfile
-    gaps: tuple[float, ...]
-    satisfied: tuple[int, ...]
-
-
-def _trace_steps(obj) -> tuple[list[_TraceStep], dict]:
+def _trace_steps(obj) -> tuple[list[tuple[str, StrategyProfile, SatisfactionReport]], dict]:
+    """Each step's ``(kind, profile, report)`` and the trace's metadata."""
     if isinstance(obj, SatisficingPath):
-        steps = [
-            _TraceStep(
-                kind=s.kind,
-                profile=s.profile,
-                gaps=tuple(float(g) for g in s.report.gaps),
-                satisfied=tuple(sorted(s.report.satisfied)),
-            )
-            for s in obj.steps
-        ]
+        steps = [(s.kind, s.profile, s.report) for s in obj.steps]
         meta = {
             "type": "satisficing_path",
             "epsilon": obj.epsilon,
@@ -190,15 +182,8 @@ def _trace_steps(obj) -> tuple[list[_TraceStep], dict]:
         }
         return steps, meta
     if isinstance(obj, Trajectory):
-        steps = [
-            _TraceStep(
-                kind="initial" if t == 0 else _STEP_KIND,
-                profile=p,
-                gaps=tuple(float(g) for g in r.gaps),
-                satisfied=tuple(sorted(r.satisfied)),
-            )
-            for t, (p, r) in enumerate(zip(obj.profiles, obj.reports))
-        ]
+        kinds = ["initial"] + [_STEP_KIND] * (len(obj) - 1)
+        steps = list(zip(kinds, obj.profiles, obj.reports))
         meta = {"type": "trajectory", "seed": obj.seed, "hit_step": obj.hit_step}
         return steps, meta
     raise GameInputError(
@@ -207,40 +192,31 @@ def _trace_steps(obj) -> tuple[list[_TraceStep], dict]:
     )
 
 
-def _render_json(steps: list[_TraceStep], meta: dict) -> str:
+def _render_json(steps, meta: dict) -> str:
     doc = dict(meta)
     doc["steps"] = [
         {
             "step": t + 1,
-            "step_kind": s.kind,
-            "profile": [[float(v) for v in strat.probs] for strat in s.profile.strategies],
-            "gaps": list(s.gaps),
-            "satisfied": list(s.satisfied),
+            "step_kind": kind,
+            "profile": [strat.probs.tolist() for strat in profile.strategies],
+            "gaps": report.gaps.tolist(),
+            "satisfied": sorted(report.satisfied),
         }
-        for t, s in enumerate(steps)
+        for t, (kind, profile, report) in enumerate(steps)
     ]
     return json.dumps(doc, indent=2) + "\n"
 
 
-def _render_csv(steps: list[_TraceStep]) -> str:
+def _render_csv(steps) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(_CSV_HEADER)
-    for t, s in enumerate(steps):
-        satisfied = set(s.satisfied)
-        for i, strat in enumerate(s.profile.strategies):
-            for a, p in enumerate(strat.probs):
-                writer.writerow(
-                    [
-                        t + 1,
-                        s.kind,
-                        i,
-                        a,
-                        repr(float(p)),
-                        repr(float(s.gaps[i])),
-                        "true" if i in satisfied else "false",
-                    ]
-                )
+    for t, (kind, profile, report) in enumerate(steps):
+        gaps = report.gaps.tolist()
+        for i, strat in enumerate(profile.strategies):
+            satisfied = "true" if i in report.satisfied else "false"
+            for a, p in enumerate(strat.probs.tolist()):
+                writer.writerow([t + 1, kind, i, a, repr(p), repr(gaps[i]), satisfied])
     return buf.getvalue()
 
 
@@ -257,6 +233,7 @@ def _write_text(destination, text: str) -> None:
     if hasattr(destination, "write"):
         destination.write(text)
         return
+    _check_instance("destination", destination, (str, os.PathLike))
     try:
         with open(destination, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)

@@ -80,19 +80,18 @@ class Game:
     name: str | None = None
 
     def __post_init__(self):
-        counts = tuple(self.action_counts)
+        counts = tuple(_check_instance("action_counts", self.action_counts, Iterable))
         _check_int("number of players", len(counts), 1, MAX_PLAYERS)
         counts = tuple(
             _check_int(f"player {i}'s action count", c, 1, MAX_ACTIONS)
             for i, c in enumerate(counts)
         )
-        if len(self.payoffs) != len(counts):
-            raise GameInputError(
-                f"got {len(self.payoffs)} payoff arrays for {len(counts)} players"
-            )
+        payoffs = tuple(_check_instance("payoffs", self.payoffs, Iterable))
+        if len(payoffs) != len(counts):
+            raise GameInputError(f"got {len(payoffs)} payoff arrays for {len(counts)} players")
         size = prod(counts)
         arrays = []
-        for i, raw in enumerate(self.payoffs):
+        for i, raw in enumerate(payoffs):
             arr = _readonly(raw)
             if arr.ndim != 1 or arr.size != size:
                 raise GameInputError(
@@ -226,7 +225,7 @@ class StrategyProfile:
     strategies: tuple[MixedStrategy, ...]
 
     def __post_init__(self):
-        strategies = tuple(self.strategies)
+        strategies = tuple(_check_instance("strategies", self.strategies, Iterable))
         if not strategies:
             raise GameInputError("a strategy profile must cover at least one player")
         for s in strategies:
@@ -395,12 +394,14 @@ def _check_seed(name: str, value) -> int:
 
 
 def _check_instance(name: str, value, cls, default=None):
-    """``value``, which must be a ``cls``; None stands for ``default`` when one
-    is given.  Defaults are shared instances built once, at import."""
+    """``value``, which must be a ``cls`` (a class or a tuple of classes); None
+    stands for ``default`` when one is given.  Defaults are shared instances
+    built once, at import."""
     if value is None and default is not None:
         return default
     if not isinstance(value, cls):
-        raise GameInputError(f"{name} must be of type {cls.__name__}, got {value!r}")
+        kinds = " or ".join(c.__name__ for c in cls) if isinstance(cls, tuple) else cls.__name__
+        raise GameInputError(f"{name} must be of type {kinds}, got {value!r}")
     return value
 
 
@@ -508,14 +509,6 @@ def _batch_gaps(game: Game, probs: list[np.ndarray]) -> np.ndarray:
     return np.where(gaps > 0.0, gaps, 0.0)
 
 
-def _report(gaps: np.ndarray, epsilon: float) -> SatisfactionReport:
-    """The report for one profile's read-only ``gaps``, which it keeps: a
-    player is satisfied when its gap is at most ``epsilon``."""
-    satisfied = frozenset(i for i, gap in enumerate(gaps.tolist()) if gap <= epsilon)
-    unsatisfied = frozenset(range(gaps.size)) - satisfied
-    return SatisfactionReport(gaps=gaps, satisfied=satisfied, unsatisfied=unsatisfied, epsilon=epsilon)
-
-
 def satisfaction_report(
     game: Game, profile: StrategyProfile, epsilon: float = DEFAULT_EPSILON
 ) -> SatisfactionReport:
@@ -527,7 +520,10 @@ def satisfaction_report(
     """
     _check_profile(game, profile)
     epsilon = _check_real("epsilon", epsilon)
-    return _report(_profile_gaps(game, profile), epsilon)
+    gaps = _profile_gaps(game, profile)
+    satisfied = frozenset(i for i, gap in enumerate(gaps.tolist()) if gap <= epsilon)
+    unsatisfied = frozenset(range(gaps.size)) - satisfied
+    return SatisfactionReport(gaps=gaps, satisfied=satisfied, unsatisfied=unsatisfied, epsilon=epsilon)
 
 
 def is_eps_best_response(

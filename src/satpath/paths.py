@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import itertools
 import sys
+from collections.abc import Iterable
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -140,6 +141,9 @@ def is_accessible(x: StrategyProfile, y: StrategyProfile, report_x: Satisfaction
 
     Equality is bitwise on the stored probability vectors.
     """
+    _check_instance("x", x, StrategyProfile)
+    _check_instance("y", y, StrategyProfile)
+    _check_instance("report_x", report_x, SatisfactionReport)
     if len(x) != len(y):
         raise GameInputError(f"profiles cover {len(x)} and {len(y)} players")
     for i, (sx, sy) in enumerate(zip(x.strategies, y.strategies)):
@@ -207,6 +211,7 @@ def build_w_xi(
     the result is accessible from x_k, and unsatisfied players become fully
     mixed with every coordinate at least xi / num_actions."""
     _check_profile(game, x_k)
+    _check_instance("report_k", report_k, SatisfactionReport)
     xi = _check_real("xi", xi, positive=True, high=1.0)
     probs = _blend_uniform([s.probs for s in x_k.strategies], report_k.unsatisfied, xi)
     return _profile_from(x_k, probs)
@@ -237,9 +242,14 @@ def build_z_lambda(
     """Interpolate unsatisfied players between x_star (lam = 0) and w_xi
     (lam = 1); players outside ``unsat_set`` keep their x_k strategy."""
     lam = _check_real("lambda", lam, high=1.0)
+    for name, profile in (("x_star", x_star), ("w_xi", w_xi), ("x_k", x_k)):
+        _check_instance(name, profile, StrategyProfile)
     if not len(x_star) == len(w_xi) == len(x_k):
         raise GameInputError("profiles cover different numbers of players")
-    unsat = {_check_int("unsatisfied player index", i, 0, len(x_k) - 1) for i in unsat_set}
+    unsat = {
+        _check_int("unsatisfied player index", i, 0, len(x_k) - 1)
+        for i in _check_instance("unsat_set", unsat_set, Iterable)
+    }
     strategies = []
     for i in range(len(x_k)):
         if x_star[i].num_actions != w_xi[i].num_actions or x_star[i].num_actions != x_k[i].num_actions:
@@ -293,11 +303,19 @@ def zero_poly_check(coeffs, roots_observed, tolerance: float) -> bool:
     a degree-d polynomial vanishing at d + 1 distinct points is the zero
     polynomial.  True iff there are more distinct roots than the degree and
     the polynomial evaluates within ``tolerance`` of zero at each."""
-    coeffs = np.asarray(coeffs, dtype=float)
     tolerance = _check_real("tolerance", tolerance)
+    _check_instance("roots_observed", roots_observed, Iterable)
+    try:
+        coeffs = np.asarray(coeffs, dtype=float)
+        roots = sorted({float(r) for r in roots_observed})
+    except (TypeError, ValueError):
+        raise GameInputError(
+            f"coeffs and roots_observed must hold reals, got {coeffs!r} and {roots_observed!r}"
+        ) from None
+    if coeffs.ndim != 1:
+        raise GameInputError(f"coeffs must be a vector of reals, got {coeffs!r}")
     nonzero = np.nonzero(coeffs)[0]
     degree = int(nonzero[-1]) if nonzero.size else 0
-    roots = sorted({float(r) for r in roots_observed})
     if len(roots) <= degree:
         return False
     values = npoly.polyval(np.asarray(roots), coeffs)
@@ -461,7 +479,7 @@ def construct_path(
 def _profiles_of(path) -> list[StrategyProfile]:
     if hasattr(path, "profiles"):
         return list(path.profiles)
-    return list(path)
+    return list(_check_instance("path", path, Iterable))
 
 
 def verify_path(

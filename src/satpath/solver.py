@@ -31,6 +31,7 @@ Xeon VM.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,7 +73,7 @@ class SupportProfile:
         # which skip the call
         supports = tuple(
             tuple(sorted(a if type(a) is int else _check_int("support action", a) for a in s))
-            for s in self.supports
+            for s in _check_instance("supports", self.supports, Iterable)
         )
         for i, s in enumerate(supports):
             if not s:
@@ -318,11 +319,9 @@ def solve_on_support(
     if blocks is None:
         return None
     wide, box = blocks
-    if all(len(s) == 1 for s in support.supports):
-        raw = [np.ones(1) for _ in range(n)]
-        return _assemble_candidate(support, wide, raw, config)
-    if n == 1:
-        raw = [np.full(len(support.supports[0]), 1.0 / len(support.supports[0]))]
+    if n == 1 or all(len(s) == 1 for s in support.supports):
+        # nothing to solve: the candidate is uniform on each support
+        raw = [np.full(len(s), 1.0 / len(s)) for s in support.supports]
         return _assemble_candidate(support, wide, raw, config)
     if n == 2:
         raw = _solve_two_player(box)

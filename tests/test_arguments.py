@@ -1,9 +1,10 @@
 """Argument checks at the public entry points.
 
 Every malformed argument of a public function, of any kind (game, integer,
-index, real, seed, config, explorer, generator, or a number in a trace file), must
-raise GameInputError naming it, never a TypeError, AttributeError or
-IndexError, and never be coerced into a different valid value.
+index, real, seed, config, explorer, generator, sequence, report, file path,
+or a number in a trace file), must raise GameInputError naming it, never a
+TypeError, AttributeError, IndexError or bare ValueError, and never be
+coerced into a different valid value.
 """
 
 from __future__ import annotations
@@ -38,12 +39,15 @@ from satpath import (
     game_document,
     generate_random_game,
     indifference_poly,
+    is_accessible,
     is_eps_best_response,
+    load_game,
     random_profile,
     read_trace,
     run_dynamics,
     satisfaction_report,
     satisficing_step,
+    save_game,
     solve_on_support,
     verify_nash,
     verify_path,
@@ -141,6 +145,27 @@ BAD_ARGUMENTS = BAD_GAMES + [
     # sequences that are not vectors of reals or of actions
     ("strategy-string", lambda tmp: MixedStrategy("ab")),
     ("profile-pure-int-actions", lambda tmp: StrategyProfile.pure(MP, 5)),
+    ("game-int-counts", lambda tmp: Game(3, ([0] * 8,) * 3)),
+    ("game-int-payoffs", lambda tmp: Game((2, 2), 5)),
+    ("gen-int-counts", lambda tmp: generate_random_game(2, 5, 0)),
+    ("verify-path-int-path", lambda tmp: verify_path(MP, 5)),
+    ("support-int", lambda tmp: SupportProfile(5)),
+    ("profile-int", lambda tmp: StrategyProfile(5)),
+    ("z-lambda-none-unsat", lambda tmp: build_z_lambda(X, X, None, X, 0.5)),
+    ("z-lambda-int-profile", lambda tmp: build_z_lambda(X, X, [0], 5, 0.5)),
+    ("poly-none-unsat",
+     lambda tmp: indifference_poly(MP, X, X, None, X, player=0, a=1, a_prime=0)),
+    ("zero-poly-string-coeffs", lambda tmp: zero_poly_check(["a"], [0], 0)),
+    # reports and profiles of the wrong type
+    ("accessible-none-report", lambda tmp: is_accessible(X, X, None)),
+    ("accessible-int-profile", lambda tmp: is_accessible(5, X, satisfaction_report(MP, X))),
+    ("w-xi-none-report", lambda tmp: build_w_xi(MP, X, None, 0.5)),
+    # file paths: an integer would be taken as a file descriptor (stdin,
+    # stdout), read or written, and closed
+    ("load-game-int-path", lambda tmp: load_game(0)),
+    ("read-trace-int-path", lambda tmp: read_trace(0)),
+    ("save-game-int-path", lambda tmp: save_game(MP, 1)),
+    ("emit-int-destination", lambda tmp: emit_path(construct_path(MP, PURE), "json", 1)),
     # numbers in a JSON trace: gaps must be a list of numbers
     ("trace-string-gaps", lambda tmp: read_trace(_trace_with_gaps(tmp, "12"))),
     ("trace-bool-gap", lambda tmp: read_trace(_trace_with_gaps(tmp, [True, 0.5]))),

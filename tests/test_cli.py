@@ -211,6 +211,28 @@ class TestSimulate:
     def test_bad_init_spec(self, mp_file):
         assert run(["simulate", "--game", mp_file, "--init", "vertex:0"]) == 2
 
+    def test_random_start_is_not_replayed(self, tmp_path, capsys):
+        # every player of this start is unsatisfied, so all of them redraw at
+        # once; a run drawing from the start's own stream would redraw the start
+        game = tmp_path / "g.json"
+        assert run(["gen", "--players", "3", "--actions", "3,3,3", "--seed", "4",
+                    "--out", str(game)]) == 0
+        assert run(["simulate", "--game", str(game), "--seed", "7"]) == 0
+        steps = json.loads(capsys.readouterr().out)["steps"]
+        assert steps[0]["satisfied"] == []
+        assert steps[0]["profile"] != steps[1]["profile"]
+
+    @pytest.mark.parametrize("seed", ["0", "3", "-5"])
+    def test_hits_where_batch_trial_zero_hits(self, pd_file, capsys, seed):
+        flags = ["--game", pd_file, "--seed", seed, "--explorer", "pure_uniform",
+                 "--eps", "1e-9", "--max-steps", "50"]
+        assert run(["simulate", *flags]) == 0
+        trace = json.loads(capsys.readouterr().out)
+        assert run(["batch", "--trials", "1", *flags]) == 0
+        (row,) = json.loads(capsys.readouterr().out)
+        assert row["hits"] == 1
+        assert trace["hit_step"] == row["mean_hit_step"] == len(trace["steps"])
+
 
 class TestBatch:
     def test_csv_summary(self, pd_file, tmp_path):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import io
 import json
 
 import numpy as np
@@ -189,6 +190,205 @@ class TestEmitAndParse:
         with pytest.raises(GameFormatError, match="not UTF-8") as exc_info:
             reader(binary)
         assert exc_info.value.key == "document"
+
+
+# Emitted trace text, byte for byte: the matching-pennies path from pure (0, 0)
+# and a three-profile matching-pennies trajectory from the same start.
+_PATH_JSON = """\
+{
+  "type": "satisficing_path",
+  "epsilon": 1e-09,
+  "terminal_gap": 0.0,
+  "escalations": 0,
+  "steps": [
+    {
+      "step": 1,
+      "step_kind": "initial",
+      "profile": [
+        [
+          1.0,
+          0.0
+        ],
+        [
+          1.0,
+          0.0
+        ]
+      ],
+      "gaps": [
+        0.0,
+        2.0
+      ],
+      "satisfied": [
+        0
+      ]
+    },
+    {
+      "step": 2,
+      "step_kind": "worse_step",
+      "profile": [
+        [
+          1.0,
+          0.0
+        ],
+        [
+          0.4000707853732506,
+          0.5999292146267494
+        ]
+      ],
+      "gaps": [
+        0.3997168585069977,
+        0.8001415707465012
+      ],
+      "satisfied": []
+    },
+    {
+      "step": 3,
+      "step_kind": "case1_jump",
+      "profile": [
+        [
+          0.5,
+          0.5
+        ],
+        [
+          0.5,
+          0.5
+        ]
+      ],
+      "gaps": [
+        0.0,
+        0.0
+      ],
+      "satisfied": [
+        0,
+        1
+      ]
+    }
+  ]
+}
+"""
+
+_PATH_CSV = """\
+step,step_kind,player,action,probability,gap,satisfied
+1,initial,0,0,1.0,0.0,true
+1,initial,0,1,0.0,0.0,true
+1,initial,1,0,1.0,2.0,false
+1,initial,1,1,0.0,2.0,false
+2,worse_step,0,0,1.0,0.3997168585069977,false
+2,worse_step,0,1,0.0,0.3997168585069977,false
+2,worse_step,1,0,0.4000707853732506,0.8001415707465012,false
+2,worse_step,1,1,0.5999292146267494,0.8001415707465012,false
+3,case1_jump,0,0,0.5,0.0,true
+3,case1_jump,0,1,0.5,0.0,true
+3,case1_jump,1,0,0.5,0.0,true
+3,case1_jump,1,1,0.5,0.0,true
+"""
+
+_TRAJECTORY_JSON = """\
+{
+  "type": "trajectory",
+  "seed": 0,
+  "hit_step": null,
+  "steps": [
+    {
+      "step": 1,
+      "step_kind": "initial",
+      "profile": [
+        [
+          1.0,
+          0.0
+        ],
+        [
+          1.0,
+          0.0
+        ]
+      ],
+      "gaps": [
+        0.0,
+        2.0
+      ],
+      "satisfied": [
+        0
+      ]
+    },
+    {
+      "step": 2,
+      "step_kind": "dynamics_step",
+      "profile": [
+        [
+          1.0,
+          0.0
+        ],
+        [
+          0.4000707853732506,
+          0.5999292146267494
+        ]
+      ],
+      "gaps": [
+        0.3997168585069977,
+        0.8001415707465012
+      ],
+      "satisfied": []
+    },
+    {
+      "step": 3,
+      "step_kind": "dynamics_step",
+      "profile": [
+        [
+          0.8972038510508373,
+          0.10279614894916263
+        ],
+        [
+          0.25241805539539025,
+          0.7475819446046097
+        ]
+      ],
+      "gaps": [
+        0.8885258965996436,
+        0.40104569471125046
+      ],
+      "satisfied": []
+    }
+  ]
+}
+"""
+
+_TRAJECTORY_CSV = """\
+step,step_kind,player,action,probability,gap,satisfied
+1,initial,0,0,1.0,0.0,true
+1,initial,0,1,0.0,0.0,true
+1,initial,1,0,1.0,2.0,false
+1,initial,1,1,0.0,2.0,false
+2,dynamics_step,0,0,1.0,0.3997168585069977,false
+2,dynamics_step,0,1,0.0,0.3997168585069977,false
+2,dynamics_step,1,0,0.4000707853732506,0.8001415707465012,false
+2,dynamics_step,1,1,0.5999292146267494,0.8001415707465012,false
+3,dynamics_step,0,0,0.8972038510508373,0.8885258965996436,false
+3,dynamics_step,0,1,0.10279614894916263,0.8885258965996436,false
+3,dynamics_step,1,0,0.25241805539539025,0.40104569471125046,false
+3,dynamics_step,1,1,0.7475819446046097,0.40104569471125046,false
+"""
+
+
+class TestTraceText:
+    """Emitted traces equal fixed text, so a change to how a step's profile,
+    gaps or satisfied set is rendered shows here, not only in a round trip."""
+
+    @staticmethod
+    def _text(obj, fmt):
+        out = io.StringIO()
+        emit_path(obj, fmt, out)
+        return out.getvalue()
+
+    def test_path(self, mp):
+        path = construct_path(mp, pure(mp, (0, 0)))
+        assert self._text(path, "json") == _PATH_JSON
+        assert self._text(path, "csv") == _PATH_CSV
+
+    def test_trajectory(self, mp):
+        traj = run_dynamics(mp, pure(mp, (0, 0)), max_steps=3, seed=0)
+        assert len(traj) == 3
+        assert self._text(traj, "json") == _TRAJECTORY_JSON
+        assert self._text(traj, "csv") == _TRAJECTORY_CSV
 
 
 _TRACE_HEADER = "step,step_kind,player,action,probability,gap,satisfied\n"
