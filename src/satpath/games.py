@@ -32,10 +32,13 @@ function of the (game, profile) pair, so ``_profile_gaps`` computes it once
 per pair and keeps it on the profile, where every whole-profile gap read
 (``satisfaction_report``, ``deviation_gap``, ``is_eps_best_response``,
 ``solver.verify_nash``, ``solver.find_nash``) finds it; and ``find_nash``
-keeps its equilibria on the game.  A profile built from gaps already in
-hand starts with its memo filled (``_seed_gaps``): the Worse search keeps
-the gaps it computed to accept a candidate, so the Worse step's report and
-its verification compute none.
+keeps its equilibria on the game.  The same memo entry keeps the last
+``SatisfactionReport`` built from those gaps, so asking again at the same
+epsilon returns that report.  A profile built from gaps already in hand
+starts with its memo filled (``_seed_gaps``): the Worse search keeps the
+gaps it computed to accept a candidate, and the solver's pure-profile screen
+the shortfalls it computed to accept an equilibrium, so neither profile's
+report computes a gap.
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ import math
 import numbers
 import string
 from collections.abc import Iterable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache, cached_property
 from math import prod
 
@@ -89,10 +92,17 @@ class Game:
         payoffs = tuple(_check_instance("payoffs", self.payoffs, Iterable))
         if len(payoffs) != len(counts):
             raise GameInputError(f"got {len(payoffs)} payoff arrays for {len(counts)} players")
+        if self.name is not None:
+            _check_instance("name", self.name, str)
         size = prod(counts)
         arrays = []
         for i, raw in enumerate(payoffs):
-            arr = _readonly(raw)
+            try:
+                arr = _readonly(raw)
+            except (TypeError, ValueError):
+                raise GameInputError(
+                    f"payoff array for player {i} must be a vector of reals, got {raw!r}"
+                ) from None
             if arr.ndim != 1 or arr.size != size:
                 raise GameInputError(
                     f"payoff array for player {i} has size {arr.size}; expected {size}"
@@ -200,6 +210,8 @@ class MixedStrategy:
         return tuple(int(a) for a in np.nonzero(self.probs)[0])
 
     def __eq__(self, other) -> bool:
+        if other is self:
+            return True
         if not isinstance(other, MixedStrategy):
             return NotImplemented
         return np.array_equal(self.probs, other.probs)
@@ -222,6 +234,10 @@ def _strategy_fault(arr: np.ndarray) -> str:
 class StrategyProfile:
     """One mixed strategy per player."""
 
+    # Slots, not an instance dict: every profile carries ``_action_counts``
+    # and ``_gaps`` from construction, and a dict would cost memory on each.
+    __slots__ = ("strategies", "_action_counts", "_gaps", "__weakref__")
+
     strategies: tuple[MixedStrategy, ...]
 
     def __post_init__(self):
@@ -232,6 +248,11 @@ class StrategyProfile:
             if not isinstance(s, MixedStrategy):
                 raise GameInputError("profile entries must be MixedStrategy values")
         object.__setattr__(self, "strategies", strategies)
+        # Each player's number of actions, which ``_check_profile`` compares
+        # with the game's on every call.
+        object.__setattr__(self, "_action_counts", tuple(s.num_actions for s in strategies))
+        # ``_profile_gaps`` entries for this profile, keyed by ``id(game)``.
+        object.__setattr__(self, "_gaps", {})
 
     @classmethod
     def pure(cls, game: Game, actions) -> "StrategyProfile":
@@ -253,22 +274,11 @@ class StrategyProfile:
         _check_instance("game", game, Game)
         return cls(tuple(MixedStrategy.uniform(c) for c in game.action_counts))
 
-    @cached_property
-    def _action_counts(self) -> tuple[int, ...]:
-        """Each player's number of actions, which ``_check_profile`` compares
-        with the game's on every call."""
-        return tuple(s.num_actions for s in self.strategies)
-
-    @cached_property
-    def _gaps(self) -> dict:
-        """``_profile_gaps`` results for this profile, keyed by ``id(game)``."""
-        return {}
-
-    def __getstate__(self) -> dict:
-        # Copy and pickle the strategies alone: the gap memo's keys are ids of
-        # games in this process, which a copy does not share, and each entry
-        # holds a whole game.
-        return {"strategies": self.strategies}
+    def __reduce__(self):
+        # Copy and pickle the strategies alone, rebuilding the profile with an
+        # empty memo: the gap memo's keys are ids of games in this process,
+        # which a copy does not share, and each entry holds a whole game.
+        return (StrategyProfile, (self.strategies,))
 
     def __len__(self) -> int:
         return len(self.strategies)
@@ -295,16 +305,17 @@ class StrategyProfile:
 
 @dataclass(frozen=True, eq=False)
 class SatisfactionReport:
-    """Per-player deviation gaps and the satisfied/unsatisfied split at a profile."""
+    """Per-player deviation gaps and the satisfied/unsatisfied split at a
+    profile; ``max_gap``, the largest gap, is computed once, with the report."""
 
     gaps: np.ndarray
     satisfied: frozenset[int]
     unsatisfied: frozenset[int]
     epsilon: float
+    max_gap: float = field(init=False)
 
-    @property
-    def max_gap(self) -> float:
-        return float(self.gaps.max())
+    def __post_init__(self):
+        object.__setattr__(self, "max_gap", float(self.gaps.max()))
 
     def __repr__(self) -> str:
         return (
@@ -468,31 +479,39 @@ def _deviation_gap_raw(game: Game, probs: list[np.ndarray], player: int) -> floa
     return gap if gap > 0.0 else 0.0
 
 
-def _profile_gaps(game: Game, profile: StrategyProfile) -> np.ndarray:
-    """Every player's deviation gap at ``profile``, which the caller has
-    checked against ``game``, as a read-only array.
+def _gap_entry(game: Game, profile: StrategyProfile) -> list:
+    """``profile``'s memo entry for ``game`` (a pair the caller has checked):
+    ``[game, gaps, report]``, where ``gaps`` is every player's deviation gap
+    as a read-only array and ``report`` the last ``satisfaction_report``
+    built from them (None before the first).
 
     The gaps are a pure function of the immutable pair, so they are computed
     once per game and kept on the profile: a profile that is freed takes
     them with it, and nothing is stored on the game.  The memo is keyed by
     ``id(game)`` and holds the game beside the gaps, so that id cannot be
     reused while the entry lives; an equal but distinct game computes anew.
-    Copies and pickles of a profile leave the memo behind (``__getstate__``).
+    Copies and pickles of a profile leave the memo behind (``__reduce__``).
     """
     memo = profile._gaps
     entry = memo.get(id(game))
     if entry is None:
         probs = [s.probs for s in profile.strategies]
         gaps = _readonly([_deviation_gap_raw(game, probs, i) for i in range(game.num_players)])
-        memo[id(game)] = entry = (game, gaps)
-    return entry[1]
+        memo[id(game)] = entry = [game, gaps, None]
+    return entry
+
+
+def _profile_gaps(game: Game, profile: StrategyProfile) -> np.ndarray:
+    """Every player's deviation gap at ``profile``, which the caller has
+    checked against ``game``, as a read-only array (``_gap_entry``)."""
+    return _gap_entry(game, profile)[1]
 
 
 def _seed_gaps(game: Game, profile: StrategyProfile, gaps: list[float]) -> None:
     """Fill ``profile``'s memo entry for ``game`` with ``gaps``, every
     player's ``_deviation_gap_raw`` at ``profile``'s probabilities: the entry
-    ``_profile_gaps`` would have computed, bit for bit."""
-    profile._gaps[id(game)] = (game, _readonly(gaps))
+    ``_gap_entry`` would have computed, bit for bit."""
+    profile._gaps[id(game)] = [game, _readonly(gaps), None]
 
 
 def _batch_gaps(game: Game, probs: list[np.ndarray]) -> np.ndarray:
@@ -517,13 +536,23 @@ def satisfaction_report(
     A player is satisfied when its gap is at most ``epsilon``; exact best
     responding corresponds to epsilon = 0, which floating point cannot
     certify, hence the tolerance.
+
+    The report is kept in the profile's gap memo beside the gaps, so a
+    repeated call at an equal epsilon returns the same report object; a
+    call at another epsilon builds, and keeps, a report of its own.
     """
     _check_profile(game, profile)
     epsilon = _check_real("epsilon", epsilon)
-    gaps = _profile_gaps(game, profile)
-    satisfied = frozenset(i for i, gap in enumerate(gaps.tolist()) if gap <= epsilon)
-    unsatisfied = frozenset(range(gaps.size)) - satisfied
-    return SatisfactionReport(gaps=gaps, satisfied=satisfied, unsatisfied=unsatisfied, epsilon=epsilon)
+    entry = _gap_entry(game, profile)
+    report = entry[2]
+    if report is None or report.epsilon != epsilon:
+        gaps = entry[1]
+        satisfied = frozenset(i for i, gap in enumerate(gaps.tolist()) if gap <= epsilon)
+        unsatisfied = frozenset(range(gaps.size)) - satisfied
+        entry[2] = report = SatisfactionReport(
+            gaps=gaps, satisfied=satisfied, unsatisfied=unsatisfied, epsilon=epsilon
+        )
+    return report
 
 
 def is_eps_best_response(

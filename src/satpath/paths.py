@@ -17,9 +17,12 @@ equilibrium is accessible in one jump) or no Worse profile can be found
 (then freezing the satisfied players and solving the induced subgame
 yields a full equilibrium, which is certified before being accepted).
 
-Worse-emptiness is a universal statement over a continuum, so search
-exhaustion is only presumptive; a failed certification escalates the
-search budget tenfold, up to three times, before giving up.
+Worse-emptiness is a universal statement over a continuum.  Before drawing
+any candidate, the search tries to certify it exactly (``_certified_empty``);
+where that fails, exhaustion is only presumptive: the subgame jump is
+certified against the full game, and a failed certification escalates the
+search budget tenfold, up to three times, before giving up.  A search after
+an escalation skips the certificate.
 
 Strategy equality along paths is bitwise on the stored probabilities:
 the constructor copies satisfied strategies verbatim, so exact equality
@@ -29,9 +32,10 @@ is achievable and unambiguous.
 from __future__ import annotations
 
 import itertools
+import numbers
 import sys
 from collections.abc import Iterable
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -48,6 +52,7 @@ from .games import (
     _check_profile,
     _check_real,
     _check_seed,
+    _contract,
     _deviation_gap_raw,
     _dirichlet_alpha,
     _seed_gaps,
@@ -62,6 +67,11 @@ _MAX_ESCALATIONS = 3
 
 #: Mixing weights of the uniform-blend stage of the Worse search.
 _XI_GRID = (0.5, 0.1, 0.01)
+
+#: Share of epsilon a satisfied player's largest gap over Access(x) may reach
+#: for ``_certified_empty`` to hold.  The rest covers the rounding between the
+#: certificate's sums and the search's, about n * 2**-52 times the payoffs.
+_CERTIFY_SHARE = 0.5
 
 
 @dataclass(frozen=True, eq=False)
@@ -123,6 +133,13 @@ class WorseSearchConfig:
 
 #: The search config ``find_worse_candidate`` and ``construct_path`` use when given None.
 _DEFAULT_WORSE = WorseSearchConfig()
+
+
+@dataclass(frozen=True)
+class _EscalatedSearch(WorseSearchConfig):
+    """The config ``construct_path`` gives a search after an escalation:
+    ``find_worse_candidate`` skips the emptiness certificate for it, so the
+    randomized search alone decides."""
 
 
 @dataclass(frozen=True)
@@ -304,16 +321,18 @@ def zero_poly_check(coeffs, roots_observed, tolerance: float) -> bool:
     polynomial.  True iff there are more distinct roots than the degree and
     the polynomial evaluates within ``tolerance`` of zero at each."""
     tolerance = _check_real("tolerance", tolerance)
-    _check_instance("roots_observed", roots_observed, Iterable)
+    roots = list(_check_instance("roots_observed", roots_observed, Iterable))
+    if not all(isinstance(r, numbers.Real) and not isinstance(r, bool) for r in roots):
+        raise GameInputError(f"roots_observed must hold reals, got {roots_observed!r}")
+    roots = sorted({float(r) for r in roots})
     try:
-        coeffs = np.asarray(coeffs, dtype=float)
-        roots = sorted({float(r) for r in roots_observed})
-    except (TypeError, ValueError):
-        raise GameInputError(
-            f"coeffs and roots_observed must hold reals, got {coeffs!r} and {roots_observed!r}"
-        ) from None
-    if coeffs.ndim != 1:
+        array = np.asarray(coeffs)
+    except ValueError:  # a ragged nesting
+        array = None
+    # a string or bool entry makes the array's kind 'U', 'O' or 'b'
+    if array is None or array.ndim != 1 or array.dtype.kind not in "iuf":
         raise GameInputError(f"coeffs must be a vector of reals, got {coeffs!r}")
+    coeffs = array.astype(float)
     nonzero = np.nonzero(coeffs)[0]
     degree = int(nonzero[-1]) if nonzero.size else 0
     if len(roots) <= degree:
@@ -348,14 +367,37 @@ def _worse_candidates(game: Game, x: StrategyProfile, report: SatisfactionReport
         yield probs
 
 
+def _certified_empty(game: Game, x: StrategyProfile, report: SatisfactionReport) -> bool:
+    """Whether every satisfied player's largest deviation gap over Access(x)
+    is at most ``_CERTIFY_SHARE`` of epsilon, which proves Worse(x) empty.
+
+    Player i's gap at y is the largest of R_i(a, y) - R_i(x_i, y) over its
+    actions a; with i's strategy fixed, each difference is multilinear in
+    the unsatisfied players' strategies, so its largest value over their
+    product of simplices is reached at a pure profile of theirs.  One
+    contraction averages the other satisfied players and keeps i's axis
+    and the unsatisfied players' axes: its columns are i's pure-action
+    payoffs at each such pure profile.
+    """
+    probs = [s.probs for s in x.strategies]
+    free = tuple(sorted(report.unsatisfied))
+    bound = report.epsilon * _CERTIFY_SHARE
+    for i in sorted(report.satisfied):
+        block = _contract(game._tensors[i], probs, (i, *free)).reshape(probs[i].size, -1)
+        if float((block.max(axis=0) - probs[i] @ block).max()) > bound:
+            return False
+    return True
+
+
 def find_worse_candidate(
     game: Game,
     x: StrategyProfile,
     epsilon: float = DEFAULT_EPSILON,
     config: WorseSearchConfig | None = None,
 ) -> StrategyProfile | None:
-    """Search Access(x) for a member of Worse(x); None when the budget runs
-    out (presumptive emptiness) or when Worse(x) is irrelevant because no
+    """Search Access(x) for a member of Worse(x); None when Worse(x) is
+    certified empty (exactly: see ``_certified_empty``), when the budget runs
+    out (presumptive emptiness), or when Worse(x) is irrelevant because no
     player is satisfied, or trivially empty because none is unsatisfied.
 
     The profile returned carries its gaps for ``game`` in its memo: those the
@@ -366,6 +408,8 @@ def find_worse_candidate(
     config = _check_instance("config", config, WorseSearchConfig, _DEFAULT_WORSE)
     report = satisfaction_report(game, x, epsilon)
     if not report.satisfied or not report.unsatisfied:
+        return None
+    if not isinstance(config, _EscalatedSearch) and _certified_empty(game, x, report):
         return None
     candidates = _worse_candidates(game, x, report, config.rng_seed)
     # candidates only move unsatisfied players, so accessibility holds by
@@ -436,7 +480,7 @@ def construct_path(
         search = worse_config
         if escalations:
             budget = min(worse_config.budget * 10**escalations, sys.maxsize)
-            search = replace(worse_config, budget=budget)
+            search = _EscalatedSearch(budget, worse_config.rng_seed)
         candidate = find_worse_candidate(game, current, epsilon, search)
         if candidate is not None:
             candidate_report = satisfaction_report(game, candidate, epsilon)
@@ -445,8 +489,9 @@ def construct_path(
             steps.append(PathStep(profile=candidate, kind="worse_step", report=candidate_report))
             current, current_report = candidate, candidate_report
             continue
-        # Presume Worse(current) is empty: freeze the satisfied players and
-        # solve the game induced among the unsatisfied ones.
+        # Worse(current) is empty, certified or presumed: freeze the
+        # satisfied players and solve the game induced among the unsatisfied
+        # ones.
         frozen = {i: current[i] for i in sorted(current_report.satisfied)}
         target = find_subgame_nash(game, frozen, solver_config)
         target_report = satisfaction_report(game, target, epsilon)
@@ -454,7 +499,8 @@ def construct_path(
             steps.append(PathStep(profile=target, kind="case2_jump", report=target_report))
             break
         # A previously satisfied player broke: the emptiness verdict was
-        # false, so some Worse profile was missed.  Search harder.
+        # false, so some Worse profile was missed.  Search harder, without
+        # the certificate.
         escalations += 1
         if escalations > _MAX_ESCALATIONS:
             raise WorseSearchIncompleteError(
@@ -506,6 +552,8 @@ def verify_path(
     for p in profiles:
         _check_profile(game, p)
     epsilon = _check_real("epsilon", epsilon)
+    _check_instance("require_terminal_nash", require_terminal_nash, bool)
+    _check_instance("require_length_bound", require_length_bound, bool)
     for t in range(len(profiles) - 1):
         report = satisfaction_report(game, profiles[t], epsilon)
         for i in sorted(report.satisfied):

@@ -47,6 +47,7 @@ from .games import (
     _check_real,
     _contract,
     _profile_gaps,
+    _seed_gaps,
 )
 
 _NEWTON_MAX_ITER = 200
@@ -69,18 +70,19 @@ class SupportProfile:
     supports: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        # the support enumeration builds one per support from plain ints,
-        # which skip the call
-        supports = tuple(
-            tuple(sorted(a if type(a) is int else _check_int("support action", a) for a in s))
-            for s in _check_instance("supports", self.supports, Iterable)
-        )
-        for i, s in enumerate(supports):
+        supports = []
+        for i, raw in enumerate(_check_instance("supports", self.supports, Iterable)):
+            # the support enumeration builds one per support from tuples of
+            # plain ints, which skip the calls
+            if type(raw) is not tuple:
+                _check_instance(f"support for player {i}", raw, Iterable)
+            s = tuple(sorted(a if type(a) is int else _check_int("support action", a) for a in raw))
             if not s:
                 raise GameInputError(f"support for player {i} is empty")
             if len(set(s)) != len(s):
                 raise GameInputError(f"support for player {i} has repeated actions: {s}")
-        object.__setattr__(self, "supports", supports)
+            supports.append(s)
+        object.__setattr__(self, "supports", tuple(supports))
 
     def validate_for(self, game: Game) -> None:
         if len(self.supports) != game.num_players:
@@ -375,16 +377,24 @@ def _pure_candidate(game: Game, config: SolverConfig) -> StrategyProfile | None:
     yields singletons) whose gap passes; failing that, the first accepted
     profile of least gap, the best candidate the singleton loop would have
     kept; failing that, None.
+
+    Player i's shortfall at a pure profile is its deviation gap there, and
+    bitwise so: the gap kernel's einsum over one-hot strategies adds each
+    payoff to exact zeros.  So the returned profile's gap memo is seeded
+    with the shortfalls, and ``find_nash``'s acceptance check and every
+    later report read them instead of computing any.
     """
     margin = _RESIDUAL_TOLERANCE + config.tolerance
     accepted = np.ones(game.action_counts, dtype=bool)
     gap = np.zeros(game.action_counts)
+    shortfalls = []
     for i in range(game.num_players):
         payoff = game._tensors[i]
         best = payoff.max(axis=i, keepdims=True)
         shortfall = best - payoff
         accepted &= (shortfall <= margin) & (best <= payoff + config.tolerance)
         np.maximum(gap, shortfall, out=gap)
+        shortfalls.append(shortfall)
     hits = accepted & (gap <= config.tolerance)
     if hits.any():
         flat = np.argmax(hits)
@@ -392,7 +402,11 @@ def _pure_candidate(game: Game, config: SolverConfig) -> StrategyProfile | None:
         flat = np.argmin(np.where(accepted, gap, np.inf))
     else:
         return None
-    return StrategyProfile.pure(game, np.unravel_index(flat, game.action_counts))
+    profile = StrategyProfile.pure(game, np.unravel_index(flat, game.action_counts))
+    # the kernel's clamp: a gap that is not positive is stored as +0.0
+    own = [float(shortfall.flat[flat]) for shortfall in shortfalls]
+    _seed_gaps(game, profile, [g if g > 0.0 else 0.0 for g in own])
+    return profile
 
 
 def find_nash(game: Game, config: SolverConfig | None = None) -> StrategyProfile:

@@ -49,6 +49,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import satpath.paths
 from satpath import (
     ExplorerPolicy,
     MixedStrategy,
@@ -59,6 +60,7 @@ from satpath import (
     deviation_gap,
     expected_reward,
     find_nash,
+    find_worse_candidate,
     indifference_poly,
     pure_action_payoffs,
     random_profile,
@@ -299,6 +301,27 @@ class TestCriterion3MonotoneGrowth:
         )
         assert ok
         assert worse > 0  # the growth check has steps to check
+
+
+class TestWorseCertificateOnBoundaryStarts:
+    def test_certified_exactly_where_the_search_alone_exhausts(self, boundary_corpus):
+        """Each Worse search the boundary paths ran (a step followed by a
+        Worse step or a case-2 jump) is certified empty exactly when the
+        search without the certificate exhausts its default budget."""
+        certified = searched = 0
+        for game, path, error in boundary_corpus[0]:
+            assert error is None
+            for step, following in zip(path.steps, path.steps[1:]):
+                if following.kind == "case1_jump":
+                    continue
+                searched += 1
+                empty = satpath.paths._certified_empty(game, step.profile, step.report)
+                alone = find_worse_candidate(
+                    game, step.profile, PATH_EPSILON, satpath.paths._EscalatedSearch()
+                )
+                assert empty == (alone is None) == (following.kind == "case2_jump")
+                certified += empty
+        assert 0 < certified < searched
 
 
 class TestCriterion4GapFunctionProperties:

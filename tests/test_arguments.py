@@ -156,6 +156,16 @@ BAD_ARGUMENTS = BAD_GAMES + [
     ("poly-none-unsat",
      lambda tmp: indifference_poly(MP, X, X, None, X, player=0, a=1, a_prime=0)),
     ("zero-poly-string-coeffs", lambda tmp: zero_poly_check(["a"], [0], 0)),
+    # numeric strings are rejected too, not converted
+    ("zero-poly-numeric-strings", lambda tmp: zero_poly_check(["1"], ["0.5"], 0)),
+    ("zero-poly-numeric-string-root", lambda tmp: zero_poly_check([1.0], ["0.5"], 0)),
+    ("support-int-entry", lambda tmp: SupportProfile((5,))),
+    ("game-string-payoff", lambda tmp: Game((2, 2), (["a"] * 4, [0] * 4))),
+    # a name that save_game would write and load_game reject
+    ("game-int-name", lambda tmp: Game((2, 2), MP.payoffs, name=5)),
+    # flags: a string or an int is not taken for a bool
+    ("verify-path-string-flag", lambda tmp: verify_path(MP, [X], require_terminal_nash="no")),
+    ("verify-path-int-flag", lambda tmp: verify_path(MP, [X], require_length_bound=1)),
     # reports and profiles of the wrong type
     ("accessible-none-report", lambda tmp: is_accessible(X, X, None)),
     ("accessible-int-profile", lambda tmp: is_accessible(5, X, satisfaction_report(MP, X))),

@@ -542,6 +542,24 @@ class TestProfileGapMemo:
         assert verify_nash(game, profile, 1e-9) == (first.max_gap <= 1e-9)
         assert gap_kernel_calls == [0, 1, 2]
 
+    def test_report_is_kept_for_the_last_epsilon(self, gap_kernel_calls):
+        game = random_game(np.random.default_rng(40), n=3)
+        profile = random_profile(game, np.random.default_rng(41))
+        first = satisfaction_report(game, profile, 1e-9)
+        assert satisfaction_report(game, profile, 1e-9) is first
+        assert satisfaction_report(game, profile, np.float64(1e-9)) is first
+        # a second epsilon between the gaps splits the players differently
+        middle = float(np.sort(first.gaps)[1])
+        second = satisfaction_report(game, profile, middle)
+        fresh = satisfaction_report(game, copied(profile), middle)
+        assert second is not first and second.gaps is first.gaps
+        assert second.epsilon == middle and second.max_gap == first.max_gap
+        assert second.satisfied == fresh.satisfied != first.satisfied
+        assert second.unsatisfied == fresh.unsatisfied
+        assert second.satisfied == {i for i, g in enumerate(first.gaps) if g <= middle}
+        assert satisfaction_report(game, profile, middle) is second
+        assert gap_kernel_calls == [0, 1, 2, 0, 1, 2]
+
     def test_equal_games_do_not_share(self, gap_kernel_calls):
         game = random_game(np.random.default_rng(33), n=2)
         twin = Game(game.action_counts, game.payoffs)
@@ -562,7 +580,7 @@ class TestProfileGapMemo:
         twin = duplicate(profile)
         # a carried entry would sit under id(game) beside a copy of the game,
         # and be read for whatever game later takes that id
-        assert twin == profile and "_gaps" not in vars(twin)
+        assert twin == profile and twin._gaps == {}
         assert satisfaction_report(game, twin).gaps.tobytes() == gaps.tobytes()
         assert gap_kernel_calls == [0, 1, 0, 1]
 

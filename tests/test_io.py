@@ -10,6 +10,7 @@ import pytest
 
 from satpath import (
     ExplorerPolicy,
+    Game,
     GameFormatError,
     GameInputError,
     construct_path,
@@ -34,6 +35,14 @@ class TestGameRoundTrip:
         assert loaded == game
         for a, b in zip(loaded.payoffs, game.payoffs):
             assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("name", ["fixture", None])
+    def test_name_round_trips(self, tmp_path, name):
+        game = Game((2, 2), matching_pennies().payoffs, name=name)
+        target = tmp_path / "game.json"
+        save_game(game, target)
+        loaded = load_game(target)
+        assert loaded == game and loaded.name == name
 
     def test_matching_pennies_document(self, tmp_path):
         game = matching_pennies()

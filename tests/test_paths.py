@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import itertools
+import math
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from satpath import (
     Game,
@@ -286,8 +290,94 @@ def fresh_gaps(game, profile):
     """Every player's gap at an equal profile with fresh strategy objects,
     whose memo is empty, so the kernel runs once per player."""
     twin = StrategyProfile(tuple(MixedStrategy(s.probs) for s in profile.strategies))
-    assert "_gaps" not in vars(twin)
+    assert twin._gaps == {}
     return satisfaction_report(game, twin).gaps
+
+
+@st.composite
+def certificate_cases(draw):
+    """A game with 2-4 players and 2-3 actions each, payoffs U[-1, 1] or small
+    integers (so ties and weakly dominant actions are common), and a pure or
+    proper-face start (each player mixing over 1..c-1 of its c actions)."""
+    counts = tuple(draw(st.lists(st.integers(2, 3), min_size=2, max_size=4)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = (len(counts), math.prod(counts))
+    if draw(st.booleans()):
+        payoffs = rng.integers(-2, 3, shape).astype(float)
+    else:
+        payoffs = rng.uniform(-1.0, 1.0, shape)
+    game = Game(counts, tuple(payoffs))
+    if draw(st.booleans()):
+        return game, pure(game, tuple(int(rng.integers(c)) for c in counts))
+    vectors = []
+    for c in counts:
+        support = rng.choice(c, size=int(rng.integers(1, c)), replace=False)
+        probs = np.zeros(c)
+        probs[support] = rng.dirichlet(np.ones(support.size))
+        vectors.append(probs)
+    return game, profile_from(vectors)
+
+
+def toward(x, targets, lam):
+    """x with each player j in ``targets`` moved a share ``lam`` of the way to
+    its pure action ``targets[j]``; lam = 1 reaches it exactly."""
+    moved = []
+    for j, s in enumerate(x.strategies):
+        if j in targets:
+            vertex = MixedStrategy.pure(s.num_actions, targets[j]).probs
+            s = MixedStrategy((1.0 - lam) * s.probs + lam * vertex)
+        moved.append(s)
+    return StrategyProfile(tuple(moved))
+
+
+class TestWorseCertificate:
+    """``_certified_empty`` bounds each satisfied player's gap over Access(x)
+    by its largest value at a pure profile of the unsatisfied players."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(certificate_cases())
+    def test_certified_access_holds_no_worse_member(self, case):
+        game, x = case
+        rep = report(game, x)
+        if not rep.satisfied or not rep.unsatisfied:
+            return
+        free = sorted(rep.unsatisfied)
+        vertices = [
+            dict(zip(free, joint))
+            for joint in itertools.product(*(range(game.action_counts[j]) for j in free))
+        ]
+        # the supremum the certificate computes, by the brute-force oracle
+        largest = max(
+            brute_gap(game, toward(x, v, 1.0), i) for v in vertices for i in rep.satisfied
+        )
+        certified = satpath.paths._certified_empty(game, x, rep)
+        assert certified == (largest <= EPS / 2)
+        if not certified:
+            return
+        for v in vertices:
+            for lam in (0.1, 0.25, 0.5, 0.75, 0.9, 1.0):
+                assert not in_worse(game, x, toward(x, v, lam), EPS)
+        search = satpath.paths._EscalatedSearch(budget=300)
+        assert find_worse_candidate(game, x, EPS, search) is None
+
+    def test_escalated_search_skips_the_certificate(self, monkeypatch):
+        # player 0's action 0 weakly dominates against both of player 1's
+        # actions, so Worse((0, 0)) is certified empty
+        game = Game((2, 2), ([1, 1, 0, 1], [0, 1, 0, 0]))
+        x = pure(game, (0, 0))
+        assert satpath.paths._certified_empty(game, x, report(game, x))
+        drawn = []
+        real = satpath.paths._worse_candidates
+
+        def counted(*args):
+            for probs in real(*args):
+                drawn.append(probs)
+                yield probs
+
+        monkeypatch.setattr(satpath.paths, "_worse_candidates", counted)
+        assert find_worse_candidate(game, x, EPS) is None and drawn == []
+        search = satpath.paths._EscalatedSearch(budget=7)
+        assert find_worse_candidate(game, x, EPS, search) is None and len(drawn) == 7
 
 
 class TestSeededWorseGaps:
@@ -296,7 +386,7 @@ class TestSeededWorseGaps:
     per-player computation."""
 
     def check_seeded(self, game, y):
-        owner, seeded = y._gaps[id(game)]
+        owner, seeded, _ = y._gaps[id(game)]
         assert owner is game and not seeded.flags.writeable
         assert seeded.tobytes() == fresh_gaps(game, y).tobytes()
         assert satisfaction_report(game, y, EPS).gaps is seeded
