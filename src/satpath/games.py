@@ -36,9 +36,8 @@ keeps its equilibria on the game.  The same memo entry keeps the last
 ``SatisfactionReport`` built from those gaps, so asking again at the same
 epsilon returns that report.  A profile built from gaps already in hand
 starts with its memo filled (``_seed_gaps``): the Worse search keeps the
-gaps it computed to accept a candidate, and the solver's pure-profile screen
-the shortfalls it computed to accept an equilibrium, so neither profile's
-report computes a gap.
+gaps it computed to accept a candidate, so the Worse step's report and its
+verification compute none.
 """
 
 from __future__ import annotations
@@ -48,7 +47,7 @@ import numbers
 import string
 from collections.abc import Iterable
 from dataclasses import dataclass, field
-from functools import cache, cached_property
+from functools import cache, cached_property, lru_cache
 from math import prod
 
 import numpy as np
@@ -303,10 +302,12 @@ class StrategyProfile:
         return f"StrategyProfile({', '.join(repr(s) for s in self.strategies)})"
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class SatisfactionReport:
     """Per-player deviation gaps and the satisfied/unsatisfied split at a
-    profile; ``max_gap``, the largest gap, is computed once, with the report."""
+    profile; ``max_gap``, the largest gap, is computed once, with the report.
+    Profiles keep their last report (``satisfaction_report``), hence the
+    slots."""
 
     gaps: np.ndarray
     satisfied: frozenset[int]
@@ -547,12 +548,20 @@ def satisfaction_report(
     report = entry[2]
     if report is None or report.epsilon != epsilon:
         gaps = entry[1]
-        satisfied = frozenset(i for i, gap in enumerate(gaps.tolist()) if gap <= epsilon)
-        unsatisfied = frozenset(range(gaps.size)) - satisfied
+        satisfied, unsatisfied = _split(
+            tuple(i for i, gap in enumerate(gaps.tolist()) if gap <= epsilon), gaps.size
+        )
         entry[2] = report = SatisfactionReport(
             gaps=gaps, satisfied=satisfied, unsatisfied=unsatisfied, epsilon=epsilon
         )
     return report
+
+
+@lru_cache(maxsize=1024)
+def _split(satisfied: tuple[int, ...], n: int) -> tuple[frozenset[int], frozenset[int]]:
+    """The satisfied and unsatisfied sets of ``n`` players, built once per
+    split and shared by the reports that profiles keep."""
+    return frozenset(satisfied), frozenset(range(n)).difference(satisfied)
 
 
 def is_eps_best_response(

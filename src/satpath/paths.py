@@ -18,11 +18,12 @@ equilibrium is accessible in one jump) or no Worse profile can be found
 yields a full equilibrium, which is certified before being accepted).
 
 Worse-emptiness is a universal statement over a continuum.  Before drawing
-any candidate, the search tries to certify it exactly (``_certified_empty``);
-where that fails, exhaustion is only presumptive: the subgame jump is
-certified against the full game, and a failed certification escalates the
-search budget tenfold, up to three times, before giving up.  A search after
-an escalation skips the certificate.
+any candidate, the search tries to certify it, exactly up to a bound on
+rounding (``_certified_empty``); where that fails, exhaustion is only
+presumptive: the subgame jump is certified against the full game, and a
+failed certification escalates the search budget tenfold, up to three
+times, before giving up.  A search after an escalation skips the
+certificate.
 
 Strategy equality along paths is bitwise on the stored probabilities:
 the constructor copies satisfied strategies verbatim, so exact equality
@@ -69,9 +70,12 @@ _MAX_ESCALATIONS = 3
 _XI_GRID = (0.5, 0.1, 0.01)
 
 #: Share of epsilon a satisfied player's largest gap over Access(x) may reach
-#: for ``_certified_empty`` to hold.  The rest covers the rounding between the
-#: certificate's sums and the search's, about n * 2**-52 times the payoffs.
+#: for ``_certified_empty`` to hold.  The rest must exceed the rounding of the
+#: certificate's sums and of the search's gap kernel (``_rounding_floor``).
 _CERTIFY_SHARE = 0.5
+
+#: The spacing of floats at 1.0, 2**-52.
+_ULP = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True, eq=False)
@@ -315,24 +319,27 @@ def indifference_poly(
     return npoly.polyfit(nodes, values, deg=len(nodes) - 1)
 
 
+def _check_reals(name: str, values) -> list[float]:
+    """``values`` as a list of floats: an iterable of ``numbers.Real``
+    entries (a ``Fraction`` or an int beyond int64 too), none a bool or a
+    string, each within the range of a float."""
+    entries = list(_check_instance(name, values, Iterable))
+    try:
+        if all(isinstance(v, numbers.Real) and not isinstance(v, bool) for v in entries):
+            return [float(v) for v in entries]
+    except OverflowError:
+        pass
+    raise GameInputError(f"{name} must hold reals, got {values!r}")
+
+
 def zero_poly_check(coeffs, roots_observed, tolerance: float) -> bool:
     """Whether the observed roots force the polynomial to be identically zero:
     a degree-d polynomial vanishing at d + 1 distinct points is the zero
     polynomial.  True iff there are more distinct roots than the degree and
     the polynomial evaluates within ``tolerance`` of zero at each."""
     tolerance = _check_real("tolerance", tolerance)
-    roots = list(_check_instance("roots_observed", roots_observed, Iterable))
-    if not all(isinstance(r, numbers.Real) and not isinstance(r, bool) for r in roots):
-        raise GameInputError(f"roots_observed must hold reals, got {roots_observed!r}")
-    roots = sorted({float(r) for r in roots})
-    try:
-        array = np.asarray(coeffs)
-    except ValueError:  # a ragged nesting
-        array = None
-    # a string or bool entry makes the array's kind 'U', 'O' or 'b'
-    if array is None or array.ndim != 1 or array.dtype.kind not in "iuf":
-        raise GameInputError(f"coeffs must be a vector of reals, got {coeffs!r}")
-    coeffs = array.astype(float)
+    coeffs = np.array(_check_reals("coeffs", coeffs))
+    roots = sorted(set(_check_reals("roots_observed", roots_observed)))
     nonzero = np.nonzero(coeffs)[0]
     degree = int(nonzero[-1]) if nonzero.size else 0
     if len(roots) <= degree:
@@ -367,9 +374,21 @@ def _worse_candidates(game: Game, x: StrategyProfile, report: SatisfactionReport
         yield probs
 
 
+def _rounding_floor(game: Game, i: int) -> float:
+    """A bound on how far player i's gap, computed by the certificate or by
+    the gap kernel, can stray from its exact value, doubled.  Each payoff
+    average weighs at most ``size`` payoffs by products of ``n``
+    probabilities summing to 1, so it errs by at most (size + n) * 2**-53
+    times the largest payoff magnitude; a gap subtracts two of them."""
+    payoff = game._tensors[i]
+    return 4 * (payoff.size + game.num_players) * _ULP * float(np.abs(payoff).max())
+
+
 def _certified_empty(game: Game, x: StrategyProfile, report: SatisfactionReport) -> bool:
     """Whether every satisfied player's largest deviation gap over Access(x)
-    is at most ``_CERTIFY_SHARE`` of epsilon, which proves Worse(x) empty.
+    is at most ``_CERTIFY_SHARE`` of epsilon, which proves Worse(x) empty
+    when the rest of epsilon exceeds ``_rounding_floor``; when it does not
+    (epsilon 0, or payoffs large against epsilon) nothing is certified.
 
     Player i's gap at y is the largest of R_i(a, y) - R_i(x_i, y) over its
     actions a; with i's strategy fixed, each difference is multilinear in
@@ -383,6 +402,8 @@ def _certified_empty(game: Game, x: StrategyProfile, report: SatisfactionReport)
     free = tuple(sorted(report.unsatisfied))
     bound = report.epsilon * _CERTIFY_SHARE
     for i in sorted(report.satisfied):
+        if _rounding_floor(game, i) >= report.epsilon - bound:
+            return False  # rounding could hide a gap above epsilon: search
         block = _contract(game._tensors[i], probs, (i, *free)).reshape(probs[i].size, -1)
         if float((block.max(axis=0) - probs[i] @ block).max()) > bound:
             return False
@@ -396,8 +417,8 @@ def find_worse_candidate(
     config: WorseSearchConfig | None = None,
 ) -> StrategyProfile | None:
     """Search Access(x) for a member of Worse(x); None when Worse(x) is
-    certified empty (exactly: see ``_certified_empty``), when the budget runs
-    out (presumptive emptiness), or when Worse(x) is irrelevant because no
+    certified empty (``_certified_empty``), when the budget runs out
+    (presumptive emptiness), or when Worse(x) is irrelevant because no
     player is satisfied, or trivially empty because none is unsatisfied.
 
     The profile returned carries its gaps for ``game`` in its memo: those the

@@ -47,7 +47,6 @@ from .games import (
     _check_real,
     _contract,
     _profile_gaps,
-    _seed_gaps,
 )
 
 _NEWTON_MAX_ITER = 200
@@ -377,24 +376,16 @@ def _pure_candidate(game: Game, config: SolverConfig) -> StrategyProfile | None:
     yields singletons) whose gap passes; failing that, the first accepted
     profile of least gap, the best candidate the singleton loop would have
     kept; failing that, None.
-
-    Player i's shortfall at a pure profile is its deviation gap there, and
-    bitwise so: the gap kernel's einsum over one-hot strategies adds each
-    payoff to exact zeros.  So the returned profile's gap memo is seeded
-    with the shortfalls, and ``find_nash``'s acceptance check and every
-    later report read them instead of computing any.
     """
     margin = _RESIDUAL_TOLERANCE + config.tolerance
     accepted = np.ones(game.action_counts, dtype=bool)
     gap = np.zeros(game.action_counts)
-    shortfalls = []
     for i in range(game.num_players):
         payoff = game._tensors[i]
         best = payoff.max(axis=i, keepdims=True)
         shortfall = best - payoff
         accepted &= (shortfall <= margin) & (best <= payoff + config.tolerance)
         np.maximum(gap, shortfall, out=gap)
-        shortfalls.append(shortfall)
     hits = accepted & (gap <= config.tolerance)
     if hits.any():
         flat = np.argmax(hits)
@@ -402,11 +393,7 @@ def _pure_candidate(game: Game, config: SolverConfig) -> StrategyProfile | None:
         flat = np.argmin(np.where(accepted, gap, np.inf))
     else:
         return None
-    profile = StrategyProfile.pure(game, np.unravel_index(flat, game.action_counts))
-    # the kernel's clamp: a gap that is not positive is stored as +0.0
-    own = [float(shortfall.flat[flat]) for shortfall in shortfalls]
-    _seed_gaps(game, profile, [g if g > 0.0 else 0.0 for g in own])
-    return profile
+    return StrategyProfile.pure(game, np.unravel_index(flat, game.action_counts))
 
 
 def find_nash(game: Game, config: SolverConfig | None = None) -> StrategyProfile:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -159,6 +160,9 @@ BAD_ARGUMENTS = BAD_GAMES + [
     # numeric strings are rejected too, not converted
     ("zero-poly-numeric-strings", lambda tmp: zero_poly_check(["1"], ["0.5"], 0)),
     ("zero-poly-numeric-string-root", lambda tmp: zero_poly_check([1.0], ["0.5"], 0)),
+    ("zero-poly-bool-coeff", lambda tmp: zero_poly_check([True], [0.5], 0)),
+    ("zero-poly-nested-coeffs", lambda tmp: zero_poly_check([[1.0, 2.0]], [0.5], 0)),
+    ("zero-poly-overflowing-coeff", lambda tmp: zero_poly_check([10**400], [0.5], 0)),
     ("support-int-entry", lambda tmp: SupportProfile((5,))),
     ("game-string-payoff", lambda tmp: Game((2, 2), (["a"] * 4, [0] * 4))),
     # a name that save_game would write and load_game reject
@@ -231,6 +235,15 @@ class TestValidEdges:
         assert build_z_lambda(X, PURE, {1}, X, 0) == X
         assert build_z_lambda(X, PURE, {1}, X, 1) == X.replace(1, PURE[1])
         assert zero_poly_check([0.0], [0.0], 0)
+
+    def test_reals_beyond_float_entries(self):
+        # coeffs and roots_observed take the same reals: a Fraction, an int
+        # beyond int64, numpy scalars and arrays
+        assert zero_poly_check([Fraction(0), Fraction(0, 3)], [Fraction(1, 3), 0.5], 0)
+        assert not zero_poly_check([Fraction(1, 2)], [Fraction(1, 3)], 0)
+        assert not zero_poly_check([10**30, 1], [10**30, 0], 0)
+        assert zero_poly_check(np.zeros(3), np.array([0.1, 0.2, 0.3]), 0)
+        assert zero_poly_check([np.int64(0), np.float32(0)], [np.int64(1), 2], 0)
 
     @pytest.mark.parametrize("seed", [-1, -(2**63), 2**64 - 1, 2**70, np.int64(-5)])
     def test_seeds_are_reduced_to_64_bits(self, seed):

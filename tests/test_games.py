@@ -559,6 +559,9 @@ class TestProfileGapMemo:
         assert second.satisfied == {i for i, g in enumerate(first.gaps) if g <= middle}
         assert satisfaction_report(game, profile, middle) is second
         assert gap_kernel_calls == [0, 1, 2, 0, 1, 2]
+        # the kept reports share one pair of sets per split
+        assert second.satisfied is fresh.satisfied and second.unsatisfied is fresh.unsatisfied
+        assert second.unsatisfied == {0, 1, 2} - second.satisfied
 
     def test_equal_games_do_not_share(self, gap_kernel_calls):
         game = random_game(np.random.default_rng(33), n=2)

@@ -360,12 +360,12 @@ class TestWorseCertificate:
         search = satpath.paths._EscalatedSearch(budget=300)
         assert find_worse_candidate(game, x, EPS, search) is None
 
-    def test_escalated_search_skips_the_certificate(self, monkeypatch):
-        # player 0's action 0 weakly dominates against both of player 1's
-        # actions, so Worse((0, 0)) is certified empty
-        game = Game((2, 2), ([1, 1, 0, 1], [0, 1, 0, 0]))
-        x = pure(game, (0, 0))
-        assert satpath.paths._certified_empty(game, x, report(game, x))
+    # player 0's action 0 weakly dominates against both of player 1's
+    # actions, so Worse((0, 0)) is empty
+    DOMINANT = ([1, 1, 0, 1], [0, 1, 0, 0])
+
+    @staticmethod
+    def count_draws(monkeypatch):
         drawn = []
         real = satpath.paths._worse_candidates
 
@@ -375,9 +375,34 @@ class TestWorseCertificate:
                 yield probs
 
         monkeypatch.setattr(satpath.paths, "_worse_candidates", counted)
+        return drawn
+
+    def test_escalated_search_skips_the_certificate(self, monkeypatch):
+        game = Game((2, 2), self.DOMINANT)
+        x = pure(game, (0, 0))
+        assert satpath.paths._certified_empty(game, x, report(game, x))
+        drawn = self.count_draws(monkeypatch)
         assert find_worse_candidate(game, x, EPS) is None and drawn == []
         search = satpath.paths._EscalatedSearch(budget=7)
         assert find_worse_candidate(game, x, EPS, search) is None and len(drawn) == 7
+
+    def test_zero_epsilon_is_searched(self, monkeypatch):
+        # at epsilon 0 no margin is left for rounding, so nothing is
+        # certified and the search decides
+        game = Game((2, 2), self.DOMINANT)
+        x = pure(game, (0, 0))
+        rep = satisfaction_report(game, x, 0.0)
+        assert rep.satisfied == {0} and not satpath.paths._certified_empty(game, x, rep)
+        drawn = self.count_draws(monkeypatch)
+        search = WorseSearchConfig(budget=7)
+        assert find_worse_candidate(game, x, 0.0, search) is None and len(drawn) == 7
+
+    def test_large_payoffs_are_searched(self):
+        # payoffs of 1e8 round by more than half of the default epsilon
+        for scale, certified in [(1.0, True), (1e4, True), (1e8, False)]:
+            game = Game((2, 2), tuple(scale * np.array(p, float) for p in self.DOMINANT))
+            x = pure(game, (0, 0))
+            assert satpath.paths._certified_empty(game, x, report(game, x)) == certified
 
 
 class TestSeededWorseGaps:

@@ -23,7 +23,6 @@ from satpath import (
     enumerate_supports,
     find_nash,
     find_subgame_nash,
-    satisfaction_report,
     solve_on_support,
     verify_nash,
 )
@@ -379,14 +378,6 @@ def tie_prone_games(draw):
     return Game(counts, tuple(payoffs))
 
 
-@st.composite
-def uniform_games(draw):
-    """1-4 players with 1-4 actions each and payoffs U[-1, 1] from a drawn seed."""
-    counts = tuple(draw(st.lists(st.integers(1, 4), min_size=1, max_size=4)))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    return Game(counts, tuple(rng.uniform(-1.0, 1.0, (len(counts), math.prod(counts)))))
-
-
 def singleton_loop(game: Game, config: SolverConfig):
     """Reference for the pure stage: singleton supports in enumeration order
     through ``solve_on_support``; the first whose max gap is within tolerance,
@@ -432,19 +423,6 @@ class TestPureStage:
             assert exc_info.value.best_gap == gap
             if expected is not None:
                 assert _bitwise(exc_info.value.best_candidate, expected)
-
-    @settings(max_examples=300, deadline=None)
-    @given(st.one_of(tie_prone_games(), uniform_games()))
-    def test_seeded_gaps_are_the_kernels(self, game):
-        # the pure candidate's memo holds its shortfalls, bitwise the gaps a
-        # fresh profile computes through the kernel
-        got = satpath.solver._pure_candidate(game, SolverConfig())
-        if got is None:
-            return
-        owner, seeded, _ = got._gaps[id(game)]
-        assert owner is game and not seeded.flags.writeable
-        twin = StrategyProfile(tuple(MixedStrategy(s.probs) for s in got.strategies))
-        assert seeded.tobytes() == satisfaction_report(game, twin).gaps.tobytes()
 
     def test_near_miss_is_the_best_candidate(self):
         # every pure profile has a player who gains fl(1 + tol) - 1, one ulp-ish
