@@ -101,7 +101,7 @@ def _cmd_solve(args) -> int:
 
 def _cmd_path(args) -> int:
     solver = SolverConfig(tolerance=args.eps)
-    worse = WorseSearchConfig(budget=args.budget, rng_seed=args.seed)
+    worse = WorseSearchConfig(budget=args.budget)
     game = load_game(args.game)
     rng = np.random.default_rng(_check_seed("--seed", args.seed))
     x1 = _initial_profile(game, args.init, rng)

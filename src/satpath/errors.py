@@ -42,9 +42,10 @@ class SolverIncompleteError(RuntimeError):
 
 
 class WorseSearchIncompleteError(RuntimeError):
-    """Candidate search kept reporting an empty Worse set, but the subgame
-    jump it implies failed equilibrium verification even after budget
-    escalation.  ``partial_path`` holds the steps built so far."""
+    """The Worse search found no candidate without certifying the Worse set
+    empty, and the subgame jump that followed failed equilibrium
+    verification, so the search missed a member.  ``partial_path`` holds the
+    steps built so far, ending at the profile searched."""
 
     def __init__(self, message: str, partial_path=None):
         super().__init__(message)

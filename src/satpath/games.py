@@ -73,6 +73,16 @@ def _readonly(values, dtype=np.float64) -> np.ndarray:
     return arr
 
 
+def _readonly_reals(name: str, values) -> np.ndarray:
+    """``_readonly`` of a vector given from outside: a numpy array of
+    integers or floats is taken whole, anything else is checked entry by
+    entry (``_check_reals``), so a string or a bool is refused, not
+    converted."""
+    if not (isinstance(values, np.ndarray) and values.dtype.kind in "fiu"):
+        values = _check_reals(name, values)
+    return _readonly(values)
+
+
 @dataclass(frozen=True, eq=False)
 class Game:
     """Immutable n-player game: action counts plus per-player payoff arrays."""
@@ -96,12 +106,7 @@ class Game:
         size = prod(counts)
         arrays = []
         for i, raw in enumerate(payoffs):
-            try:
-                arr = _readonly(raw)
-            except (TypeError, ValueError):
-                raise GameInputError(
-                    f"payoff array for player {i} must be a vector of reals, got {raw!r}"
-                ) from None
+            arr = _readonly_reals(f"payoff array for player {i}", raw)
             if arr.ndim != 1 or arr.size != size:
                 raise GameInputError(
                     f"payoff array for player {i} has size {arr.size}; expected {size}"
@@ -111,6 +116,12 @@ class Game:
             arrays.append(arr)
         object.__setattr__(self, "action_counts", counts)
         object.__setattr__(self, "payoffs", tuple(arrays))
+
+    def __reduce__(self):
+        # Copy and pickle through the constructor, so a copy holds read-only
+        # arrays (a pickled array comes back writable) and starts with empty
+        # memos.
+        return (Game, (self.action_counts, self.payoffs, self.name))
 
     @property
     def num_players(self) -> int:
@@ -161,12 +172,7 @@ class MixedStrategy:
     probs: np.ndarray
 
     def __post_init__(self):
-        try:
-            arr = _readonly(self.probs)
-        except (TypeError, ValueError):
-            raise GameInputError(
-                f"a mixed strategy must be a vector of reals, got {self.probs!r}"
-            ) from None
+        arr = _readonly_reals("a mixed strategy", self.probs)
         if arr.ndim != 1 or arr.size < 1:
             raise GameInputError("a mixed strategy must be a nonempty vector")
         # Two reductions accept every valid vector: a NaN or a negative entry
@@ -198,6 +204,11 @@ class MixedStrategy:
     def uniform(cls, num_actions: int) -> "MixedStrategy":
         num_actions = _check_int("num_actions", num_actions, 1)
         return cls(np.full(num_actions, 1.0 / num_actions))
+
+    def __reduce__(self):
+        # Rebuild through the constructor, which makes the array read-only
+        # again; the memos rely on that.
+        return (MixedStrategy, (self.probs,))
 
     @property
     def num_actions(self) -> int:
@@ -359,7 +370,7 @@ def _check_profile(game: Game, profile: StrategyProfile) -> None:
             )
 
 
-# The four argument checks every public entry point uses; each raises
+# The argument checks every public entry point uses; each raises
 # GameInputError naming the argument.
 
 
@@ -397,6 +408,19 @@ def _check_real(name: str, value, positive: bool = False, high: float | None = N
         sign = "positive" if positive else "nonnegative"
         raise GameInputError(f"{name} must be a finite {sign} real{bound}, got {value!r}")
     return real
+
+
+def _check_reals(name: str, values) -> list[float]:
+    """``values`` as a list of floats: an iterable of ``numbers.Real``
+    entries (a ``Fraction`` or an int beyond int64 too), none a bool or a
+    string, each within the range of a float."""
+    try:
+        entries = list(_check_instance(name, values, Iterable))
+        if all(isinstance(v, numbers.Real) and not isinstance(v, bool) for v in entries):
+            return [float(v) for v in entries]
+    except (TypeError, OverflowError):  # a 0-d array; an int beyond a float
+        pass
+    raise GameInputError(f"{name} must hold reals, got {values!r}")
 
 
 def _check_seed(name: str, value) -> int:

@@ -17,13 +17,14 @@ equilibrium is accessible in one jump) or no Worse profile can be found
 (then freezing the satisfied players and solving the induced subgame
 yields a full equilibrium, which is certified before being accepted).
 
-Worse-emptiness is a universal statement over a continuum.  Before drawing
+Worse-emptiness is a universal statement over a continuum.  Before trying
 any candidate, the search tries to certify it, exactly up to a bound on
-rounding (``_certified_empty``); where that fails, exhaustion is only
-presumptive: the subgame jump is certified against the full game, and a
-failed certification escalates the search budget tenfold, up to three
-times, before giving up.  A search after an escalation skips the
-certificate.
+rounding (``_certified_empty``).  Where that fails, the search reads one
+finite, deterministic list of candidates, built from the joint pure
+profiles of the unsatisfied players (``_worse_candidates``), and an
+exhausted list is only presumptive emptiness: the subgame jump is certified
+against the full game, and a failed certification raises
+``WorseSearchIncompleteError`` with the path built so far.
 
 Strategy equality along paths is bitwise on the stored probabilities:
 the constructor copies satisfied strategies verbatim, so exact equality
@@ -33,7 +34,6 @@ is achievable and unambiguous.
 from __future__ import annotations
 
 import itertools
-import numbers
 import sys
 from collections.abc import Iterable
 from dataclasses import dataclass
@@ -52,10 +52,9 @@ from .games import (
     _check_int,
     _check_profile,
     _check_real,
-    _check_seed,
+    _check_reals,
     _contract,
     _deviation_gap_raw,
-    _dirichlet_alpha,
     _seed_gaps,
     pure_action_payoffs,
     satisfaction_report,
@@ -64,9 +63,8 @@ from .solver import _DEFAULT_CONFIG, SolverConfig, find_nash, find_subgame_nash
 
 STEP_KINDS = ("initial", "worse_step", "case1_jump", "case2_jump")
 
-_MAX_ESCALATIONS = 3
-
-#: Mixing weights of the uniform-blend stage of the Worse search.
+#: Mixing weights of the uniform blends the Worse search tries after each
+#: joint pure profile of the unsatisfied players.
 _XI_GRID = (0.5, 0.1, 0.01)
 
 #: Share of epsilon a satisfied player's largest gap over Access(x) may reach
@@ -94,8 +92,9 @@ class PathStep:
 @dataclass(frozen=True, eq=False)
 class SatisficingPath:
     """An ordered profile sequence ending, when construction succeeds, at an
-    epsilon-Nash equilibrium.  ``escalations`` counts budget escalations the
-    Worse search needed (0 for a clean run)."""
+    epsilon-Nash equilibrium.  ``escalations`` is always 0: the Worse search
+    reads a finite list, so a failed subgame jump raises rather than
+    searching again; the field stays for readers of path traces."""
 
     steps: tuple[PathStep, ...]
     epsilon: float
@@ -116,34 +115,24 @@ class SatisficingPath:
 
 @dataclass(frozen=True)
 class WorseSearchConfig:
-    """Budget and seed for the Worse search.
+    """How much of its candidate list the Worse search may read.
 
-    Candidates are tried in a low-entropy-first order: single-player pure
-    deviations, then the uniform blends ``build_w_xi`` for the fixed grid
-    xi = 0.5, 0.1, 0.01, then joint Dirichlet resamples seeded by
-    ``rng_seed``, until ``budget`` candidates have been examined.  Both are
-    integers (not bools); ``budget`` lies in 1..sys.maxsize, and the budget
-    escalations of ``construct_path`` stop growing at sys.maxsize.
-    ``rng_seed`` is stored reduced to 64 bits, the seed the draws use.
+    The list is finite and deterministic (``_worse_candidates``): for each
+    joint pure profile of the unsatisfied players, that profile, then its
+    uniform blends ``build_w_xi`` for xi = 0.5, 0.1, 0.01, so it holds
+    4 * prod(c_i) candidates over the unsatisfied players' action counts.
+    ``budget``, an integer (not a bool) in 1..sys.maxsize, caps how many of
+    them are examined.
     """
 
     budget: int = 5000
-    rng_seed: int = 0
 
     def __post_init__(self):
         object.__setattr__(self, "budget", _check_int("budget", self.budget, 1, sys.maxsize))
-        object.__setattr__(self, "rng_seed", _check_seed("rng_seed", self.rng_seed))
 
 
 #: The search config ``find_worse_candidate`` and ``construct_path`` use when given None.
 _DEFAULT_WORSE = WorseSearchConfig()
-
-
-@dataclass(frozen=True)
-class _EscalatedSearch(WorseSearchConfig):
-    """The config ``construct_path`` gives a search after an escalation:
-    ``find_worse_candidate`` skips the emptiness certificate for it, so the
-    randomized search alone decides."""
 
 
 @dataclass(frozen=True)
@@ -319,19 +308,6 @@ def indifference_poly(
     return npoly.polyfit(nodes, values, deg=len(nodes) - 1)
 
 
-def _check_reals(name: str, values) -> list[float]:
-    """``values`` as a list of floats: an iterable of ``numbers.Real``
-    entries (a ``Fraction`` or an int beyond int64 too), none a bool or a
-    string, each within the range of a float."""
-    entries = list(_check_instance(name, values, Iterable))
-    try:
-        if all(isinstance(v, numbers.Real) and not isinstance(v, bool) for v in entries):
-            return [float(v) for v in entries]
-    except OverflowError:
-        pass
-    raise GameInputError(f"{name} must hold reals, got {values!r}")
-
-
 def zero_poly_check(coeffs, roots_observed, tolerance: float) -> bool:
     """Whether the observed roots force the polynomial to be identically zero:
     a degree-d polynomial vanishing at d + 1 distinct points is the zero
@@ -348,30 +324,22 @@ def zero_poly_check(coeffs, roots_observed, tolerance: float) -> bool:
     return bool(np.all(np.abs(values) <= tolerance))
 
 
-def _worse_candidates(game: Game, x: StrategyProfile, report: SatisfactionReport, rng_seed: int):
+def _worse_candidates(game: Game, x: StrategyProfile, report: SatisfactionReport):
     """Yield accessible candidates as full probability lists, in search order:
-    pure deviations of each unsatisfied player, the uniform blends of
-    ``build_w_xi`` over ``_XI_GRID``, then seeded Dirichlet draws forever.
-    Satisfied players keep x's probability arrays (the same objects).
-    Candidates are unvalidated; the caller validates only the one it keeps."""
+    for each joint pure profile v of the unsatisfied players, in C order over
+    the sorted players, v itself and then v blended with the uniform
+    strategies as in ``build_w_xi`` for each xi in ``_XI_GRID``.  Satisfied
+    players keep x's probability arrays (the same objects).  Candidates are
+    unvalidated; the caller validates only the one it keeps."""
     base = [s.probs for s in x.strategies]
     unsat = sorted(report.unsatisfied)
-    for i in unsat:
-        count = game.action_counts[i]
-        own = base[i].tolist()
-        for action in range(count):
-            vec = np.zeros(count)
-            vec[action] = 1.0
-            if vec.tolist() != own:  # skip non-deviations
-                yield [vec if j == i else p for j, p in enumerate(base)]
-    for xi in _XI_GRID:
-        yield _blend_uniform(base, report.unsatisfied, xi)
-    rng = np.random.default_rng(rng_seed)
-    while True:
-        probs = list(base)
-        for i in unsat:
-            probs[i] = rng.dirichlet(_dirichlet_alpha(game.action_counts[i]))
-        yield probs
+    for joint in itertools.product(*(np.eye(game.action_counts[i]) for i in unsat)):
+        vertex = list(base)
+        for i, row in zip(unsat, joint):
+            vertex[i] = row
+        yield vertex
+        for xi in _XI_GRID:
+            yield _blend_uniform(vertex, report.unsatisfied, xi)
 
 
 def _rounding_floor(game: Game, i: int) -> float:
@@ -417,9 +385,12 @@ def find_worse_candidate(
     config: WorseSearchConfig | None = None,
 ) -> StrategyProfile | None:
     """Search Access(x) for a member of Worse(x); None when Worse(x) is
-    certified empty (``_certified_empty``), when the budget runs out
+    certified empty (``_certified_empty``), when the candidate list
+    (``_worse_candidates``) or ``config.budget`` runs out without a member
     (presumptive emptiness), or when Worse(x) is irrelevant because no
     player is satisfied, or trivially empty because none is unsatisfied.
+    The first member in list order is returned, so the search is
+    deterministic.
 
     The profile returned carries its gaps for ``game`` in its memo: those the
     two predicates computed to accept it, and the remaining players' from
@@ -430,9 +401,9 @@ def find_worse_candidate(
     report = satisfaction_report(game, x, epsilon)
     if not report.satisfied or not report.unsatisfied:
         return None
-    if not isinstance(config, _EscalatedSearch) and _certified_empty(game, x, report):
+    if _certified_empty(game, x, report):
         return None
-    candidates = _worse_candidates(game, x, report, config.rng_seed)
+    candidates = _worse_candidates(game, x, report)
     # candidates only move unsatisfied players, so accessibility holds by
     # construction and membership in Worse is the two gap predicates
     for probs in itertools.islice(candidates, config.budget):
@@ -462,10 +433,10 @@ def construct_path(
     it (each such step strictly grows the unsatisfied set, so there are at
     most n - 1 of them).  Then either every player is unsatisfied and any
     equilibrium is one accessible jump away, or the satisfied players are
-    frozen and an equilibrium of the induced subgame is jumped to; the
-    latter is certified against the full game, and a failed certification
-    escalates the Worse-search budget tenfold (at most three times) before
-    raising WorseSearchIncompleteError with the partial path.
+    frozen and an equilibrium of the induced subgame is jumped to.  That
+    jump is certified against the full game; when it fails, the Worse search
+    missed a member (it was not certified empty, only exhausted), and
+    WorseSearchIncompleteError is raised with the partial path.
 
     For the terminal certification to be meaningful, ``solver_config``'s
     tolerance must not exceed ``epsilon`` (GameInputError otherwise); the
@@ -483,7 +454,6 @@ def construct_path(
 
     report = satisfaction_report(game, x1, epsilon)
     steps = [PathStep(profile=x1, kind="initial", report=report)]
-    escalations = 0
     current, current_report = x1, report
 
     while current_report.max_gap > epsilon:
@@ -498,11 +468,7 @@ def construct_path(
                 )
             )
             break
-        search = worse_config
-        if escalations:
-            budget = min(worse_config.budget * 10**escalations, sys.maxsize)
-            search = _EscalatedSearch(budget, worse_config.rng_seed)
-        candidate = find_worse_candidate(game, current, epsilon, search)
+        candidate = find_worse_candidate(game, current, epsilon, worse_config)
         if candidate is not None:
             candidate_report = satisfaction_report(game, candidate, epsilon)
             if not current_report.unsatisfied < candidate_report.unsatisfied:
@@ -516,26 +482,20 @@ def construct_path(
         frozen = {i: current[i] for i in sorted(current_report.satisfied)}
         target = find_subgame_nash(game, frozen, solver_config)
         target_report = satisfaction_report(game, target, epsilon)
-        if target_report.max_gap <= epsilon:
-            steps.append(PathStep(profile=target, kind="case2_jump", report=target_report))
-            break
-        # A previously satisfied player broke: the emptiness verdict was
-        # false, so some Worse profile was missed.  Search harder, without
-        # the certificate.
-        escalations += 1
-        if escalations > _MAX_ESCALATIONS:
+        if target_report.max_gap > epsilon:
+            # A previously satisfied player broke, so Worse(current) was not
+            # empty: every member lies outside the part of the candidate
+            # list the search read.
             raise WorseSearchIncompleteError(
-                "worse search kept reporting empty, but the subgame jump is not "
-                f"an equilibrium (max gap {target_report.max_gap:g} > {epsilon:g}) "
-                f"after {_MAX_ESCALATIONS} budget escalations",
+                "worse search found no candidate, but the subgame jump is not "
+                f"an equilibrium (max gap {target_report.max_gap:g} > {epsilon:g})",
                 partial_path=tuple(steps),
             )
+        steps.append(PathStep(profile=target, kind="case2_jump", report=target_report))
+        break
 
     path = SatisficingPath(
-        steps=tuple(steps),
-        epsilon=epsilon,
-        terminal_gap=steps[-1].report.max_gap,
-        escalations=escalations,
+        steps=tuple(steps), epsilon=epsilon, terminal_gap=steps[-1].report.max_gap
     )
     check = verify_path(game, path, epsilon, require_terminal_nash=True, require_length_bound=True)
     if not check.ok:

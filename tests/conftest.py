@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from satpath import Game, MixedStrategy, StrategyProfile
+from satpath.paths import _flips_satisfied, _keeps_unsatisfied, _worse_candidates
 
 
 # --- named games ------------------------------------------------------------
@@ -78,6 +79,19 @@ def random_game(rng: np.random.Generator, n: int | None = None, max_actions: int
     counts = tuple(int(rng.integers(2, max_actions + 1)) for _ in range(n))
     payoffs = tuple(rng.uniform(-1.0, 1.0, int(np.prod(counts))) for _ in range(n))
     return Game(action_counts=counts, payoffs=payoffs)
+
+
+def uncertified_search(game: Game, x: StrategyProfile, report):
+    """The first member of Worse(x) in the Worse search's whole candidate
+    list, tried by the search's two membership predicates without the
+    emptiness certificate or a budget; None when the list holds none."""
+    for probs in _worse_candidates(game, x, report):
+        gaps = [None] * game.num_players
+        if _keeps_unsatisfied(game, probs, report, gaps) and _flips_satisfied(
+            game, probs, report, gaps
+        ):
+            return probs
+    return None
 
 
 # --- brute-force oracles ----------------------------------------------------

@@ -2,12 +2,14 @@
 
 Criteria (tolerances pinned inline):
   1. path construction succeeds on a 200-game x 5-start random corpus with
-     oracle-checked terminal gap <= 1e-6, >= 99% without budget escalation
-     and 100% overall, within 5 minutes; likewise from one boundary start
-     per corpus game
-  2. length bound: from the fully mixed starts, T <= n for non-escalated
-     paths and T <= n + 1 for escalated ones; from the boundary starts,
-     T <= n + 1
+     oracle-checked terminal gap <= 1e-6, 100% overall, within 5 minutes;
+     likewise from one boundary start per corpus game.  The check that
+     >= 99% of paths have ``escalations`` 0 stays, though the field is
+     always 0: the Worse search reads a finite list, and a failed subgame
+     jump raises instead of searching again
+  2. length bound: from the fully mixed starts, T <= n (the check still
+     allows T <= n + 1 for a path with escalations, which no path has);
+     from the boundary starts, T <= n + 1
   3. the unsatisfied set strictly grows across worse steps, over both sets
      of starts
   4. deviation-gap function properties on 1,000 random (game, profile)
@@ -60,7 +62,6 @@ from satpath import (
     deviation_gap,
     expected_reward,
     find_nash,
-    find_worse_candidate,
     indifference_poly,
     pure_action_payoffs,
     random_profile,
@@ -79,6 +80,7 @@ from conftest import (
     random_game,
     rock_paper_scissors,
     two_by_two_oracle,
+    uncertified_search,
     uniform,
 )
 
@@ -307,7 +309,8 @@ class TestWorseCertificateOnBoundaryStarts:
     def test_certified_exactly_where_the_search_alone_exhausts(self, boundary_corpus):
         """Each Worse search the boundary paths ran (a step followed by a
         Worse step or a case-2 jump) is certified empty exactly when the
-        search without the certificate exhausts its default budget."""
+        search's whole candidate list, read without the certificate, holds
+        no Worse member: every search is decided."""
         certified = searched = 0
         for game, path, error in boundary_corpus[0]:
             assert error is None
@@ -316,9 +319,7 @@ class TestWorseCertificateOnBoundaryStarts:
                     continue
                 searched += 1
                 empty = satpath.paths._certified_empty(game, step.profile, step.report)
-                alone = find_worse_candidate(
-                    game, step.profile, PATH_EPSILON, satpath.paths._EscalatedSearch()
-                )
+                alone = uncertified_search(game, step.profile, step.report)
                 assert empty == (alone is None) == (following.kind == "case2_jump")
                 certified += empty
         assert 0 < certified < searched

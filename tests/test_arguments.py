@@ -165,6 +165,15 @@ BAD_ARGUMENTS = BAD_GAMES + [
     ("zero-poly-overflowing-coeff", lambda tmp: zero_poly_check([10**400], [0.5], 0)),
     ("support-int-entry", lambda tmp: SupportProfile((5,))),
     ("game-string-payoff", lambda tmp: Game((2, 2), (["a"] * 4, [0] * 4))),
+    ("game-numeric-string-payoff", lambda tmp: Game((2, 2), (["0.5"] * 4, [0] * 4))),
+    ("game-bool-payoff", lambda tmp: Game((2, 2), ([True] * 4, [0] * 4))),
+    ("game-bool-array-payoff", lambda tmp: Game((2, 2), (np.ones(4, bool), [0] * 4))),
+    ("game-overflowing-payoff", lambda tmp: Game((2,), ([10**400, 0],))),
+    ("strategy-numeric-strings", lambda tmp: MixedStrategy(["0.5", "0.5"])),
+    ("strategy-bools", lambda tmp: MixedStrategy([True, False])),
+    # numpy would read this list as the floats [0.0, 1.0]
+    ("strategy-bool-among-floats", lambda tmp: MixedStrategy([0.0, True])),
+    ("strategy-nested", lambda tmp: MixedStrategy([[0.5, 0.5]])),
     # a name that save_game would write and load_game reject
     ("game-int-name", lambda tmp: Game((2, 2), MP.payoffs, name=5)),
     # flags: a string or an int is not taken for a bool
@@ -236,6 +245,20 @@ class TestValidEdges:
         assert build_z_lambda(X, PURE, {1}, X, 1) == X.replace(1, PURE[1])
         assert zero_poly_check([0.0], [0.0], 0)
 
+    def test_vectors_of_reals(self):
+        # payoffs and strategies take numpy and Python ints and floats, and
+        # Fractions, entry by entry or as numpy arrays
+        half = [Fraction(1, 2), Fraction(1, 2)]
+        for probs in (half, [np.int64(1), 0], [np.float32(0.5), 0.5], np.array([1, 0], np.int8)):
+            assert MixedStrategy(probs).probs.tolist() == [float(p) for p in probs]
+        assert MixedStrategy(np.array(half, dtype=object)) == MixedStrategy([0.5, 0.5])
+        payoffs = ([1, -1, -1, 1], [-1, 1, 1, -1])
+        mp = Game((2, 2), payoffs)
+        assert mp == Game((2, 2), tuple(np.array(p, np.int32) for p in payoffs))
+        assert mp == Game((2, 2), tuple([Fraction(v) for v in p] for p in payoffs))
+        assert mp == Game((2, 2), tuple([np.float32(v) for v in p] for p in payoffs))
+        assert Game((2,), ([10**30, 0],)).payoffs[0][0] == 1e30
+
     def test_reals_beyond_float_entries(self):
         # coeffs and roots_observed take the same reals: a Fraction, an int
         # beyond int64, numpy scalars and arrays
@@ -256,7 +279,6 @@ class TestValidEdges:
         assert batch_experiment([MP], 3, master_seed=seed) == (
             batch_experiment([MP], 3, master_seed=reduced)
         )
-        assert WorseSearchConfig(rng_seed=seed) == WorseSearchConfig(rng_seed=reduced)
 
     def test_none_stands_for_the_default(self):
         assert find_nash(MP, None) is find_nash(MP, SolverConfig())

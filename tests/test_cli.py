@@ -283,6 +283,15 @@ class TestRunFlagValidation:
     def test_zero_budget(self, mp_file):
         assert run(["path", "--game", mp_file, "--budget", "0"]) == 2
 
+    def test_budget_too_small_to_find_a_worse_step_exits_3(self, mp_file, capsys):
+        # from (H, H) the first Worse member is the sixth candidate, so the
+        # case-2 jump after a 4-candidate search fails certification
+        code = run(["path", "--game", mp_file, "--init", "pure:0,0", "--budget", "4"])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert captured.err.startswith("incomplete: ") and captured.err.count("\n") == 1
+        assert run(["path", "--game", mp_file, "--init", "pure:0,0", "--budget", "6"]) == 0
+
     def test_budget_beyond_maxsize_is_input_error(self, tmp_path, capsys):
         game_file = tmp_path / "g.json"
         assert run(["gen", "--players", "3", "--actions", "2,2,2", "--seed", "5",

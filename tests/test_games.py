@@ -587,6 +587,25 @@ class TestProfileGapMemo:
         assert satisfaction_report(game, twin).gaps.tobytes() == gaps.tobytes()
         assert gap_kernel_calls == [0, 1, 0, 1]
 
+    @pytest.mark.parametrize(
+        "duplicate", [copy.copy, copy.deepcopy, lambda p: pickle.loads(pickle.dumps(p))]
+    )
+    def test_copies_hold_read_only_arrays(self, mp, duplicate):
+        # the memos assume no held array changes: a writable copy of a
+        # strategy could change under its profile's memo entry
+        x = pure(mp, (0, 0))
+        find_nash(mp)
+        for twin in (duplicate(x), StrategyProfile(tuple(duplicate(s) for s in x.strategies))):
+            satisfaction_report(mp, twin)
+            with pytest.raises(ValueError, match="read-only"):
+                twin[1].probs[:] = [0.0, 1.0]
+            assert twin == x and satisfaction_report(mp, twin).gaps.tolist() == [0.0, 2.0]
+        game = duplicate(mp)
+        assert game == mp and not any(p.flags.writeable for p in game.payoffs)
+        assert not {"_equilibria", "_tensors", "_gap_plan"} & set(vars(game))
+        with pytest.raises(ValueError, match="read-only"):
+            game.payoffs[0][0] = 5.0
+
     def test_find_nash_leaves_its_result_warm(self, gap_kernel_calls):
         game = random_game(np.random.default_rng(35), n=3)
         target = find_nash(game)

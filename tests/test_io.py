@@ -240,13 +240,13 @@ _PATH_JSON = """\
           0.0
         ],
         [
-          0.4000707853732506,
-          0.5999292146267494
+          0.25,
+          0.75
         ]
       ],
       "gaps": [
-        0.3997168585069977,
-        0.8001415707465012
+        1.0,
+        0.5
       ],
       "satisfied": []
     },
@@ -282,10 +282,10 @@ step,step_kind,player,action,probability,gap,satisfied
 1,initial,0,1,0.0,0.0,true
 1,initial,1,0,1.0,2.0,false
 1,initial,1,1,0.0,2.0,false
-2,worse_step,0,0,1.0,0.3997168585069977,false
-2,worse_step,0,1,0.0,0.3997168585069977,false
-2,worse_step,1,0,0.4000707853732506,0.8001415707465012,false
-2,worse_step,1,1,0.5999292146267494,0.8001415707465012,false
+2,worse_step,0,0,1.0,1.0,false
+2,worse_step,0,1,0.0,1.0,false
+2,worse_step,1,0,0.25,0.5,false
+2,worse_step,1,1,0.75,0.5,false
 3,case1_jump,0,0,0.5,0.0,true
 3,case1_jump,0,1,0.5,0.0,true
 3,case1_jump,1,0,0.5,0.0,true

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 import sys
@@ -38,7 +39,15 @@ from satpath import (
 )
 import satpath.paths
 
-from conftest import brute_gap, matching_pennies, profile_from, pure, random_game, uniform
+from conftest import (
+    brute_gap,
+    matching_pennies,
+    profile_from,
+    pure,
+    random_game,
+    uncertified_search,
+    uniform,
+)
 
 EPS = 1e-9
 
@@ -165,7 +174,7 @@ class TestInWorse:
 class TestFindWorseCandidate:
     def test_matching_pennies_finds_flip(self, mp):
         x = pure(mp, (0, 0))
-        y = find_worse_candidate(mp, x, EPS, WorseSearchConfig(rng_seed=5))
+        y = find_worse_candidate(mp, x, EPS)
         assert y is not None
         assert in_worse(mp, x, y, EPS)
         # flipping player 1 requires tilting player 2 below 1/2 mass on H
@@ -189,10 +198,12 @@ class TestFindWorseCandidate:
 
     def test_budget_is_respected(self, mp):
         x = pure(mp, (0, 0))
-        # stage 1 yields one pure deviation and stage 2 three blends, all of
-        # which fail here; budget 4 leaves no room for Dirichlet samples
-        config = WorseSearchConfig(budget=4, rng_seed=0)
-        assert find_worse_candidate(mp, x, EPS, config) is None
+        # the vertex H and its three blends fail here; the vertex T makes
+        # player 1 best respond, and its 0.5 blend, the sixth candidate, hits
+        assert find_worse_candidate(mp, x, EPS, WorseSearchConfig(budget=4)) is None
+        assert find_worse_candidate(mp, x, EPS, WorseSearchConfig(budget=5)) is None
+        y = find_worse_candidate(mp, x, EPS, WorseSearchConfig(budget=6))
+        assert y == profile_from([[1.0, 0.0], [0.25, 0.75]]) and y[0] is x[0]
 
 
 class TestWorseSearchConfig:
@@ -203,9 +214,6 @@ class TestWorseSearchConfig:
             {"budget": True},
             {"budget": 0},
             {"budget": sys.maxsize + 1},
-            {"rng_seed": 1.5},
-            {"rng_seed": False},
-            {"rng_seed": "0"},
         ],
     )
     def test_rejects_bad_fields(self, kwargs):
@@ -213,77 +221,77 @@ class TestWorseSearchConfig:
             WorseSearchConfig(**kwargs)
 
     def test_numpy_integers_become_ints(self, mp):
-        config = WorseSearchConfig(budget=np.int64(7), rng_seed=np.int64(-3))
-        assert config == WorseSearchConfig(budget=7, rng_seed=-3)
-        assert type(config.budget) is int and type(config.rng_seed) is int
-        # a negative numpy seed once overflowed when masked to 64 bits
+        config = WorseSearchConfig(budget=np.int64(7))
+        assert config == WorseSearchConfig(budget=7) and type(config.budget) is int
         x = pure(mp, (0, 0))
         assert find_worse_candidate(mp, x, EPS, config) == find_worse_candidate(
-            mp, x, EPS, WorseSearchConfig(budget=7, rng_seed=-3)
+            mp, x, EPS, WorseSearchConfig(budget=7)
         )
 
-    def test_escalated_budget_stops_at_maxsize(self, mp, monkeypatch):
-        budgets = []
-        real = satpath.paths.find_worse_candidate
+    def test_budget_is_the_only_field(self):
+        assert [f.name for f in dataclasses.fields(WorseSearchConfig)] == ["budget"]
+        with pytest.raises(TypeError):
+            WorseSearchConfig(rng_seed=0)
 
-        def spy(game, x, epsilon, config):
-            budgets.append(config.budget)
-            return real(game, x, epsilon, WorseSearchConfig(budget=1))
 
-        monkeypatch.setattr(satpath.paths, "find_worse_candidate", spy)
-        monkeypatch.setattr(satpath.paths, "find_subgame_nash", lambda *args: pure(mp, (0, 0)))
-        budget = sys.maxsize // 100
-        with pytest.raises(WorseSearchIncompleteError):
-            construct_path(mp, pure(mp, (0, 0)), EPS, WorseSearchConfig(budget=budget))
-        # the last escalation, budget * 1000, would pass sys.maxsize
-        assert budgets == [budget, budget * 10, budget * 100, sys.maxsize]
+def stage_game(tilt):
+    """A 2x3 game where, at (a0, b0), player 0 is satisfied and player 1 is
+    not.  ``tilt`` None: the vertex b1 flips player 0, and so does its 0.5
+    blend.  Otherwise the vertex b1 makes player 1 best respond, and a
+    blend of it flips player 0 once it puts more than 1 / (2 - tilt) on b1:
+    with tilt 0, 0.8 and 0.95 the first such blend is xi = 0.5, 0.1 and 0.01.
+    The vertex b0 and its blends flip no one."""
+    if tilt is None:
+        return Game((2, 3), ([1, 0, 0, 0, 2, 0], [0, 1, 2, 0, 0, 0]))
+    return Game((2, 3), ([1, tilt, 1, 0, 1, 0], [0, 2, 1, 0, 0, 0]))
 
 
 class TestWorseSearchStageOrder:
-    """The search tries pure deviations, then build_w_xi for xi = 0.5, 0.1,
-    0.01, then seeded Dirichlet draws, and returns the first Worse member.
-    Each game below is 2x3: player 0 is satisfied at (a0, b0), player 1 not."""
+    """The search walks the joint pure profiles of the unsatisfied players in
+    C order and tries each one, then its build_w_xi blends for xi = 0.5,
+    0.1, 0.01, returning the first Worse member."""
+
+    def test_candidate_list(self):
+        # player 0 is indifferent everywhere; players 1 and 2 are unsatisfied
+        # at (0, 0, 0), each preferring one other action
+        counts = (2, 2, 3)
+        joint = np.indices(counts).reshape(3, -1)
+        game = Game(counts, (np.zeros(12), 1.0 * (joint[1] == 1), 1.0 * (joint[2] == 2)))
+        x = pure(game, (0, 0, 0))
+        rep = report(game, x)
+        assert rep.unsatisfied == {1, 2}
+        expected = []
+        for a1, a2 in itertools.product(range(2), range(3)):
+            v = pure(game, (0, a1, a2))
+            expected += [v] + [build_w_xi(game, v, rep, xi) for xi in (0.5, 0.1, 0.01)]
+        listed = list(satpath.paths._worse_candidates(game, x, rep))
+        assert len(listed) == len(expected) == 4 * 2 * 3
+        for probs, profile in zip(listed, expected):
+            assert probs[0] is x[0].probs
+            assert all(p.tobytes() == s.probs.tobytes() for p, s in zip(probs, profile))
 
     def test_first_hit_is_a_pure_deviation(self):
-        # b1 flips player 0 and leaves player 1 short of b2; the 0.5 blend
-        # would also be a Worse member, so the pure stage must come first
-        game = Game((2, 3), ([1, 0, 0, 0, 5, 0], [0, 1, 2, 0, 0, 0]))
+        # the vertex b1 comes before its blends
+        game = stage_game(None)
         x = pure(game, (0, 0))
-        assert in_worse(game, x, build_w_xi(game, x, report(game, x), 0.5), EPS)
+        vertex = pure(game, (0, 1))
+        assert in_worse(game, x, build_w_xi(game, vertex, report(game, x), 0.5), EPS)
         y = find_worse_candidate(game, x, EPS)
-        assert y == pure(game, (0, 1))
-        assert y[0] is x[0]
+        assert y == vertex and y[0] is x[0]
 
     def test_blend_when_every_pure_deviation_fails(self):
-        # either pure deviation makes player 1 best respond; the 0.5 blend
-        # puts 1/3 on {b1, b2}, enough to flip player 0, and so would the
-        # first Dirichlet draw, so the blend stage must come before it
-        game = Game((2, 3), ([1, 0, 0, 0, 3, 3], [0, 5, 5, 0, 0, 0]))
-        x = pure(game, (0, 0))
-        rep = report(game, x)
-        for action in (1, 2):
-            assert not in_worse(game, x, pure(game, (0, action)), EPS)
-        draw = np.random.default_rng(0).dirichlet(np.ones(3))
-        assert in_worse(game, x, x.replace(1, MixedStrategy(draw)), EPS)
-        y = find_worse_candidate(game, x, EPS, WorseSearchConfig(rng_seed=0))
-        blend = build_w_xi(game, x, rep, 0.5)
-        for i in range(game.num_players):
-            assert np.array_equal(y[i].probs, blend[i].probs)
-
-    def test_dirichlet_when_pure_and_blends_fail(self, mp):
-        # flipping player 0 needs player 1 below 1/2 on H; the blends of
-        # (H, H) keep at least 3/4 there, so only a Dirichlet draw can hit
-        x = pure(mp, (0, 0))
-        rep = report(mp, x)
-        assert not in_worse(mp, x, pure(mp, (0, 1)), EPS)
-        for xi in (0.5, 0.1, 0.01):
-            assert not in_worse(mp, x, build_w_xi(mp, x, rep, xi), EPS)
-        rng = np.random.default_rng(3)
-        while True:
-            expected = x.replace(1, MixedStrategy(rng.dirichlet(np.ones(2))))
-            if in_worse(mp, x, expected, EPS):
-                break
-        assert find_worse_candidate(mp, x, EPS, WorseSearchConfig(rng_seed=3)) == expected
+        # the blends of b1 come in grid order, before the vertex b2
+        for tilt, xi in [(0.0, 0.5), (0.8, 0.1), (0.95, 0.01)]:
+            game = stage_game(tilt)
+            x = pure(game, (0, 0))
+            rep = report(game, x)
+            vertex = pure(game, (0, 1))
+            for action in (1, 2):
+                assert not in_worse(game, x, pure(game, (0, action)), EPS)
+            for earlier in (0.5, 0.1, 0.01)[: (0.5, 0.1, 0.01).index(xi)]:
+                assert not in_worse(game, x, build_w_xi(game, vertex, rep, earlier), EPS)
+            y = find_worse_candidate(game, x, EPS)
+            assert y == build_w_xi(game, vertex, rep, xi)
 
 
 def fresh_gaps(game, profile):
@@ -357,34 +365,35 @@ class TestWorseCertificate:
         for v in vertices:
             for lam in (0.1, 0.25, 0.5, 0.75, 0.9, 1.0):
                 assert not in_worse(game, x, toward(x, v, lam), EPS)
-        search = satpath.paths._EscalatedSearch(budget=300)
-        assert find_worse_candidate(game, x, EPS, search) is None
+        assert uncertified_search(game, x, rep) is None
 
     # player 0's action 0 weakly dominates against both of player 1's
     # actions, so Worse((0, 0)) is empty
     DOMINANT = ([1, 1, 0, 1], [0, 1, 0, 0])
 
     @staticmethod
-    def count_draws(monkeypatch):
-        drawn = []
+    def count_reads(monkeypatch):
+        read = []
         real = satpath.paths._worse_candidates
 
         def counted(*args):
             for probs in real(*args):
-                drawn.append(probs)
+                read.append(probs)
                 yield probs
 
         monkeypatch.setattr(satpath.paths, "_worse_candidates", counted)
-        return drawn
+        return read
 
-    def test_escalated_search_skips_the_certificate(self, monkeypatch):
+    def test_certified_search_reads_no_candidate(self, monkeypatch):
         game = Game((2, 2), self.DOMINANT)
         x = pure(game, (0, 0))
-        assert satpath.paths._certified_empty(game, x, report(game, x))
-        drawn = self.count_draws(monkeypatch)
-        assert find_worse_candidate(game, x, EPS) is None and drawn == []
-        search = satpath.paths._EscalatedSearch(budget=7)
-        assert find_worse_candidate(game, x, EPS, search) is None and len(drawn) == 7
+        rep = report(game, x)
+        assert satpath.paths._certified_empty(game, x, rep)
+        # the list it skips, 4 candidates per action of player 1, holds none
+        assert len(list(satpath.paths._worse_candidates(game, x, rep))) == 8
+        assert uncertified_search(game, x, rep) is None
+        read = self.count_reads(monkeypatch)
+        assert find_worse_candidate(game, x, EPS) is None and read == []
 
     def test_zero_epsilon_is_searched(self, monkeypatch):
         # at epsilon 0 no margin is left for rounding, so nothing is
@@ -393,9 +402,9 @@ class TestWorseCertificate:
         x = pure(game, (0, 0))
         rep = satisfaction_report(game, x, 0.0)
         assert rep.satisfied == {0} and not satpath.paths._certified_empty(game, x, rep)
-        drawn = self.count_draws(monkeypatch)
+        read = self.count_reads(monkeypatch)
         search = WorseSearchConfig(budget=7)
-        assert find_worse_candidate(game, x, 0.0, search) is None and len(drawn) == 7
+        assert find_worse_candidate(game, x, 0.0, search) is None and len(read) == 7
 
     def test_large_payoffs_are_searched(self):
         # payoffs of 1e8 round by more than half of the default epsilon
@@ -417,16 +426,12 @@ class TestSeededWorseGaps:
         assert satisfaction_report(game, y, EPS).gaps is seeded
 
     def test_each_candidate_stage(self, mp):
-        # a pure-deviation, a blend and a Dirichlet hit, from the games of
+        # a vertex hit and a hit at each blend, from the games of
         # TestWorseSearchStageOrder
-        for payoffs, config in [
-            (([1, 0, 0, 0, 5, 0], [0, 1, 2, 0, 0, 0]), None),
-            (([1, 0, 0, 0, 3, 3], [0, 5, 5, 0, 0, 0]), WorseSearchConfig(rng_seed=0)),
-        ]:
-            game = Game((2, 3), payoffs)
-            self.check_seeded(game, find_worse_candidate(game, pure(game, (0, 0)), EPS, config))
-        x = pure(mp, (0, 0))
-        self.check_seeded(mp, find_worse_candidate(mp, x, EPS, WorseSearchConfig(rng_seed=3)))
+        for tilt in (None, 0.0, 0.8, 0.95):
+            game = stage_game(tilt)
+            self.check_seeded(game, find_worse_candidate(game, pure(game, (0, 0)), EPS))
+        self.check_seeded(mp, find_worse_candidate(mp, pure(mp, (0, 0)), EPS))
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_random_games(self, n):
@@ -691,15 +696,19 @@ class TestConstructPath:
             if step.kind == "case2_jump":
                 assert verify_nash(pd, step.profile, EPS)
 
-    def test_escalation_recovers_from_false_empty_verdict(self, mp):
-        # budget 4 exhausts on the pure deviation plus the three blends, all
-        # of which fail at (H, H); the case-2 jump (H, T) is not a full
-        # equilibrium, so the budget must escalate and then find a flip
-        config = WorseSearchConfig(budget=4, rng_seed=7)
-        path = construct_path(mp, pure(mp, (0, 0)), EPS, worse_config=config)
-        assert path.escalations >= 1
-        assert path.terminal_gap <= EPS
-        assert len(path) <= mp.num_players + 1
+    def test_missed_worse_member_raises_at_the_failed_jump(self, mp):
+        # budget 4 reads the vertex H and its three blends, none a member at
+        # (H, H), and the search is not certified; the case-2 jump (H, T)
+        # breaks player 0, so the construction gives up with the path so far
+        x = pure(mp, (0, 0))
+        with pytest.raises(WorseSearchIncompleteError, match="subgame jump") as exc_info:
+            construct_path(mp, x, EPS, worse_config=WorseSearchConfig(budget=4))
+        partial = exc_info.value.partial_path
+        assert [step.kind for step in partial] == ["initial"] and partial[0].profile is x
+        path = construct_path(mp, x, EPS, worse_config=WorseSearchConfig(budget=6))
+        assert [step.kind for step in path.steps] == ["initial", "worse_step", "case1_jump"]
+        assert path.steps[1].profile == profile_from([[1.0, 0.0], [0.25, 0.75]])
+        assert path.escalations == 0
 
     def test_solver_tolerance_above_epsilon_rejected(self, rps):
         # the default solver tolerance (1e-9) is looser than epsilon = 0
