@@ -14,8 +14,9 @@ every active trial's gaps with one batched contraction per player
 redraws from that trial's own generator, and a trial that hits an
 epsilon-Nash profile drops out.  Every ``batch_experiment`` row equals a
 replay of its trials through ``run_dynamics`` because ``_batch_gaps`` rows
-equal ``satisfaction_report`` gaps bitwise and both paths draw in the same
-order: one generator call per unsatisfied player, in ascending player order.
+equal ``satisfaction_report`` gaps bitwise and both paths redraw through
+``_redraw``, which makes one generator call per step for a Dirichlet
+explorer and one per unsatisfied player for ``pure_uniform``.
 
 The default satisfaction tolerance here is looser (1e-6) than the path
 constructor's internal one: continuous resampling never lands exactly on
@@ -43,7 +44,7 @@ from .games import (
     _check_profile,
     _check_real,
     _check_seed,
-    _dirichlet_alpha,
+    _simplex_draws,
     satisfaction_report,
 )
 
@@ -148,24 +149,23 @@ def _redraw(
 ) -> None:
     """Resample ``players`` of the profile in ``row`` in place from ``rng``.
 
-    Players draw in the order given (ascending), one generator call each, so
-    the draw order fixes every stream: ``pure_uniform`` jumps to vertex
-    ``rng.integers(c)``, the others draw ``rng.dirichlet(ones(c))``, which
-    ``mixture_with_current`` blends into the current strategy.
+    Players draw in the order given (ascending), which fixes every stream:
+    ``pure_uniform`` jumps each to vertex ``rng.integers(c)``; the others
+    share one ``_simplex_draws`` call (per-player Dirichlet draws, bitwise),
+    which ``mixture_with_current`` blends into the current strategies.
     """
-    for i in players:
-        seg = segments[i]
-        count = seg.stop - seg.start
-        if explorer.kind == "pure_uniform":
-            row[seg] = 0.0
-            row[seg.start + int(rng.integers(count))] = 1.0
-            continue
-        sample = rng.dirichlet(_dirichlet_alpha(count))
+    counts = [segments[i].stop - segments[i].start for i in players]
+    if explorer.kind == "pure_uniform":
+        for i, count in zip(players, counts):
+            row[segments[i]] = 0.0
+            row[segments[i].start + int(rng.integers(count))] = 1.0
+        return
+    w = explorer.mixture_weight
+    for i, sample in zip(players, _simplex_draws(rng, counts)):
         if explorer.kind == "dirichlet_uniform":
-            row[seg] = sample
+            row[segments[i]] = sample
         else:
-            w = explorer.mixture_weight
-            row[seg] = (1.0 - w) * row[seg] + w * sample
+            row[segments[i]] = (1.0 - w) * row[segments[i]] + w * sample
 
 
 def _step(
@@ -306,9 +306,7 @@ def batch_experiment(
             for r, t in enumerate(block):
                 init, run_seed = _trial_streams(master, g, t)
                 # random_profile's draws, without building the profile
-                starts[r] = np.concatenate(
-                    [init.dirichlet(_dirichlet_alpha(c)) for c in game.action_counts]
-                )
+                starts[r] = np.concatenate(_simplex_draws(init, game.action_counts))
                 rngs.append(np.random.default_rng(run_seed))
             _check_rows(starts, _segments(game))
             hits = _lockstep(game, starts, rngs, epsilon, explorer, max_steps)

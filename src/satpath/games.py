@@ -47,8 +47,9 @@ import numbers
 import string
 from collections.abc import Iterable
 from dataclasses import dataclass, field
-from functools import cache, cached_property, lru_cache
+from functools import cache, cached_property, lru_cache, reduce
 from math import prod
+from operator import add
 
 import numpy as np
 
@@ -338,19 +339,26 @@ class SatisfactionReport:
 
 def random_profile(game: Game, rng: np.random.Generator) -> StrategyProfile:
     """A profile with each player's strategy drawn Dirichlet(1, ..., 1),
-    i.e. uniform on its simplex."""
+    i.e. uniform on its simplex, by one ``_simplex_draws`` call."""
     _check_instance("game", game, Game)
     _check_instance("rng", rng, np.random.Generator)
-    return StrategyProfile(
-        tuple(MixedStrategy(rng.dirichlet(_dirichlet_alpha(c))) for c in game.action_counts)
-    )
+    return StrategyProfile(tuple(map(MixedStrategy, _simplex_draws(rng, game.action_counts))))
 
 
-@cache
-def _dirichlet_alpha(count: int) -> np.ndarray:
-    """The read-only concentration vector (1, ..., 1) of a uniform draw on a
-    simplex of ``count`` actions, built once per count."""
-    return _readonly(np.ones(count))
+def _simplex_draws(rng: np.random.Generator, counts) -> list[np.ndarray]:
+    """A uniform draw on the simplex of each of ``counts`` actions from one
+    generator call, bitwise what ``Generator.dirichlet`` with all-ones
+    alphas returns for each count in turn, leaving ``rng`` in the same
+    state: that draws exponentials, sums each vector left to right (unlike
+    ``ndarray.sum`` from 8 entries on) and scales by the reciprocal."""
+    values = rng.standard_exponential(sum(counts))
+    draws, start = [], 0
+    for count in counts:
+        draw = values[start : start + count]
+        draw *= 1.0 / reduce(add, draw.tolist())
+        draws.append(draw)
+        start += count
+    return draws
 
 
 def _check_profile(game: Game, profile: StrategyProfile) -> None:

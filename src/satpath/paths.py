@@ -122,7 +122,7 @@ class WorseSearchConfig:
     uniform blends ``build_w_xi`` for xi = 0.5, 0.1, 0.01, so it holds
     4 * prod(c_i) candidates over the unsatisfied players' action counts.
     ``budget``, an integer (not a bool) in 1..sys.maxsize, caps how many of
-    them are examined.
+    them are examined (x itself, when listed, counts but is not evaluated).
     """
 
     budget: int = 5000
@@ -329,7 +329,8 @@ def _worse_candidates(game: Game, x: StrategyProfile, report: SatisfactionReport
     for each joint pure profile v of the unsatisfied players, in C order over
     the sorted players, v itself and then v blended with the uniform
     strategies as in ``build_w_xi`` for each xi in ``_XI_GRID``.  Satisfied
-    players keep x's probability arrays (the same objects).  Candidates are
+    players keep x's probability arrays (the same objects).  A v equal to x,
+    never in Worse(x), is yielded as None (its blends stay).  Candidates are
     unvalidated; the caller validates only the one it keeps."""
     base = [s.probs for s in x.strategies]
     unsat = sorted(report.unsatisfied)
@@ -337,7 +338,7 @@ def _worse_candidates(game: Game, x: StrategyProfile, report: SatisfactionReport
         vertex = list(base)
         for i, row in zip(unsat, joint):
             vertex[i] = row
-        yield vertex
+        yield None if [r.tolist() for r in joint] == [base[i].tolist() for i in unsat] else vertex
         for xi in _XI_GRID:
             yield _blend_uniform(vertex, report.unsatisfied, xi)
 
@@ -408,8 +409,10 @@ def find_worse_candidate(
     # construction and membership in Worse is the two gap predicates
     for probs in itertools.islice(candidates, config.budget):
         gaps = [None] * game.num_players
-        if _keeps_unsatisfied(game, probs, report, gaps) and _flips_satisfied(
-            game, probs, report, gaps
+        if (
+            probs is not None
+            and _keeps_unsatisfied(game, probs, report, gaps)
+            and _flips_satisfied(game, probs, report, gaps)
         ):
             profile = _profile_from(x, probs)
             for i, gap in enumerate(gaps):

@@ -47,6 +47,7 @@ from .games import (
     _check_real,
     _contract,
     _profile_gaps,
+    _simplex_draws,
 )
 
 _NEWTON_MAX_ITER = 200
@@ -290,17 +291,13 @@ def _solve_newton(box: list[np.ndarray], start: np.ndarray) -> list[np.ndarray] 
 
 
 def _newton_starts(support: SupportProfile, n_values: int) -> list[np.ndarray]:
-    """Uniform-on-support start plus a few deterministic perturbed restarts."""
+    """Uniform-on-support start plus a few deterministic perturbed restarts,
+    one fixed-seed ``_simplex_draws`` call each."""
     sizes = [len(s) for s in support.supports]
-    uniform = np.concatenate(
-        [np.full(s, 1.0 / s) for s in sizes] + [np.zeros(n_values)]
-    )
-    starts = [uniform]
     rng = np.random.default_rng(0x5A7F)
-    for _ in range(_NEWTON_EXTRA_STARTS):
-        tilted = [rng.dirichlet(np.ones(s)) for s in sizes]
-        starts.append(np.concatenate(tilted + [np.zeros(n_values)]))
-    return starts
+    starts = [[np.full(s, 1.0 / s) for s in sizes]]
+    starts += [_simplex_draws(rng, sizes) for _ in range(_NEWTON_EXTRA_STARTS)]
+    return [np.concatenate(start + [np.zeros(n_values)]) for start in starts]
 
 
 def solve_on_support(

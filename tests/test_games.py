@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import copy
 import itertools
+import math
 import pickle
 import weakref
 
@@ -27,7 +28,7 @@ from satpath import (
     satisfaction_report,
     verify_nash,
 )
-from satpath.games import _batch_gaps, _contract, _deviation_gap_raw
+from satpath.games import _batch_gaps, _contract, _deviation_gap_raw, _simplex_draws
 
 from conftest import (
     brute_expected_reward,
@@ -476,6 +477,66 @@ class TestBatchedKernel:
                     # reduction, which einsum groups differently (last ulp);
                     # its gap is exactly 0 either way, checked above
                     np.testing.assert_allclose(w[r], want, rtol=0.0, atol=KERNEL_TOL)
+
+
+# --- uniform draws on simplices ----------------------------------------------
+
+
+def dirichlet_per_player(rng, counts):
+    """The reference: one ``Generator.dirichlet`` call with all-ones alphas
+    per count, in order."""
+    return [rng.dirichlet(np.ones(c)) for c in counts]
+
+
+class TestSimplexDraws:
+    """``_simplex_draws`` against numpy's own Dirichlet sampler, bitwise and
+    in the generator state it leaves: if numpy changes how it draws a
+    Dirichlet vector, these fail instead of the recorded digests drifting."""
+
+    @staticmethod
+    def assert_same_as_reference(seed, counts):
+        ours, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        draws = _simplex_draws(ours, counts)
+        want = dirichlet_per_player(ref, counts)
+        assert [d.tobytes() for d in draws] == [w.tobytes() for w in want]
+        assert ours.bit_generator.state == ref.bit_generator.state
+
+    def test_every_count_and_player_number(self):
+        for c, n in itertools.product(range(1, 7), range(1, 7)):
+            for seed in range(25):
+                self.assert_same_as_reference(seed, [c] * n)
+
+    def test_mixed_counts_over_many_seeds(self):
+        picker = np.random.default_rng(14)
+        for seed in range(1000):
+            counts = picker.integers(1, 7, size=int(picker.integers(1, 7))).tolist()
+            self.assert_same_as_reference(seed, counts)
+
+    def test_sums_left_to_right_past_seven_entries(self):
+        # ndarray.sum groups 8 or more entries pairwise and then differs
+        # from numpy's Dirichlet in the last ulp for many seeds
+        for seed in range(200):
+            self.assert_same_as_reference(seed, [8, 9, 12])
+
+    def test_successive_calls_continue_the_stream(self):
+        ours, ref = np.random.default_rng(5), np.random.default_rng(5)
+        for counts in ([3, 2], [1], [4, 4, 4], [2]):
+            draws = _simplex_draws(ours, counts)
+            want = dirichlet_per_player(ref, counts)
+            assert [d.tobytes() for d in draws] == [w.tobytes() for w in want]
+        assert ours.bit_generator.state == ref.bit_generator.state
+
+    def test_random_profile_draws_dirichlet_per_player(self):
+        picker = np.random.default_rng(41)
+        for seed in range(60):
+            counts = tuple(picker.integers(1, 7, size=int(picker.integers(1, 5))).tolist())
+            game = Game(counts, tuple(np.zeros(math.prod(counts)) for _ in counts))
+            profile = random_profile(game, np.random.default_rng(seed))
+            ref = np.random.default_rng(seed)
+            want = dirichlet_per_player(ref, game.action_counts)
+            assert [s.probs.tobytes() for s in profile.strategies] == [
+                w.tobytes() for w in want
+            ]
 
 
 # --- read-only copies and the per-profile gap memo ----------------------------

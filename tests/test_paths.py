@@ -266,9 +266,36 @@ class TestWorseSearchStageOrder:
             expected += [v] + [build_w_xi(game, v, rep, xi) for xi in (0.5, 0.1, 0.01)]
         listed = list(satpath.paths._worse_candidates(game, x, rep))
         assert len(listed) == len(expected) == 4 * 2 * 3
-        for probs, profile in zip(listed, expected):
+        # x itself is the first vertex; None holds its place in the list
+        assert listed[0] is None and expected[0] == x
+        for probs, profile in zip(listed[1:], expected[1:]):
             assert probs[0] is x[0].probs
             assert all(p.tobytes() == s.probs.tobytes() for p, s in zip(probs, profile))
+
+    def test_x_itself_is_never_a_candidate(self):
+        # from a pure start x is one of the listed vertices: None holds its
+        # place, its blends stay, and no candidate equals x
+        rng = np.random.default_rng(77)
+        starts = 0
+        while starts < 40:
+            game = random_game(rng)
+            x = pure(game, [int(rng.integers(c)) for c in game.action_counts])
+            rep = report(game, x)
+            if not rep.unsatisfied:
+                continue
+            starts += 1
+            listed = list(satpath.paths._worse_candidates(game, x, rep))
+            unsat = sorted(rep.unsatisfied)
+            own = np.ravel_multi_index(
+                [int(np.argmax(x[i].probs)) for i in unsat], [game.action_counts[i] for i in unsat]
+            )
+            assert [k for k, probs in enumerate(listed) if probs is None] == [4 * own]
+            mine = [s.probs.tolist() for s in x.strategies]
+            assert all([p.tolist() for p in probs] != mine for probs in listed if probs)
+            # from a mixed start no vertex is x, so nothing is left out
+            y = uniform(game)
+            if report(game, y).unsatisfied:
+                assert None not in satpath.paths._worse_candidates(game, y, report(game, y))
 
     def test_first_hit_is_a_pure_deviation(self):
         # the vertex b1 comes before its blends

@@ -178,6 +178,21 @@ class TestSlicedNewtonSystem:
             np.testing.assert_allclose(res[offsets[-1] :], 0.0, atol=1e-12)
 
 
+class TestNewtonStarts:
+    def test_restarts_are_the_seeded_dirichlet_draws(self):
+        # the uniform start, then per restart one Dirichlet(1, ..., 1) draw
+        # per player from the fixed generator, as numpy's sampler draws them
+        for sizes in itertools.product(range(1, 5), repeat=3):
+            support = SupportProfile(tuple(tuple(range(s)) for s in sizes))
+            starts = satpath.solver._newton_starts(support, 3)
+            rng = np.random.default_rng(0x5A7F)
+            want = [np.concatenate([np.full(s, 1.0 / s) for s in sizes] + [np.zeros(3)])]
+            for _ in range(satpath.solver._NEWTON_EXTRA_STARTS):
+                draws = [rng.dirichlet(np.ones(s)) for s in sizes]
+                want.append(np.concatenate(draws + [np.zeros(3)]))
+            assert [a.tobytes() for a in starts] == [w.tobytes() for w in want]
+
+
 class TestEverySupport:
     @pytest.mark.parametrize("n", [2, 3])
     def test_solutions_lie_in_support_and_pass_brute_checks(self, n):
