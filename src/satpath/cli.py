@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import sys
@@ -38,10 +39,10 @@ from .games import (
 )
 from .gameio import (
     emit_path,
-    game_document,
     generate_random_game,
     load_game,
     read_trace,
+    save_game,
     _write_text,
 )
 from .paths import WorseSearchConfig, construct_path, verify_path
@@ -50,13 +51,11 @@ from .solver import SolverConfig, find_nash
 import numpy as np
 
 
-def _parse_actions(spec: str) -> tuple[int, ...]:
+def _integers(flag: str, spec: str) -> tuple[int, ...]:
     try:
         return tuple(int(part) for part in spec.split(","))
     except ValueError:
-        raise GameInputError(
-            f"--actions expects comma-separated integers, got {spec!r}"
-        ) from None
+        raise GameInputError(f"{flag} expects comma-separated integers, got {spec!r}") from None
 
 
 def _initial_profile(game: Game, spec: str, rng: np.random.Generator) -> StrategyProfile:
@@ -65,11 +64,7 @@ def _initial_profile(game: Game, spec: str, rng: np.random.Generator) -> Strateg
     if spec == "uniform":
         return StrategyProfile.uniform(game)
     if spec.startswith("pure:"):
-        try:
-            actions = tuple(int(part) for part in spec[len("pure:") :].split(","))
-        except ValueError:
-            raise GameInputError(f"bad pure profile spec {spec!r}") from None
-        return StrategyProfile.pure(game, actions)
+        return StrategyProfile.pure(game, _integers("--init pure:", spec[len("pure:") :]))
     raise GameInputError(
         f"unknown --init {spec!r}; use 'random', 'uniform', or 'pure:a1,a2,...'"
     )
@@ -77,9 +72,9 @@ def _initial_profile(game: Game, spec: str, rng: np.random.Generator) -> Strateg
 
 def _cmd_gen(args) -> int:
     game = generate_random_game(
-        args.players, _parse_actions(args.actions), args.seed, name=args.name
+        args.players, _integers("--actions", args.actions), args.seed, name=args.name
     )
-    _write_text(args.out or sys.stdout, json.dumps(game_document(game), indent=2) + "\n")
+    save_game(game, args.out or sys.stdout)
     return 0
 
 
@@ -120,14 +115,7 @@ def _cmd_verify(args) -> int:
         require_terminal_nash=not args.no_terminal_nash,
         require_length_bound=not args.no_length_bound,
     )
-    doc = {
-        "ok": result.ok,
-        "num_steps": result.num_steps,
-        "reason": result.reason,
-        "step": result.step,
-        "player": result.player,
-    }
-    _write_text(args.out or sys.stdout, json.dumps(doc, indent=2) + "\n")
+    _write_text(args.out or sys.stdout, json.dumps(dataclasses.asdict(result), indent=2) + "\n")
     return 0 if result.ok else 1
 
 
@@ -178,38 +166,49 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    gen = sub.add_parser("gen", help="generate a random game document")
-    gen.add_argument("--players", type=int, required=True)
-    gen.add_argument("--actions", required=True, help="comma-separated action counts, e.g. 2,3")
-    gen.add_argument("--seed", type=int, default=0)
-    gen.add_argument("--name", default=None)
-    gen.add_argument("--out", default=None)
-    gen.set_defaults(func=_cmd_gen)
-
-    solve = sub.add_parser("solve", help="find a Nash equilibrium by support enumeration")
-    solve.add_argument("--game", required=True)
-    solve.add_argument("--eps", type=float, default=DEFAULT_EPSILON)
-    solve.add_argument("--out", default=None)
-    solve.set_defaults(func=_cmd_solve)
-
-    path = sub.add_parser("path", help="construct a satisficing path to equilibrium")
-    path.add_argument("--game", required=True)
-    path.add_argument("--eps", type=float, default=DEFAULT_EPSILON)
-    path.add_argument("--seed", type=int, default=0)
-    path.add_argument("--budget", type=int, default=5000)
-    path.add_argument(
+    # flags shared by several subcommands, each defined once in a parent parser
+    game, exact, dynamics, seed, init, fmt, out = (
+        argparse.ArgumentParser(add_help=False) for _ in range(7)
+    )
+    game.add_argument("--game", required=True)
+    # the path constructor and the dynamics default to different epsilons
+    for eps_flags, eps in ((exact, DEFAULT_EPSILON), (dynamics, DYNAMICS_EPSILON)):
+        eps_flags.add_argument("--eps", type=float, default=eps)
+    dynamics.add_argument("--max-steps", type=int, default=1000)
+    dynamics.add_argument("--explorer", choices=list(EXPLORER_KINDS), default="dirichlet_uniform")
+    dynamics.add_argument("--mixture-weight", type=float, default=0.5)
+    seed.add_argument("--seed", type=int, default=0)
+    init.add_argument(
         "--init",
         default="random",
         help="initial profile: random (default), uniform, or pure:a1,a2,...",
     )
-    path.add_argument("--format", choices=["csv", "json"], default="json")
-    path.add_argument("--out", default=None)
+    fmt.add_argument("--format", choices=["csv", "json"], default="json")
+    out.add_argument("--out", default=None)
+
+    gen = sub.add_parser("gen", parents=[seed, out], help="generate a random game document")
+    gen.add_argument("--players", type=int, required=True)
+    gen.add_argument("--actions", required=True, help="comma-separated action counts, e.g. 2,3")
+    gen.add_argument("--name", default=None)
+    gen.set_defaults(func=_cmd_gen)
+
+    solve = sub.add_parser(
+        "solve", parents=[game, exact, out], help="find a Nash equilibrium by support enumeration"
+    )
+    solve.set_defaults(func=_cmd_solve)
+
+    path = sub.add_parser(
+        "path",
+        parents=[game, exact, seed, init, fmt, out],
+        help="construct a satisficing path to equilibrium",
+    )
+    path.add_argument("--budget", type=int, default=5000)
     path.set_defaults(func=_cmd_path)
 
-    verify = sub.add_parser("verify", help="verify an emitted trace file")
-    verify.add_argument("--game", required=True)
+    verify = sub.add_parser(
+        "verify", parents=[game, exact, out], help="verify an emitted trace file"
+    )
     verify.add_argument("--in", dest="infile", required=True, help="trace file (csv or json)")
-    verify.add_argument("--eps", type=float, default=DEFAULT_EPSILON)
     verify.add_argument(
         "--no-terminal-nash",
         action="store_true",
@@ -220,37 +219,24 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="do not require length <= players + 1 (use for trajectories)",
     )
-    verify.add_argument("--out", default=None)
     verify.set_defaults(func=_cmd_verify)
 
-    simulate = sub.add_parser("simulate", help="run win-stay lose-shift dynamics")
-    simulate.add_argument("--game", required=True)
-    simulate.add_argument("--eps", type=float, default=DYNAMICS_EPSILON)
-    simulate.add_argument("--seed", type=int, default=0)
-    simulate.add_argument("--max-steps", type=int, default=1000)
-    simulate.add_argument("--explorer", choices=list(EXPLORER_KINDS), default="dirichlet_uniform")
-    simulate.add_argument("--mixture-weight", type=float, default=0.5)
-    simulate.add_argument(
-        "--init",
-        default="random",
-        help="initial profile: random (default), uniform, or pure:a1,a2,...",
+    simulate = sub.add_parser(
+        "simulate",
+        parents=[game, dynamics, seed, init, fmt, out],
+        help="run win-stay lose-shift dynamics",
     )
-    simulate.add_argument("--format", choices=["csv", "json"], default="json")
-    simulate.add_argument("--out", default=None)
     simulate.set_defaults(func=_cmd_simulate)
 
-    batch = sub.add_parser("batch", help="aggregate dynamics statistics over games")
+    batch = sub.add_parser(
+        "batch",
+        parents=[dynamics, seed, fmt, out],
+        help="aggregate dynamics statistics over games",
+    )
     batch.add_argument(
         "--game", action="append", required=True, help="game file; repeat for several games"
     )
     batch.add_argument("--trials", type=int, default=100)
-    batch.add_argument("--eps", type=float, default=DYNAMICS_EPSILON)
-    batch.add_argument("--seed", type=int, default=0)
-    batch.add_argument("--max-steps", type=int, default=1000)
-    batch.add_argument("--explorer", choices=list(EXPLORER_KINDS), default="dirichlet_uniform")
-    batch.add_argument("--mixture-weight", type=float, default=0.5)
-    batch.add_argument("--format", choices=["csv", "json"], default="json")
-    batch.add_argument("--out", default=None)
     batch.set_defaults(func=_cmd_batch)
 
     return parser

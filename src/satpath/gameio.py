@@ -21,6 +21,14 @@ in-memory types) or CSV with columns
 ``step,step_kind,player,action,probability,gap,satisfied`` and one row
 per (step, player, action); ``step`` is 1-based, ``player`` and
 ``action`` are 0-based.
+
+Game documents and JSON traces are read through one decoder, ``_decode``:
+NaN and Infinity literals, malformed JSON, nesting too deep to decode and
+a top level that is not an object raise ``GameFormatError`` with the key
+``document``.  Every payoff and gap read, in either trace format, must be
+a finite number, and each strategy of a trace is checked by
+``MixedStrategy`` itself, so a string or bool entry is refused, not
+converted.
 """
 
 from __future__ import annotations
@@ -58,29 +66,41 @@ _TRACE_KINDS = (*STEP_KINDS, _STEP_KIND)
 
 
 def _reject_json_constant(token: str):
-    raise GameFormatError("payoffs", f"non-finite value {token} is not allowed")
+    raise GameFormatError("document", f"non-finite value {token} is not allowed")
+
+
+def _decode(text: str) -> dict:
+    """The JSON object ``text`` holds.  NaN and Infinity literals, malformed
+    JSON (an integer too long to convert included), nesting too deep to
+    decode and a top level that is not an object are format errors."""
+    try:
+        doc = json.loads(text, parse_constant=_reject_json_constant)
+    except GameFormatError:  # a NaN or Infinity literal, already keyed
+        raise
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError
+        raise GameFormatError("document", f"not valid JSON ({exc})") from exc
+    if not isinstance(doc, dict):
+        raise GameFormatError("document", "top level must be a JSON object")
+    return doc
 
 
 def _number(value, key: str, what: str = "") -> float:
-    """A JSON number (not a bool) as a float; ``key`` and ``what`` name it on
-    failure."""
+    """A finite JSON number (not a bool) as a float; ``key`` and ``what`` name
+    it on failure."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise GameFormatError(key, f"{what}must be a number, got {value!r}")
     try:
-        return float(value)
+        number = float(value)
     except OverflowError:
         raise GameFormatError(key, f"{what}integer is beyond the range of a float") from None
+    if not math.isfinite(number):
+        raise GameFormatError(key, f"{what}must be finite, got {number!r}")
+    return number
 
 
 def parse_game_document(text: str) -> Game:
     """Parse and validate a JSON game document, naming the offending key on failure."""
-    try:
-        doc = json.loads(text, parse_constant=_reject_json_constant)
-    except json.JSONDecodeError as exc:
-        raise GameFormatError("document", f"not valid JSON ({exc})") from exc
-    if not isinstance(doc, dict):
-        raise GameFormatError("document", "top level must be a JSON object")
-
+    doc = _decode(text)
     players = doc.get("players")
     if isinstance(players, bool) or not isinstance(players, int):
         raise GameFormatError("players", f"must be an integer, got {players!r}")
@@ -111,10 +131,7 @@ def parse_game_document(text: str) -> Game:
                 f"(product of the action counts), got "
                 f"{len(raw) if isinstance(raw, list) else type(raw).__name__}",
             )
-        arr = np.array([_number(v, f"payoffs[{i}][{j}]") for j, v in enumerate(raw)])
-        if not np.all(np.isfinite(arr)):
-            raise GameFormatError(f"payoffs[{i}]", "contains non-finite values")
-        arrays.append(arr)
+        arrays.append(np.array([_number(v, f"payoffs[{i}][{j}]") for j, v in enumerate(raw)]))
 
     name = doc.get("name")
     if name is not None and not isinstance(name, str):
@@ -262,10 +279,7 @@ def read_trace(path) -> ParsedTrace:
 
 
 def _parse_json_trace(text: str) -> ParsedTrace:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise GameFormatError("document", f"not valid JSON ({exc})") from exc
+    doc = _decode(text)
     raw_steps = doc.get("steps")
     if not isinstance(raw_steps, list) or not raw_steps:
         raise GameFormatError("steps", "must be a nonempty list")
@@ -273,12 +287,10 @@ def _parse_json_trace(text: str) -> ParsedTrace:
     for t, raw in enumerate(raw_steps):
         try:
             kind = raw["step_kind"]
-            profile = StrategyProfile(
-                tuple(MixedStrategy(np.asarray(vec, dtype=float)) for vec in raw["profile"])
-            )
+            profile = StrategyProfile(tuple(MixedStrategy(vec) for vec in raw["profile"]))
             raw_gaps = raw["gaps"]
             step_sat = tuple(raw["satisfied"])
-        except (KeyError, TypeError, ValueError, GameInputError) as exc:
+        except (KeyError, TypeError, GameInputError) as exc:
             raise GameFormatError(f"steps[{t}]", f"malformed step ({exc})") from exc
         if not isinstance(raw_gaps, list):
             raise GameFormatError(f"steps[{t}]", f"gaps must be a list, got {raw_gaps!r}")
@@ -346,6 +358,7 @@ def _parse_csv_trace(text: str) -> ParsedTrace:
                 f"row {row_num} has an out-of-range index (step counts from 1, "
                 "player and action from 0)",
             )
+        _number(gap, "document", f"row {row_num} gap ")
         _check_kind(row[1], "document", f"row {row_num} has ")
         entry = by_step.setdefault(step, {"kind": row[1], "players": {}})
         if row[1] != entry["kind"]:
@@ -359,13 +372,9 @@ def _parse_csv_trace(text: str) -> ParsedTrace:
             raise GameFormatError(
                 "document", f"row {row_num} repeats step {step} player {player} action {action}"
             )
-        # gap and satisfied describe the player, so every action row repeats
-        # them (a nan gap repeated is still the same gap)
+        # gap and satisfied describe the player, so every action row repeats them
         earlier = next(iter(actions.values()), None)
-        if earlier is not None and (
-            earlier[2] != flag
-            or (earlier[1] != gap and not (math.isnan(earlier[1]) and math.isnan(gap)))
-        ):
+        if earlier is not None and (earlier[1] != gap or earlier[2] != flag):
             raise GameFormatError(
                 "document",
                 f"row {row_num} gives step {step} player {player} gap {gap!r} and "

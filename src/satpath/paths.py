@@ -29,6 +29,11 @@ against the full game, and a failed certification raises
 Strategy equality along paths is bitwise on the stored probabilities:
 the constructor copies satisfied strategies verbatim, so exact equality
 is achievable and unambiguous.
+
+The indifference helpers (``build_z_lambda``, ``indifference_poly``,
+``zero_poly_check``) work on numpy core alone: ``indifference_poly``
+interpolates exactly, solving the Vandermonde system at n nodes, and
+``zero_poly_check`` evaluates with ``np.polyval``.
 """
 
 from __future__ import annotations
@@ -39,7 +44,6 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from .errors import GameInputError, PathInvariantError, WorseSearchIncompleteError
 from .games import (
@@ -305,7 +309,7 @@ def indifference_poly(
         z = build_z_lambda(x_star, w_xi, unsat_set, x_k, float(lam))
         w = pure_action_payoffs(game, z, player)
         values.append(float(w[a]) - float(w[a_prime]))
-    return npoly.polyfit(nodes, values, deg=len(nodes) - 1)
+    return np.linalg.solve(np.vander(nodes, increasing=True), values)
 
 
 def zero_poly_check(coeffs, roots_observed, tolerance: float) -> bool:
@@ -320,7 +324,7 @@ def zero_poly_check(coeffs, roots_observed, tolerance: float) -> bool:
     degree = int(nonzero[-1]) if nonzero.size else 0
     if len(roots) <= degree:
         return False
-    values = npoly.polyval(np.asarray(roots), coeffs)
+    values = np.polyval(coeffs[::-1], np.asarray(roots))
     return bool(np.all(np.abs(values) <= tolerance))
 
 
@@ -460,18 +464,9 @@ def construct_path(
     current, current_report = x1, report
 
     while current_report.max_gap > epsilon:
-        if not current_report.satisfied:
-            # Everyone is unsatisfied, so every profile is accessible.
-            target = find_nash(game, solver_config)
-            steps.append(
-                PathStep(
-                    profile=target,
-                    kind="case1_jump",
-                    report=satisfaction_report(game, target, epsilon),
-                )
-            )
-            break
-        candidate = find_worse_candidate(game, current, epsilon, worse_config)
+        candidate = None
+        if current_report.satisfied:
+            candidate = find_worse_candidate(game, current, epsilon, worse_config)
         if candidate is not None:
             candidate_report = satisfaction_report(game, candidate, epsilon)
             if not current_report.unsatisfied < candidate_report.unsatisfied:
@@ -479,22 +474,29 @@ def construct_path(
             steps.append(PathStep(profile=candidate, kind="worse_step", report=candidate_report))
             current, current_report = candidate, candidate_report
             continue
-        # Worse(current) is empty, certified or presumed: freeze the
-        # satisfied players and solve the game induced among the unsatisfied
-        # ones.
-        frozen = {i: current[i] for i in sorted(current_report.satisfied)}
-        target = find_subgame_nash(game, frozen, solver_config)
+        # Jump.  Case 1: nobody is satisfied, so every profile is accessible
+        # and any equilibrium will do.  Case 2: Worse(current) is empty,
+        # certified or presumed, so freeze the satisfied players and solve the
+        # game induced among the unsatisfied ones.
+        if current_report.satisfied:
+            frozen = {i: current[i] for i in sorted(current_report.satisfied)}
+            target = find_subgame_nash(game, frozen, solver_config)
+        else:
+            target = find_nash(game, solver_config)
         target_report = satisfaction_report(game, target, epsilon)
         if target_report.max_gap > epsilon:
-            # A previously satisfied player broke, so Worse(current) was not
-            # empty: every member lies outside the part of the candidate
-            # list the search read.
+            # Only a case-2 jump can fail here (find_nash accepts gaps within
+            # its tolerance, which is at most epsilon).  A previously
+            # satisfied player broke, so Worse(current) was not empty: every
+            # member lies outside the part of the candidate list the search
+            # read.
             raise WorseSearchIncompleteError(
                 "worse search found no candidate, but the subgame jump is not "
                 f"an equilibrium (max gap {target_report.max_gap:g} > {epsilon:g})",
                 partial_path=tuple(steps),
             )
-        steps.append(PathStep(profile=target, kind="case2_jump", report=target_report))
+        kind = "case2_jump" if current_report.satisfied else "case1_jump"
+        steps.append(PathStep(profile=target, kind=kind, report=target_report))
         break
 
     path = SatisficingPath(

@@ -161,6 +161,28 @@ class TestPathVerifyPipeline:
         err = capsys.readouterr().err
         assert err.startswith("error: document: not UTF-8") and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "command, text",
+        [
+            ("solve", '{"players": ' + "[" * 200_000 + "]" * 200_000 + "}"),
+            ("verify", '{"steps": ' + "[" * 200_000 + "]" * 200_000 + "}"),
+            ("verify", '{"steps": [{"step_kind": "initial", "profile": [[1%s, 0], [0.5, 0.5]], '
+             '"gaps": [0.0, 0.0], "satisfied": [0, 1]}]}' % ("0" * 400)),
+        ],
+        ids=["nested-game", "nested-trace", "huge-integer-strategy"],
+    )
+    def test_unreadable_json_is_input_error(self, mp_file, tmp_path, command, text, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        argv = {
+            "solve": ["solve", "--game", str(bad)],
+            "verify": ["verify", "--game", mp_file, "--in", str(bad)],
+        }[command]
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
     def test_broken_path_invariant_exits_four(self, mp_file, monkeypatch, capsys):
         monkeypatch.setattr(
             satpath.paths,
@@ -314,9 +336,12 @@ class TestRunFlagValidation:
 
 def test_library_import_loads_no_cli():
     src = str(Path(satpath.__file__).resolve().parents[1])
-    probe = "import sys, satpath; print('satpath.cli' in sys.modules, 'argparse' in sys.modules)"
+    probe = (
+        "import sys, satpath; "
+        "print(*(m in sys.modules for m in ('satpath.cli', 'argparse', 'numpy.polynomial')))"
+    )
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )
-    assert out.stdout.split() == ["False", "False"]
+    assert out.stdout.split() == ["False", "False", "False"]

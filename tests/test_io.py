@@ -441,6 +441,9 @@ class TestCsvTraceIndices:
             (_TRACE_ROWS[:2] + _TRACE_ROWS[3:], "actions .* gap"),
             (_TRACE_ROWS[:4] + ["2" + row[1:] for row in _TRACE_ROWS[2:4]], "players .* gap"),
             (_TRACE_ROWS[:4] + ["3" + row[1:] for row in _TRACE_ROWS[4:]], "steps .* gap"),
+            # a non-finite gap, the same on each of the player's rows
+            ([row.replace(",0.0,true", ",nan,true") for row in _TRACE_ROWS], "must be finite"),
+            ([row.replace(",2.0,false", ",inf,false") for row in _TRACE_ROWS], "must be finite"),
         ],
         ids=[
             "only-negative-actions",
@@ -452,6 +455,8 @@ class TestCsvTraceIndices:
             "missing-action-row",
             "missing-player",
             "missing-step",
+            "nan-gap",
+            "inf-gap",
         ],
     )
     def test_bad_index_rejected(self, tmp_path, rows, match):
@@ -498,9 +503,15 @@ class TestTraceStructure:
             ({"satisfied": [True]}, "satisfied entry True"),
             ({"satisfied": [0.0]}, "satisfied entry 0.0"),
             ({"satisfied": [0, 0]}, "repeats a player"),
+            # strategies follow the library's rule: no string, bool or
+            # beyond-float entry is converted
+            ({"profile": [["0.5", "0.5"], [0.5, 0.5]]}, "must hold reals"),
+            ({"profile": [[True, False], [0.5, 0.5]]}, "must hold reals"),
+            ({"profile": [[10**400, 0], [0.5, 0.5]]}, "must hold reals"),
         ],
         ids=["list-kind", "unknown-kind", "short-gaps", "long-gaps", "player-out-of-range",
-             "negative-player", "bool-player", "float-player", "repeated-player"],
+             "negative-player", "bool-player", "float-player", "repeated-player",
+             "string-probability", "bool-probability", "huge-int-probability"],
     )
     def test_json_structure_rejected(self, mp, tmp_path, step, match):
         with pytest.raises(GameFormatError, match=match) as exc_info:
@@ -511,3 +522,47 @@ class TestTraceStructure:
         rows = [row.replace("worse_step", "bogus_kind") for row in _TRACE_ROWS]
         with pytest.raises(GameFormatError, match="row 6 has unknown step kind 'bogus_kind'"):
             read_trace(_write_trace(tmp_path, rows))
+
+
+_STEP = '{"step_kind": "initial", "profile": [[0.5, 0.5], [0.5, 0.5]], "satisfied": [0, 1], '
+_DEEP = "[" * 200_000 + "]" * 200_000
+
+
+def _read_json(tmp_path, reader, text):
+    if reader == "game":
+        return parse_game_document(text)
+    target = tmp_path / "trace.json"
+    target.write_text(text)
+    return read_trace(target)
+
+
+class TestJsonDecoding:
+    """Game documents and JSON traces share one decoder and one number rule."""
+
+    @pytest.mark.parametrize(
+        "reader, text, key, match",
+        [
+            ("game", '{"players": NaN, "actions": [2], "payoffs": [[0, 0]]}', "document",
+             "non-finite value NaN"),
+            ("game", '{"players": %s}' % _DEEP, "document", "not valid JSON"),
+            ("game", '{"players": 1, "actions": [2], "payoffs": [[0, %s]]}' % ("1" * 5000),
+             "document", "not valid JSON"),
+            ("trace", '{"steps": [%s"gaps": [NaN, 0.0]}]}' % _STEP, "document",
+             "non-finite value NaN"),
+            ("trace", '{"steps": [%s"gaps": [0.0, -Infinity]}]}' % _STEP, "document",
+             "non-finite value -Infinity"),
+            ("trace", '{"steps": [%s"gaps": [1e999, 0.0]}]}' % _STEP, "steps[0]",
+             r"gaps\[0\] must be finite, got inf"),
+            ("trace", '{"steps": %s}' % _DEEP, "document", "not valid JSON"),
+        ],
+        ids=["nan-players", "deep-game", "long-integer-game", "nan-gap", "infinity-gap",
+             "overflowing-gap", "deep-trace"],
+    )
+    def test_rejected(self, tmp_path, reader, text, key, match):
+        with pytest.raises(GameFormatError, match=match) as exc_info:
+            _read_json(tmp_path, reader, text)
+        assert exc_info.value.key == key
+
+    def test_well_formed_trace_text_reads(self, tmp_path):
+        parsed = _read_json(tmp_path, "trace", '{"steps": [%s"gaps": [0.0, 0]}]}' % _STEP)
+        assert parsed.gaps == ((0.0, 0.0),) and parsed.satisfied == ((0, 1),)

@@ -9,6 +9,7 @@ import sys
 
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as npoly
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -607,8 +608,17 @@ class TestIndifferencePoly:
                 z = build_z_lambda(x_star, w, unsat, x_k, float(lam))
                 payoffs = pure_action_payoffs(game, z, player)
                 direct = float(payoffs[int(a)] - payoffs[int(a_prime)])
-                poly_val = float(np.polynomial.polynomial.polyval(lam, coeffs))
+                poly_val = float(npoly.polyval(lam, coeffs))
                 assert poly_val == pytest.approx(direct, abs=1e-9)
+            # the reference: numpy's least-squares fit of degree n - 1 through
+            # the same n nodes, which is the interpolant
+            nodes = np.array([0.0]) if n == 1 else np.linspace(0.0, 1.0, n)
+            values = []
+            for lam in nodes:
+                z = build_z_lambda(x_star, w, unsat, x_k, float(lam))
+                payoffs = pure_action_payoffs(game, z, player)
+                values.append(float(payoffs[int(a)] - payoffs[int(a_prime)]))
+            np.testing.assert_allclose(coeffs, npoly.polyfit(nodes, values, n - 1), atol=1e-9)
 
     def test_equal_actions_rejected(self, mp):
         x = uniform(mp)
@@ -619,6 +629,8 @@ class TestIndifferencePoly:
 class TestZeroPolyCheck:
     def test_zero_polynomial(self):
         assert zero_poly_check([0.0, 0.0], [0.2, 0.9], 1e-12)
+        # no coefficients at all is the zero polynomial too
+        assert zero_poly_check([], [0.2], 1e-12)
 
     def test_single_root_of_degree_one_is_inconclusive(self):
         assert not zero_poly_check([0.0, -1.0], [0.0], 1e-12)
@@ -634,6 +646,24 @@ class TestZeroPolyCheck:
     def test_enough_near_roots_flag_zero(self):
         coeffs = [1e-14, -1e-14, 1e-15]
         assert zero_poly_check(coeffs, [0.0, 0.5, 1.0, 0.25], 1e-10)
+
+    def test_agrees_with_numpy_polynomial_reference(self):
+        # the reference verdict evaluates with numpy.polynomial's polyval
+        rng = np.random.default_rng(41)
+        verdicts = []
+        for _ in range(400):
+            coeffs = rng.normal(size=rng.integers(1, 5)) * 10.0 ** rng.integers(-16, 1)
+            coeffs[rng.uniform(size=coeffs.size) < 0.3] = 0.0
+            roots = rng.choice([0.0, 0.25, 0.5, 1.0], size=rng.integers(0, 6)).tolist()
+            nonzero = np.nonzero(coeffs)[0]
+            degree = int(nonzero[-1]) if nonzero.size else 0
+            distinct = sorted(set(roots))
+            expected = len(distinct) > degree and bool(
+                np.all(np.abs(npoly.polyval(np.array(distinct), coeffs)) <= 1e-12)
+            )
+            assert zero_poly_check(coeffs, roots, 1e-12) == expected
+            verdicts.append(expected)
+        assert any(verdicts) and not all(verdicts)
 
 
 class TestVerifyPath:
