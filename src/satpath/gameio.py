@@ -20,7 +20,9 @@ Traces of paths and trajectories are emitted as JSON (mirroring the
 in-memory types) or CSV with columns
 ``step,step_kind,player,action,probability,gap,satisfied`` and one row
 per (step, player, action); ``step`` is 1-based, ``player`` and
-``action`` are 0-based.
+``action`` are 0-based.  Either format numbers its steps by one rule: an
+integer from 1, none repeated and none missing, read in that order.  Files
+are read as UTF-8 without one leading byte-order mark.
 
 Game documents and JSON traces are read through one decoder, ``_decode``:
 NaN and Infinity literals, malformed JSON, nesting too deep to decode and
@@ -153,9 +155,11 @@ def game_document(game: Game) -> dict:
 
 
 def _read_text(path) -> str:
+    """The text of the file at ``path``, decoded as UTF-8 without one leading
+    byte-order mark, which some editors write and ``json`` refuses."""
     _check_instance("path", path, (str, os.PathLike))
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             return fh.read()
     except UnicodeDecodeError as exc:
         raise GameFormatError("document", f"not UTF-8 text ({exc})") from exc
@@ -283,9 +287,11 @@ def _parse_json_trace(text: str) -> ParsedTrace:
     raw_steps = doc.get("steps")
     if not isinstance(raw_steps, list) or not raw_steps:
         raise GameFormatError("steps", "must be a nonempty list")
-    kinds, profiles, gaps, satisfied = [], [], [], []
+    # entry k - 1 holds step k and the index t of the list entry giving it
+    slots: list = [None] * len(raw_steps)
     for t, raw in enumerate(raw_steps):
         try:
+            step = raw["step"]
             kind = raw["step_kind"]
             profile = StrategyProfile(tuple(MixedStrategy(vec) for vec in raw["profile"]))
             raw_gaps = raw["gaps"]
@@ -308,12 +314,19 @@ def _parse_json_trace(text: str) -> ParsedTrace:
                 )
         if len(set(step_sat)) != len(step_sat):
             raise GameFormatError(f"steps[{t}]", f"satisfied {list(step_sat)} repeats a player")
-        kinds.append(kind)
-        profiles.append(profile)
-        gaps.append(step_gaps)
-        satisfied.append(step_sat)
+        # the CSV reader's rule: steps run 1, 2, ... without a gap or a repeat
+        if isinstance(step, bool) or not isinstance(step, int) or not 1 <= step <= len(slots):
+            raise GameFormatError(
+                f"steps[{t}]", f"step must be an integer from 1 to {len(slots)}, got {step!r}"
+            )
+        if slots[step - 1] is not None:
+            first = slots[step - 1][0]
+            raise GameFormatError(f"steps[{t}]", f"repeats step {step} of steps[{first}]")
+        slots[step - 1] = (t, kind, profile, step_gaps, step_sat)
+    # distinct steps in 1..len(slots) fill every slot: ordered by step
+    _, kinds, profiles, gaps, satisfied = zip(*slots)
     meta = {k: v for k, v in doc.items() if k != "steps"}
-    return ParsedTrace(tuple(kinds), tuple(profiles), tuple(gaps), tuple(satisfied), meta)
+    return ParsedTrace(kinds, profiles, gaps, satisfied, meta)
 
 
 def _check_kind(kind, key: str, where: str = "") -> None:

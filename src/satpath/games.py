@@ -37,7 +37,16 @@ keeps its equilibria on the game.  The same memo entry keeps the last
 epsilon returns that report.  A profile built from gaps already in hand
 starts with its memo filled (``_seed_gaps``): the Worse search keeps the
 gaps it computed to accept a candidate, so the Worse step's report and its
-verification compute none.
+verification compute none, and ``find_nash``'s pure screen seeds its
+equilibrium's gaps from its table of shortfalls.
+
+Immutability also lets one strategy object serve many profiles.  Each point
+mass is built once per process (``_vertex``, which ``MixedStrategy.pure``
+returns), and the Worse search's uniform blends of each vertex are built
+and validated once too (``paths._vertex_and_blends``): pure starts, the
+screen's equilibria and every search share them.  A game keeps its largest
+payoff magnitudes (``Game._payoff_bounds``), which bound the rounding the
+Worse-emptiness certificate allows for.
 """
 
 from __future__ import annotations
@@ -144,6 +153,11 @@ class Game:
         )
 
     @cached_property
+    def _payoff_bounds(self) -> tuple[float, ...]:
+        """Per player: the largest payoff magnitude, which bounds rounding."""
+        return tuple(float(np.abs(arr).max()) for arr in self.payoffs)
+
+    @cached_property
     def _equilibria(self) -> dict:
         """``solver.find_nash`` results of this game, keyed by SolverConfig."""
         return {}
@@ -194,12 +208,11 @@ class MixedStrategy:
 
     @classmethod
     def pure(cls, num_actions: int, action: int) -> "MixedStrategy":
-        """The point mass on ``action``."""
+        """The point mass on ``action``, built once per process (``_vertex``)."""
+        # Check before the lookup: True == 1, so a bool would find the cached
+        # vertex of action 1.
         num_actions = _check_int("num_actions", num_actions, 1)
-        action = _check_int("action", action, 0, num_actions - 1)
-        vec = np.zeros(num_actions)
-        vec[action] = 1.0
-        return cls._prechecked(vec)
+        return _vertex(num_actions, _check_int("action", action, 0, num_actions - 1))
 
     @classmethod
     def uniform(cls, num_actions: int) -> "MixedStrategy":
@@ -229,6 +242,18 @@ class MixedStrategy:
 
     def __repr__(self) -> str:
         return f"MixedStrategy({np.array2string(self.probs, precision=6)})"
+
+
+@lru_cache(maxsize=64)
+def _vertex(num_actions: int, action: int) -> MixedStrategy:
+    """The point mass on ``action`` of ``num_actions``, two checked ints.
+    Strategies are immutable, so one object per vertex serves every profile
+    that plays it: pure starts, the pure equilibria ``find_nash`` screens
+    and the Worse search's candidates.  A game's players have at most
+    MAX_ACTIONS actions, so 21 vertices cover every game."""
+    vec = np.zeros(num_actions)
+    vec[action] = 1.0
+    return MixedStrategy._prechecked(vec)
 
 
 def _strategy_fault(arr: np.ndarray) -> str:

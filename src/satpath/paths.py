@@ -21,10 +21,13 @@ Worse-emptiness is a universal statement over a continuum.  Before trying
 any candidate, the search tries to certify it, exactly up to a bound on
 rounding (``_certified_empty``).  Where that fails, the search reads one
 finite, deterministic list of candidates, built from the joint pure
-profiles of the unsatisfied players (``_worse_candidates``), and an
-exhausted list is only presumptive emptiness: the subgame jump is certified
-against the full game, and a failed certification raises
-``WorseSearchIncompleteError`` with the path built so far.
+profiles of the unsatisfied players (``_worse_candidates``).  Its vertex
+and blend strategies are built and validated once per process and shared
+(``_vertex_and_blends``), and the certificate's rounding floor reads the
+game's cached payoff magnitudes.  An exhausted list is only presumptive
+emptiness: the subgame jump is certified against the full game, and a
+failed certification raises ``WorseSearchIncompleteError`` with the path
+built so far.
 
 Strategy equality along paths is bitwise on the stored probabilities:
 the constructor copies satisfied strategies verbatim, so exact equality
@@ -42,6 +45,7 @@ import itertools
 import sys
 from collections.abc import Iterable
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -60,6 +64,7 @@ from .games import (
     _contract,
     _deviation_gap_raw,
     _seed_gaps,
+    _vertex,
     pure_action_payoffs,
     satisfaction_report,
 )
@@ -227,22 +232,13 @@ def build_w_xi(
     _check_profile(game, x_k)
     _check_instance("report_k", report_k, SatisfactionReport)
     xi = _check_real("xi", xi, positive=True, high=1.0)
-    probs = _blend_uniform([s.probs for s in x_k.strategies], report_k.unsatisfied, xi)
-    return _profile_from(x_k, probs)
-
-
-def _blend_uniform(probs: list[np.ndarray], players, xi: float) -> list[np.ndarray]:
-    """The w_xi formula over raw probability lists, without validation: the
-    listed players' vectors become (1 - xi) * p + xi / len(p); the others
-    are returned as the same array objects."""
-    return [(1.0 - xi) * p + xi / p.size if i in players else p for i, p in enumerate(probs)]
-
-
-def _profile_from(x: StrategyProfile, probs: list[np.ndarray]) -> StrategyProfile:
-    """Wrap a probability list as a profile, reusing x's strategy objects
-    for the arrays taken unchanged from x and validating the rest."""
     return StrategyProfile(
-        tuple(s if p is s.probs else MixedStrategy(p) for s, p in zip(x.strategies, probs))
+        tuple(
+            MixedStrategy((1.0 - xi) * s.probs + xi / s.num_actions)
+            if i in report_k.unsatisfied
+            else s
+            for i, s in enumerate(x_k.strategies)
+        )
     )
 
 
@@ -328,23 +324,58 @@ def zero_poly_check(coeffs, roots_observed, tolerance: float) -> bool:
     return bool(np.all(np.abs(values) <= tolerance))
 
 
+@cache
+def _vertex_and_blends(num_actions: int, action: int) -> tuple[MixedStrategy, ...]:
+    """The point mass on ``action`` (``games._vertex``), then its blends with
+    the uniform strategy as in ``build_w_xi`` for each xi in ``_XI_GRID``:
+    the strategies the Worse search's candidates give an unsatisfied player.
+    Each is built and validated once per process and shared."""
+    vertex = _vertex(num_actions, action)
+    blends = ((1.0 - xi) * vertex.probs + xi / num_actions for xi in _XI_GRID)
+    return (vertex, *map(MixedStrategy, blends))
+
+
 def _worse_candidates(game: Game, x: StrategyProfile, report: SatisfactionReport):
     """Yield accessible candidates as full probability lists, in search order:
     for each joint pure profile v of the unsatisfied players, in C order over
     the sorted players, v itself and then v blended with the uniform
     strategies as in ``build_w_xi`` for each xi in ``_XI_GRID``.  Satisfied
-    players keep x's probability arrays (the same objects).  A v equal to x,
-    never in Worse(x), is yielded as None (its blends stay).  Candidates are
-    unvalidated; the caller validates only the one it keeps."""
+    players keep x's probability arrays (the same objects), and unsatisfied
+    ones get the arrays of ``_vertex_and_blends``, so candidate k is made of
+    entry k % 4 of its players' tuples.  A v equal to x, never in Worse(x),
+    is yielded as None (its blends stay)."""
     base = [s.probs for s in x.strategies]
     unsat = sorted(report.unsatisfied)
-    for joint in itertools.product(*(np.eye(game.action_counts[i]) for i in unsat)):
-        vertex = list(base)
-        for i, row in zip(unsat, joint):
-            vertex[i] = row
-        yield None if [r.tolist() for r in joint] == [base[i].tolist() for i in unsat] else vertex
-        for xi in _XI_GRID:
-            yield _blend_uniform(vertex, report.unsatisfied, xi)
+    counts = [game.action_counts[i] for i in unsat]
+    # x's joint action, compared once per search: each unsatisfied player's
+    # action where it plays a vertex, else None, which matches no joint
+    own = []
+    for i, c in zip(unsat, counts):
+        a = int(base[i].argmax())
+        own.append(a if np.array_equal(base[i], _vertex(c, a).probs) else None)
+    own = tuple(own)
+    for joint in itertools.product(*map(range, counts)):
+        rows = [_vertex_and_blends(c, a) for c, a in zip(counts, joint)]
+        for k in range(1 + len(_XI_GRID)):
+            if k == 0 and joint == own:
+                yield None
+                continue
+            probs = list(base)
+            for i, row in zip(unsat, rows):
+                probs[i] = row[k].probs
+            yield probs
+
+
+def _candidate_profile(game: Game, x: StrategyProfile, report: SatisfactionReport, index: int):
+    """The profile of entry ``index`` of ``_worse_candidates(game, x, report)``,
+    made of x's strategies and the shared ones of ``_vertex_and_blends``."""
+    joint, k = divmod(index, 1 + len(_XI_GRID))
+    unsat = sorted(report.unsatisfied)
+    actions = np.unravel_index(joint, [game.action_counts[i] for i in unsat])
+    strategies = list(x.strategies)
+    for i, a in zip(unsat, actions):
+        strategies[i] = _vertex_and_blends(game.action_counts[i], int(a))[k]
+    return StrategyProfile(tuple(strategies))
 
 
 def _rounding_floor(game: Game, i: int) -> float:
@@ -352,9 +383,10 @@ def _rounding_floor(game: Game, i: int) -> float:
     the gap kernel, can stray from its exact value, doubled.  Each payoff
     average weighs at most ``size`` payoffs by products of ``n``
     probabilities summing to 1, so it errs by at most (size + n) * 2**-53
-    times the largest payoff magnitude; a gap subtracts two of them."""
-    payoff = game._tensors[i]
-    return 4 * (payoff.size + game.num_players) * _ULP * float(np.abs(payoff).max())
+    times the largest payoff magnitude (kept on the game); a gap subtracts
+    two of them."""
+    size = game.payoffs[i].size
+    return 4 * (size + game.num_players) * _ULP * game._payoff_bounds[i]
 
 
 def _certified_empty(game: Game, x: StrategyProfile, report: SatisfactionReport) -> bool:
@@ -411,14 +443,14 @@ def find_worse_candidate(
     candidates = _worse_candidates(game, x, report)
     # candidates only move unsatisfied players, so accessibility holds by
     # construction and membership in Worse is the two gap predicates
-    for probs in itertools.islice(candidates, config.budget):
+    for index, probs in enumerate(itertools.islice(candidates, config.budget)):
         gaps = [None] * game.num_players
         if (
             probs is not None
             and _keeps_unsatisfied(game, probs, report, gaps)
             and _flips_satisfied(game, probs, report, gaps)
         ):
-            profile = _profile_from(x, probs)
+            profile = _candidate_profile(game, x, report, index)
             for i, gap in enumerate(gaps):
                 if gap is None:
                     gaps[i] = _deviation_gap_raw(game, probs, i)

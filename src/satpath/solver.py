@@ -6,11 +6,13 @@ payoff (indifference), no unsupported action earns more, and the support
 probabilities form a distribution.  Supports are enumerated in a fixed
 order (increasing total support size, then lexicographic), so runs are
 reproducible.  The smallest supports, one action per player, are screened
-all at once: one array pass over the action grid marks every pure profile
-at which each player's action is within tolerance of its best reply, and
-the first such profile in that order is the pure equilibrium the singleton
-supports would have produced.  Only without one does the enumeration
-proper begin, at total support size n + 1.
+all at once, from one table of each player's shortfall (best reply minus
+own payoff) over the action grid: the first profile in that order whose
+shortfalls are all within tolerance, and which passes the off-support
+test, is the pure equilibrium the singleton supports would have produced.
+It is made of the shared vertex strategies (``games._vertex``), and its
+gaps are seeded from the table rather than computed again.  Only without
+one does the enumeration proper begin, at total support size n + 1.
 
 For two players the indifference conditions decouple: each player's
 supported payoffs constrain only the opponent's probabilities, giving one
@@ -33,6 +35,7 @@ from __future__ import annotations
 import itertools
 from collections.abc import Iterable
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -47,7 +50,9 @@ from .games import (
     _check_real,
     _contract,
     _profile_gaps,
+    _seed_gaps,
     _simplex_draws,
+    _vertex,
 )
 
 _NEWTON_MAX_ITER = 200
@@ -361,8 +366,9 @@ def _supports_from(game: Game, config: SolverConfig, smallest_total: int):
 
 
 def _pure_candidate(game: Game, config: SolverConfig) -> StrategyProfile | None:
-    """What the singleton supports contribute to ``find_nash``, from one array
-    pass over the action grid instead of one ``solve_on_support`` per profile.
+    """What the singleton supports contribute to ``find_nash``, from one
+    table of shortfalls over the action grid instead of one
+    ``solve_on_support`` per profile.
 
     At a pure profile, ``solve_on_support`` accepts a singleton support when
     no action beats each player's own by more than the dominance margin or
@@ -370,38 +376,57 @@ def _pure_candidate(game: Game, config: SolverConfig) -> StrategyProfile | None:
     needs the gap, best reply minus own payoff, to be at most ``tolerance``.
     These are the comparisons below, made on the same floats.  Returns the
     first accepted profile in C order (the order ``enumerate_supports``
-    yields singletons) whose gap passes; failing that, the first accepted
-    profile of least gap, the best candidate the singleton loop would have
-    kept; failing that, None.
+    yields singletons) whose gap passes: the profiles whose largest
+    shortfall is within ``tolerance`` already pass the dominance test, as
+    ``tolerance`` is below the margin, so each needs only the off-support
+    test.  Failing that, the first accepted profile of least gap, the best
+    candidate the singleton loop would have kept; failing that, None.
+
+    The profile is made of the shared vertices (``games._vertex``), and its
+    gap memo is seeded from the shortfalls: at a pure profile the gap
+    kernel's contraction only multiplies by 1 and adds zeros, so its gaps are
+    these shortfalls bit for bit.
     """
-    margin = _RESIDUAL_TOLERANCE + config.tolerance
-    accepted = np.ones(game.action_counts, dtype=bool)
-    gap = np.zeros(game.action_counts)
-    for i in range(game.num_players):
-        payoff = game._tensors[i]
-        best = payoff.max(axis=i, keepdims=True)
-        shortfall = best - payoff
-        accepted &= (shortfall <= margin) & (best <= payoff + config.tolerance)
-        np.maximum(gap, shortfall, out=gap)
-    hits = accepted & (gap <= config.tolerance)
-    if hits.any():
-        flat = np.argmax(hits)
-    elif accepted.any():
-        flat = np.argmin(np.where(accepted, gap, np.inf))
+    tol = config.tolerance
+    shape = game.action_counts
+    payoffs = game._tensors
+    # player i's best reply values keep i's axis, with length 1
+    bests = [p.max(axis=i, keepdims=True) for i, p in enumerate(payoffs)]
+    shortfalls = [b - p for b, p in zip(bests, payoffs)]
+    gap = reduce(np.maximum, shortfalls)
+    for flat in np.flatnonzero(gap <= tol).tolist():
+        index = np.unravel_index(flat, shape)
+        if all(
+            b[index[:i] + (0,) + index[i + 1 :]] <= p[index] + tol
+            for i, (b, p) in enumerate(zip(bests, payoffs))
+        ):
+            break
     else:
-        return None
-    return StrategyProfile.pure(game, np.unravel_index(flat, game.action_counts))
+        margin = _RESIDUAL_TOLERANCE + tol
+        accepted = reduce(
+            np.logical_and,
+            [(s <= margin) & (b <= p + tol) for s, b, p in zip(shortfalls, bests, payoffs)],
+        )
+        if not accepted.any():
+            return None
+        index = np.unravel_index(np.argmin(np.where(accepted, gap, np.inf)), shape)
+    profile = StrategyProfile(tuple(_vertex(c, int(a)) for c, a in zip(shape, index)))
+    # the kernel's clamp, which also turns a -0.0 shortfall into 0.0
+    gaps = [float(s[index]) for s in shortfalls]
+    _seed_gaps(game, profile, [g if g > 0.0 else 0.0 for g in gaps])
+    return profile
 
 
 def find_nash(game: Game, config: SolverConfig | None = None) -> StrategyProfile:
     """First verified equilibrium in the deterministic support order.
 
-    Pure profiles come first, screened in one array pass over the action
-    grid (``_pure_candidate``) rather than one singleton support at a time;
-    the support enumeration then starts at total support size n + 1.  Every
-    candidate, pure or mixed, is accepted only once its deviation gaps are
-    all at most ``config.tolerance``; those gaps stay memoized on the
-    returned profile (``games._profile_gaps``), so reading them again is free.
+    Pure profiles come first, screened from one table of shortfalls over
+    the action grid (``_pure_candidate``) rather than one singleton support
+    at a time; the support enumeration then starts at total support size
+    n + 1.  Every candidate, pure or mixed, is accepted only once its
+    deviation gaps are all at most ``config.tolerance``; those gaps stay
+    memoized on the returned profile (``games._profile_gaps``), so reading
+    them again is free, and a pure candidate's are seeded by the screen.
 
     The result is a pure function of the immutable game and the config, so
     it is memoized on the ``Game`` instance per (equal) ``SolverConfig``: a

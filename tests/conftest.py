@@ -2,17 +2,21 @@
 
 The oracles deliberately avoid the library's tensor-contraction code:
 expected rewards are brute-force sums over action profiles in pure
-Python, and the 2x2 equilibrium oracle is the closed-form pure scan plus
-the standard mixing formula.  Tests compare library output against these.
+Python, the exact oracle repeats those sums over ``Fraction`` values, and
+the 2x2 equilibrium oracle is the closed-form pure scan plus the standard
+mixing formula.  Tests compare library output against these.
 """
 
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
+from math import prod
+
 import numpy as np
 import pytest
 
-from satpath import Game, MixedStrategy, StrategyProfile
+from satpath import Game, MixedStrategy, StrategyProfile, satisfaction_report
 from satpath.paths import _flips_satisfied, _keeps_unsatisfied, _worse_candidates
 
 
@@ -97,6 +101,14 @@ def uncertified_search(game: Game, x: StrategyProfile, report):
     return None
 
 
+def fresh_gaps(game: Game, profile: StrategyProfile) -> np.ndarray:
+    """Every player's gap at an equal profile with fresh strategy objects,
+    whose memo is empty, so the kernel runs once per player."""
+    twin = StrategyProfile(tuple(MixedStrategy(s.probs) for s in profile.strategies))
+    assert twin._gaps == {}
+    return satisfaction_report(game, twin).gaps
+
+
 # --- brute-force oracles ----------------------------------------------------
 
 def brute_expected_reward(game: Game, profile: StrategyProfile, player: int) -> float:
@@ -128,6 +140,25 @@ def brute_gap(game: Game, profile: StrategyProfile, player: int) -> float:
 
 def brute_max_gap(game: Game, profile: StrategyProfile) -> float:
     return max(brute_gap(game, profile, i) for i in range(game.num_players))
+
+
+def exact_gaps(game: Game, profile: StrategyProfile) -> list[Fraction]:
+    """Every player's deviation gap at ``profile`` in rational arithmetic:
+    each payoff and probability, a float, converts to a ``Fraction`` exactly,
+    so nothing is rounded and no gap is clamped."""
+    probs = [[Fraction(p) for p in s.probs.tolist()] for s in profile.strategies]
+    counts = game.action_counts
+    gaps = []
+    for i in range(game.num_players):
+        pure_payoffs = [Fraction(0)] * counts[i]
+        for value, joint in zip(
+            game.payoffs[i].tolist(), itertools.product(*(range(c) for c in counts))
+        ):
+            weight = prod(probs[j][a] for j, a in enumerate(joint) if j != i)
+            pure_payoffs[joint[i]] += Fraction(value) * weight
+        current = sum(p * w for p, w in zip(probs[i], pure_payoffs))
+        gaps.append(max(pure_payoffs) - current)
+    return gaps
 
 
 def two_by_two_oracle(game: Game):

@@ -117,6 +117,39 @@ class TestMixedStrategy:
         assert a != MixedStrategy(np.array([0.3 + 1e-13, 0.7 - 1e-13]))
 
 
+class TestSharedVertex:
+    """``MixedStrategy.pure`` returns one shared, immutable point mass per
+    (count, action)."""
+
+    def test_one_object_per_vertex(self):
+        v = MixedStrategy.pure(3, 1)
+        assert MixedStrategy.pure(np.int64(3), np.int32(1)) is v
+        assert v.probs.tolist() == [0.0, 1.0, 0.0] and not v.probs.flags.writeable
+        assert MixedStrategy.pure(3, 2) is not v and MixedStrategy.pure(2, 1) is not v
+
+    @pytest.mark.parametrize("action", [True, np.bool_(True), -1, 3, 1.0])
+    def test_bad_action_raises_before_the_lookup(self, action):
+        # True == 1, so an unchecked bool would find the vertex of action 1
+        MixedStrategy.pure(3, 1)
+        with pytest.raises(GameInputError, match="^action "):
+            MixedStrategy.pure(3, action)
+
+    @pytest.mark.parametrize("count", [True, np.bool_(True), 0, 2.0])
+    def test_bad_count_raises(self, count):
+        with pytest.raises(GameInputError, match="^num_actions "):
+            MixedStrategy.pure(count, 0)
+
+    @pytest.mark.parametrize(
+        "duplicate", [copy.copy, copy.deepcopy, lambda s: pickle.loads(pickle.dumps(s))]
+    )
+    def test_copies_are_equal_distinct_and_read_only(self, duplicate):
+        v = MixedStrategy.pure(2, 0)
+        twin = duplicate(v)
+        assert twin == v and twin is not v and twin.probs is not v.probs
+        assert not twin.probs.flags.writeable and not v.probs.flags.writeable
+        assert MixedStrategy.pure(2, 0) is v
+
+
 class TestProfileValidation:
     def test_profile_shape_checked(self, mp):
         with pytest.raises(GameInputError, match="players"):

@@ -22,6 +22,7 @@ from satpath import (
     run_dynamics,
     save_game,
 )
+from satpath.cli import run
 
 from conftest import matching_pennies, pure, uniform
 
@@ -524,7 +525,7 @@ class TestTraceStructure:
             read_trace(_write_trace(tmp_path, rows))
 
 
-_STEP = '{"step_kind": "initial", "profile": [[0.5, 0.5], [0.5, 0.5]], "satisfied": [0, 1], '
+_STEP = '{"step": 1, "step_kind": "initial", "profile": [[0.5, 0.5], [0.5, 0.5]], "satisfied": [0, 1], '
 _DEEP = "[" * 200_000 + "]" * 200_000
 
 
@@ -566,3 +567,120 @@ class TestJsonDecoding:
     def test_well_formed_trace_text_reads(self, tmp_path):
         parsed = _read_json(tmp_path, "trace", '{"steps": [%s"gaps": [0.0, 0]}]}' % _STEP)
         assert parsed.gaps == ((0.0, 0.0),) and parsed.satisfied == ((0, 1),)
+
+
+def _json_trace(tmp_path, mp):
+    """A three-step matching-pennies JSON path trace and its decoded document."""
+    target = tmp_path / "trace.json"
+    path = construct_path(mp, pure(mp, (0, 0)))
+    assert [s.kind for s in path.steps] == ["initial", "worse_step", "case1_jump"]
+    emit_path(path, "json", target)
+    return target, json.loads(target.read_text())
+
+
+class TestJsonTraceSteps:
+    """A JSON trace numbers its steps by the CSV reader's rule: integers from
+    1, none repeated, none missing, and the steps are ordered by them."""
+
+    @pytest.mark.parametrize(
+        "numbers, t, match",
+        [
+            ([True, 2, 3], 0, "step must be an integer from 1 to 3, got True"),
+            ([1.0, 2, 3], 0, "step must be an integer from 1 to 3, got 1.0"),
+            (["1", 2, 3], 0, "step must be an integer from 1 to 3, got '1'"),
+            ([None, 2, 3], 0, "step must be an integer from 1 to 3, got None"),
+            ([0, 1, 2], 0, "step must be an integer from 1 to 3, got 0"),
+            ([1, -2, 3], 1, "step must be an integer from 1 to 3, got -2"),
+            ([1, 2, 2], 2, r"repeats step 2 of steps\[1\]"),
+            ([3, 1, 3], 2, r"repeats step 3 of steps\[0\]"),
+            # three steps numbered up to 4 leave a gap
+            ([1, 2, 4], 2, "step must be an integer from 1 to 3, got 4"),
+        ],
+        ids=["bool", "float", "string", "null", "zero", "negative", "repeated",
+             "repeated-first", "gap"],
+    )
+    def test_bad_step_rejected(self, mp, tmp_path, numbers, t, match):
+        target, doc = _json_trace(tmp_path, mp)
+        for step, number in zip(doc["steps"], numbers):
+            step["step"] = number
+        target.write_text(json.dumps(doc))
+        with pytest.raises(GameFormatError, match=match) as exc_info:
+            read_trace(target)
+        assert exc_info.value.key == f"steps[{t}]"
+
+    def test_missing_step_rejected(self, mp, tmp_path):
+        target, doc = _json_trace(tmp_path, mp)
+        del doc["steps"][1]["step"]
+        target.write_text(json.dumps(doc))
+        with pytest.raises(GameFormatError, match="malformed step") as exc_info:
+            read_trace(target)
+        assert exc_info.value.key == "steps[1]"
+
+    def test_steps_are_ordered_by_number(self, mp, tmp_path):
+        target, doc = _json_trace(tmp_path, mp)
+        in_order = read_trace(target)
+        doc["steps"] = doc["steps"][::-1]
+        target.write_text(json.dumps(doc))
+        assert read_trace(target) == in_order
+
+    def test_emitted_trace_round_trips(self, mp, tmp_path):
+        path = construct_path(mp, pure(mp, (0, 0)))
+        target = tmp_path / "trace.json"
+        emit_path(path, "json", target)
+        parsed = read_trace(target)
+        assert parsed.kinds == tuple(s.kind for s in path.steps)
+        assert parsed.profiles == path.profiles
+        assert parsed.gaps == tuple(tuple(s.report.gaps.tolist()) for s in path.steps)
+
+    def test_verify_exits_2_with_one_error_line(self, mp, tmp_path, capsys):
+        game_file = tmp_path / "mp.json"
+        save_game(mp, game_file)
+        target, doc = _json_trace(tmp_path, mp)
+        assert run(["verify", "--game", str(game_file), "--in", str(target)]) == 0
+        doc["steps"][2]["step"] = 2
+        target.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run(["verify", "--game", str(game_file), "--in", str(target)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: steps[2]: repeats step 2") and err.count("\n") == 1
+
+
+_BOM = b"\xef\xbb\xbf"  # U+FEFF in UTF-8
+
+
+class TestByteOrderMark:
+    """One leading UTF-8 byte-order mark is skipped wherever a file is read."""
+
+    @staticmethod
+    def _twins(tmp_path, name, text):
+        plain, marked = tmp_path / name, tmp_path / f"bom-{name}"
+        plain.write_text(text)
+        marked.write_bytes(_BOM + text.encode())
+        return plain, marked
+
+    def test_game_file(self, mp, tmp_path):
+        save_game(mp, tmp_path / "mp.json")
+        plain, marked = self._twins(tmp_path, "g.json", (tmp_path / "mp.json").read_text())
+        assert load_game(marked) == load_game(plain) == mp
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_trace(self, mp, tmp_path, fmt):
+        out = io.StringIO()
+        emit_path(construct_path(mp, pure(mp, (0, 0))), fmt, out)
+        plain, marked = self._twins(tmp_path, f"t.{fmt}", out.getvalue())
+        assert read_trace(marked) == read_trace(plain)
+
+    def test_only_one_mark_is_skipped(self, mp, tmp_path):
+        save_game(mp, tmp_path / "mp.json")
+        twice = tmp_path / "twice.json"
+        twice.write_bytes(_BOM + _BOM + (tmp_path / "mp.json").read_bytes())
+        with pytest.raises(GameFormatError, match="not valid JSON"):
+            load_game(twice)
+
+    def test_cli_solve(self, mp, tmp_path, capsys):
+        save_game(mp, tmp_path / "mp.json")
+        plain, marked = self._twins(tmp_path, "g.json", (tmp_path / "mp.json").read_text())
+        assert run(["solve", "--game", str(plain)]) == 0
+        expected = capsys.readouterr().out
+        assert run(["solve", "--game", str(marked)]) == 0
+        assert capsys.readouterr().out == expected

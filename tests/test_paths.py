@@ -6,11 +6,12 @@ import dataclasses
 import itertools
 import math
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from numpy.polynomial import polynomial as npoly
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from satpath import (
@@ -20,6 +21,7 @@ from satpath import (
     PathInvariantError,
     PathVerification,
     SolverConfig,
+    SolverIncompleteError,
     StrategyProfile,
     WorseSearchConfig,
     WorseSearchIncompleteError,
@@ -42,6 +44,8 @@ import satpath.paths
 
 from conftest import (
     brute_gap,
+    exact_gaps,
+    fresh_gaps,
     matching_pennies,
     profile_from,
     pure,
@@ -322,14 +326,6 @@ class TestWorseSearchStageOrder:
             assert y == build_w_xi(game, vertex, rep, xi)
 
 
-def fresh_gaps(game, profile):
-    """Every player's gap at an equal profile with fresh strategy objects,
-    whose memo is empty, so the kernel runs once per player."""
-    twin = StrategyProfile(tuple(MixedStrategy(s.probs) for s in profile.strategies))
-    assert twin._gaps == {}
-    return satisfaction_report(game, twin).gaps
-
-
 @st.composite
 def certificate_cases(draw):
     """A game with 2-4 players and 2-3 actions each, payoffs U[-1, 1] or small
@@ -440,6 +436,55 @@ class TestWorseCertificate:
             game = Game((2, 2), tuple(scale * np.array(p, float) for p in self.DOMINANT))
             x = pure(game, (0, 0))
             assert satpath.paths._certified_empty(game, x, report(game, x)) == certified
+
+
+@st.composite
+def exact_oracle_cases(draw):
+    """A game of 1-3 players with 1-3 actions each, payoffs U[-1, 1], and a
+    pure, face (each player mixing over a random nonempty subset of its
+    actions) or Dirichlet start."""
+    counts = tuple(draw(st.lists(st.integers(1, 3), min_size=1, max_size=3)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    game = Game(counts, tuple(rng.uniform(-1.0, 1.0, (len(counts), math.prod(counts)))))
+    start = draw(st.sampled_from(["pure", "face", "dirichlet"]))
+    if start == "pure":
+        return game, pure(game, tuple(int(rng.integers(c)) for c in counts))
+    if start == "dirichlet":
+        return game, random_profile(game, rng)
+    vectors = []
+    for c in counts:
+        support = rng.choice(c, size=int(rng.integers(1, c + 1)), replace=False)
+        probs = np.zeros(c)
+        probs[support] = rng.dirichlet(np.ones(support.size))
+        vectors.append(probs)
+    return game, profile_from(vectors)
+
+
+class TestExactOracle:
+    """Paths judged in exact rational arithmetic (``exact_gaps``)."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(exact_oracle_cases())
+    def test_path_against_exact_gaps(self, case):
+        game, x = case
+        try:
+            path = construct_path(game, x, EPS)
+        except SolverIncompleteError:
+            # the solver's known incompleteness, which leaves no path to
+            # judge: test_solver.py::TestKnownDefects holds a game drawn here
+            event("solver incomplete")
+            return
+        exact = [exact_gaps(game, step.profile) for step in path.steps]
+        for step, gaps in zip(path.steps, exact):
+            for e, f in zip(gaps, step.report.gaps.tolist()):
+                assert abs(e - Fraction(f)) <= Fraction(1e-14)
+        # a player satisfied at a step, by the exact gap or the float one,
+        # keeps its strategy bit for bit at the next
+        for t, (step, following) in enumerate(zip(path.steps, path.steps[1:])):
+            exactly = {i for i, e in enumerate(exact[t]) if e <= Fraction(EPS)}
+            for i in exactly | step.report.satisfied:
+                assert following.profile[i].probs.tobytes() == step.profile[i].probs.tobytes()
+        assert (max(exact[-1]) <= Fraction(EPS)) == (path.terminal_gap <= EPS)
 
 
 class TestSeededWorseGaps:

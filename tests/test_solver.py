@@ -23,6 +23,7 @@ from satpath import (
     enumerate_supports,
     find_nash,
     find_subgame_nash,
+    satisfaction_report,
     solve_on_support,
     verify_nash,
 )
@@ -31,6 +32,7 @@ from conftest import (
     brute_expected_reward,
     brute_max_gap,
     brute_pure_payoffs,
+    fresh_gaps,
     matching_pennies,
     profile_from,
     pure,
@@ -485,6 +487,65 @@ class TestPureStage:
             np.testing.assert_allclose(sol[i].probs, [0.5, 0.5], atol=1e-9)
 
 
+@st.composite
+def screen_games(draw):
+    """1-3 players with 1-3 actions, half the games with one player held to
+    a single action; payoffs from {-1, 0, 1} (ties and zero gaps) or U[-1, 1]."""
+    counts = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    if draw(st.booleans()):
+        counts[draw(st.integers(0, len(counts) - 1))] = 1
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = (len(counts), math.prod(counts))
+    if draw(st.booleans()):
+        payoffs = rng.integers(-1, 2, shape).astype(float)
+    else:
+        payoffs = rng.uniform(-1.0, 1.0, shape)
+    return Game(tuple(counts), tuple(payoffs))
+
+
+class TestPureScreenTable:
+    """The screen walks its shortfall table: its pure equilibrium is the first
+    singleton the per-support path accepts, made of the shared vertices,
+    with gaps seeded bit for bit as the kernel computes them."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(screen_games())
+    def test_first_accepted_singleton_with_seeded_gaps(self, game):
+        config = SolverConfig()
+        expected = None
+        for support in enumerate_supports(game, config):
+            if _total(support) > game.num_players:
+                break
+            profile = solve_on_support(game, support, config)
+            if profile is not None and fresh_gaps(game, profile).max() <= config.tolerance:
+                expected = profile
+                break
+        screened = satpath.solver._pure_candidate(game, config)
+        if screened is not None:
+            owner, seeded, _ = screened._gaps[id(game)]
+            assert owner is game and not seeded.flags.writeable
+            assert seeded.tobytes() == fresh_gaps(game, screened).tobytes()
+            for c, s in zip(game.action_counts, screened.strategies):
+                assert s is MixedStrategy.pure(c, s.support[0])
+        if expected is None:
+            assert screened is None or screened._gaps[id(game)][1].max() > config.tolerance
+            return
+        solved = find_nash(game)
+        assert _bitwise(solved, expected) and _bitwise(solved, screened)
+        assert satisfaction_report(game, solved).gaps.tobytes() == (
+            fresh_gaps(game, solved).tobytes()
+        )
+
+
+    def test_negative_zero_shortfall_seeds_zero(self):
+        # numpy's max of (0.0, -0.0) is -0.0, so the shortfall at action 0 is
+        # -0.0 - 0.0 = -0.0; the kernel clamps it to 0.0, and so must the seed
+        game = Game((2,), ([0.0, -0.0],))
+        screened = satpath.solver._pure_candidate(game, SolverConfig())
+        assert screened == pure(game, (0,))
+        assert screened._gaps[id(game)][1].tobytes() == fresh_gaps(game, screened).tobytes()
+
+
 class TestVerifyNash:
     def test_matching_pennies_mixed_vs_pure(self, mp):
         mixed = StrategyProfile(
@@ -600,4 +661,17 @@ class TestKnownDefects:
         payoffs = tuple(payoff_rng.uniform(-1.0, 1.0, int(np.prod(counts))) for _ in range(4))
         game = Game(counts, payoffs)
         assert counts == (3, 3, 2, 2)
+        assert verify_nash(game, find_nash(game), 1e-9)
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=SolverIncompleteError,
+        reason="no support yields a verified candidate on this 2x3x3 game (ROADMAP item 2)",
+    )
+    def test_random_2x3x3_game_solves(self):
+        # a game the exact-oracle path test drew: payoffs U[-1, 1] from one
+        # seed, no pure equilibrium, and no Newton start in a root's basin
+        rng = np.random.default_rng(536_870_912)
+        game = Game((2, 3, 3), tuple(rng.uniform(-1.0, 1.0, (3, 18))))
+        assert satpath.solver._pure_candidate(game, SolverConfig()) is None
         assert verify_nash(game, find_nash(game), 1e-9)
