@@ -33,6 +33,7 @@ from .games import (
     DEFAULT_EPSILON,
     Game,
     StrategyProfile,
+    _check_real,
     _check_seed,
     _profile_gaps,
     random_profile,
@@ -80,7 +81,7 @@ def _cmd_gen(args) -> int:
 
 def _cmd_solve(args) -> int:
     game = load_game(args.game)
-    config = SolverConfig(tolerance=args.eps)
+    config = SolverConfig(tolerance=_check_real("--eps", args.eps, positive=True))
     profile = find_nash(game, config)
     gaps = _profile_gaps(game, profile).tolist()
     doc = {
@@ -95,7 +96,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_path(args) -> int:
-    solver = SolverConfig(tolerance=args.eps)
+    solver = SolverConfig(tolerance=_check_real("--eps", args.eps, positive=True))
     worse = WorseSearchConfig(budget=args.budget)
     game = load_game(args.game)
     rng = np.random.default_rng(_check_seed("--seed", args.seed))

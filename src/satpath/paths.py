@@ -21,22 +21,14 @@ Worse-emptiness is a universal statement over a continuum.  Before trying
 any candidate, the search tries to certify it, exactly up to a bound on
 rounding (``_certified_empty``).  Where that fails, the search reads one
 finite, deterministic list of candidates, built from the joint pure
-profiles of the unsatisfied players (``_worse_candidates``).  Its vertex
-and blend strategies are built and validated once per process and shared
-(``_vertex_and_blends``), and the certificate's rounding floor reads the
-game's cached payoff magnitudes.  An exhausted list is only presumptive
-emptiness: the subgame jump is certified against the full game, and a
-failed certification raises ``WorseSearchIncompleteError`` with the path
-built so far.
+profiles of the unsatisfied players (``_worse_candidates``).  An exhausted
+list is only presumptive emptiness: the subgame jump is certified against
+the full game, and a failed certification raises
+``WorseSearchIncompleteError`` with the path built so far.
 
 Strategy equality along paths is bitwise on the stored probabilities:
 the constructor copies satisfied strategies verbatim, so exact equality
 is achievable and unambiguous.
-
-The indifference helpers (``build_z_lambda``, ``indifference_poly``,
-``zero_poly_check``) work on numpy core alone: ``indifference_poly``
-interpolates exactly, solving the Vandermonde system at n nodes, and
-``zero_poly_check`` evaluates with ``np.polyval``.
 """
 
 from __future__ import annotations
@@ -541,9 +533,8 @@ def construct_path(
 
 
 def _profiles_of(path) -> list[StrategyProfile]:
-    if hasattr(path, "profiles"):
-        return list(path.profiles)
-    return list(_check_instance("path", path, Iterable))
+    # one read of a path's profiles: SatisficingPath builds them per read
+    return list(_check_instance("path", getattr(path, "profiles", path), Iterable))
 
 
 def verify_path(

@@ -333,6 +333,15 @@ class TestRunFlagValidation:
     def test_bad_eps(self, mp_file, command, eps):
         assert run([command, "--game", mp_file, "--eps", eps]) == 2
 
+    @pytest.mark.parametrize("command", ["path", "solve"])
+    @pytest.mark.parametrize("eps", ["-1", "0", "inf"])
+    def test_eps_error_names_the_flag(self, mp_file, capsys, command, eps):
+        # the user typed --eps, not the solver config's "tolerance"
+        assert run([command, "--game", mp_file, "--eps", eps]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --eps must be a finite positive real, got {float(eps)!r}\n"
+
 
 def test_library_import_loads_no_cli():
     src = str(Path(satpath.__file__).resolve().parents[1])

@@ -5,8 +5,11 @@ from __future__ import annotations
 import copy
 import itertools
 import math
+import numbers
 import pickle
 import weakref
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -19,6 +22,7 @@ from satpath import (
     GameInputError,
     MixedStrategy,
     StrategyProfile,
+    construct_path,
     deviation_gap,
     expected_reward,
     find_nash,
@@ -27,8 +31,15 @@ from satpath import (
     random_profile,
     satisfaction_report,
     verify_nash,
+    verify_path,
 )
-from satpath.games import _batch_gaps, _contract, _deviation_gap_raw, _simplex_draws
+from satpath.games import (
+    _batch_gaps,
+    _check_real,
+    _contract,
+    _deviation_gap_raw,
+    _simplex_draws,
+)
 
 from conftest import (
     brute_expected_reward,
@@ -730,3 +741,117 @@ class TestProfileGapMemo:
         ref = weakref.ref(profile)
         del profile
         assert ref() is None  # freed by its reference count: no cycle through the game
+
+    def test_a_case1_path_on_a_solved_game_runs_the_kernel_once_per_player(
+        self, gap_kernel_calls
+    ):
+        # the median corpus path: the game's equilibrium is already solved,
+        # so only the fresh start's gaps are computed, once each
+        game = random_game(np.random.default_rng(42), n=3)
+        rng = np.random.default_rng(43)
+        construct_path(game, random_profile(game, rng))
+        gap_kernel_calls.clear()
+        path = construct_path(game, random_profile(game, rng))
+        assert [step.kind for step in path.steps] == ["initial", "case1_jump"]
+        assert gap_kernel_calls == [0, 1, 2]
+        gap_kernel_calls.clear()
+        assert verify_path(game, path, require_length_bound=True).ok
+        assert gap_kernel_calls == []
+
+
+# --- argument checks and reports ----------------------------------------------
+
+
+def reference_check_real(name, value, positive=False, high=None):
+    """``games._check_real`` as it was before its float fast path, kept
+    verbatim as the reference."""
+    real = math.nan
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            real = float(value)
+        except OverflowError:  # an integer beyond the range of a float
+            pass
+    if not (
+        math.isfinite(real)
+        and (real > 0.0 if positive else real >= 0.0)
+        and (high is None or real <= high)
+    ):
+        bound = "" if high is None else f" at most {high}"
+        sign = "positive" if positive else "nonnegative"
+        raise GameInputError(f"{name} must be a finite {sign} real{bound}, got {value!r}")
+    return real
+
+
+class HalfFloat(float):
+    """A float subclass whose ``__float__`` disagrees with its value."""
+
+    def __float__(self):
+        return 0.5
+
+
+_EDGE_REALS = [
+    0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.0, math.inf, -math.inf,
+    math.nan, np.float64(-0.0), np.float64(math.nan), np.float32(math.inf),
+    np.float16(-0.0), 2**1024, -(2**1024), 2**1100, np.int64(-1), np.uint64(2**64 - 1),
+    True, False, np.bool_(True), np.bool_(False), Fraction(1, 3), Fraction(-1, 3),
+    Decimal("0.5"), Decimal("NaN"), "0.5", "", None, 1j, complex(0.5, 0.0),
+    HalfFloat(2.0), HalfFloat(math.nan),
+]
+
+_CHECKED_VALUES = st.one_of(
+    st.sampled_from(_EDGE_REALS),
+    st.floats(),
+    st.floats().map(np.float64),
+    st.floats(width=32).map(np.float32),
+    st.floats(width=16).map(np.float16),
+    st.integers(),
+    st.integers(-(2**1100), 2**1100),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.integers(0, 2**64 - 1).map(np.uint64),
+    st.fractions(),
+    st.decimals(),
+    st.text(max_size=4),
+    st.complex_numbers(),
+)
+
+
+class TestCheckReal:
+    @settings(max_examples=600, deadline=None)
+    @given(_CHECKED_VALUES, st.booleans(), st.one_of(st.none(), st.floats(), st.just(1.0)))
+    def test_agrees_with_the_reference_bit_for_bit(self, value, positive, high):
+        try:
+            expected = reference_check_real("x", value, positive, high)
+        except GameInputError as exc:
+            with pytest.raises(GameInputError) as caught:
+                _check_real("x", value, positive, high)
+            assert str(caught.value) == str(exc)
+        else:
+            real = _check_real("x", value, positive, high)
+            assert type(real) is float and real.hex() == expected.hex()
+
+
+class TestReportMaxGap:
+    @settings(max_examples=150, deadline=None)
+    @given(games_and_profiles(), st.floats(0.0, 2.0))
+    def test_max_gap_is_the_gaps_maximum(self, game_and_profile, epsilon):
+        game, profile = game_and_profile
+        report = satisfaction_report(game, profile, epsilon)
+        assert type(report.max_gap) is float
+        assert report.max_gap.hex() == float(report.gaps.max()).hex()
+
+    def test_all_zero_and_clamped_negative_zero_gaps(self, rps):
+        # rps at uniform: every gap is 0; a one-player game whose payoffs are
+        # all -0.0 computes -0.0 - 0.0, which the kernel clamps to 0.0
+        minus_zero = Game((2,), ([-0.0, -0.0],))
+        cases = [(rps, uniform(rps)), (minus_zero, profile_from([[0.5, 0.5]]))]
+        for game, profile in cases:
+            report = satisfaction_report(game, profile, 0.0)
+            assert report.gaps.tolist() == [0.0] * game.num_players
+            assert all(math.copysign(1.0, g) == 1.0 for g in report.gaps.tolist())
+            assert report.max_gap.hex() == float(report.gaps.max()).hex() == (0.0).hex()
+            assert report.satisfied == frozenset(range(game.num_players))
+
+    def test_a_report_built_directly_derives_max_gap(self):
+        gaps = np.array([0.25, 3.0, 1.0])
+        report = satpath.games.SatisfactionReport(gaps, frozenset(), frozenset({0, 1, 2}), 0.1)
+        assert report.max_gap == 3.0 and type(report.max_gap) is float
