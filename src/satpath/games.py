@@ -34,13 +34,12 @@ per pair and keeps it on the profile, where every whole-profile gap read
 ``solver.verify_nash``, ``solver.find_nash``) finds it; and ``find_nash``
 keeps its equilibria on the game.  The same memo entry keeps the last
 ``SatisfactionReport`` built from those gaps, so asking again at the same
-epsilon returns that report; its ``max_gap`` is the largest entry of the
-gap list its satisfied/unsatisfied split reads, with no numpy reduction.  A
-profile built from gaps already in hand starts with its memo filled
-(``_seed_gaps``): the Worse search keeps the gaps it computed to accept a
-candidate, so the Worse step's report and its verification compute none,
-and ``find_nash``'s pure screen seeds its equilibrium's gaps from its table
-of shortfalls.
+epsilon returns that report, whose ``max_gap`` is the largest entry of
+``gaps.tolist()``, not a numpy reduction.  A profile built from gaps already
+in hand starts with its memo filled (``_seed_gaps``): the Worse search keeps
+the gaps it computed to accept a candidate, so the Worse step's report and
+its verification compute none, and ``find_nash``'s pure screen seeds its
+equilibrium's gaps from its table of shortfalls.
 
 Immutability also lets one strategy object serve many profiles.  Each point
 mass is built once per process (``_vertex``, which ``MixedStrategy.pure``
@@ -57,7 +56,7 @@ import math
 import numbers
 import string
 from collections.abc import Iterable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache, cached_property, lru_cache, reduce
 from math import prod
 from operator import add
@@ -344,19 +343,19 @@ class StrategyProfile:
 @dataclass(frozen=True, eq=False, slots=True)
 class SatisfactionReport:
     """Per-player deviation gaps and the satisfied/unsatisfied split at a
-    profile; ``max_gap``, the largest gap, is derived from ``gaps`` once,
-    with the report, unless it is given.  Profiles keep their last report
-    (``satisfaction_report``), hence the slots."""
+    profile; ``max_gap``, the largest gap, is computed once, with the report.
+    Profiles keep their last report (``satisfaction_report``), hence the
+    slots."""
 
     gaps: np.ndarray
     satisfied: frozenset[int]
     unsatisfied: frozenset[int]
     epsilon: float
-    max_gap: float | None = None
+    max_gap: float = field(init=False)
 
     def __post_init__(self):
-        if self.max_gap is None:
-            object.__setattr__(self, "max_gap", float(self.gaps.max()))
+        # kernel gaps are clamped to +0.0 and never NaN, so this is numpy's max
+        object.__setattr__(self, "max_gap", max(self.gaps.tolist()))
 
     def __repr__(self) -> str:
         return (
@@ -428,9 +427,7 @@ def _check_int(name: str, value, low: int | None = None, high: int | None = None
 
 def _check_real(name: str, value, positive: bool = False, high: float | None = None) -> float:
     """``value`` as a float: a finite real, not a bool or a string, that is
-    nonnegative (positive when ``positive``) and at most ``high`` if given.
-    A Python or numpy float costs one type test; other reals take the
-    ``numbers.Real`` check."""
+    nonnegative (positive when ``positive``) and at most ``high`` if given."""
     real = math.nan
     if isinstance(value, float):  # numpy's float64 subclasses float
         real = float(value)
@@ -611,11 +608,13 @@ def satisfaction_report(
     entry = _gap_entry(game, profile)
     report = entry[2]
     if report is None or report.epsilon != epsilon:
-        gaps = entry[1].tolist()
+        gaps = entry[1]
         satisfied, unsatisfied = _split(
-            tuple(i for i, gap in enumerate(gaps) if gap <= epsilon), len(gaps)
+            tuple(i for i, gap in enumerate(gaps.tolist()) if gap <= epsilon), gaps.size
         )
-        entry[2] = report = SatisfactionReport(entry[1], satisfied, unsatisfied, epsilon, max(gaps))
+        entry[2] = report = SatisfactionReport(
+            gaps=gaps, satisfied=satisfied, unsatisfied=unsatisfied, epsilon=epsilon
+        )
     return report
 
 

@@ -21,14 +21,22 @@ Worse-emptiness is a universal statement over a continuum.  Before trying
 any candidate, the search tries to certify it, exactly up to a bound on
 rounding (``_certified_empty``).  Where that fails, the search reads one
 finite, deterministic list of candidates, built from the joint pure
-profiles of the unsatisfied players (``_worse_candidates``).  An exhausted
-list is only presumptive emptiness: the subgame jump is certified against
-the full game, and a failed certification raises
-``WorseSearchIncompleteError`` with the path built so far.
+profiles of the unsatisfied players (``_worse_candidates``).  Its vertex
+and blend strategies are built and validated once per process and shared
+(``_vertex_and_blends``), and the certificate's rounding floor reads the
+game's cached payoff magnitudes.  An exhausted list is only presumptive
+emptiness: the subgame jump is certified against the full game, and a
+failed certification raises ``WorseSearchIncompleteError`` with the path
+built so far.
 
 Strategy equality along paths is bitwise on the stored probabilities:
 the constructor copies satisfied strategies verbatim, so exact equality
 is achievable and unambiguous.
+
+The indifference helpers (``build_z_lambda``, ``indifference_poly``,
+``zero_poly_check``) work on numpy core alone: ``indifference_poly``
+interpolates exactly, solving the Vandermonde system at n nodes, and
+``zero_poly_check`` evaluates with ``np.polyval``.
 """
 
 from __future__ import annotations
@@ -532,11 +540,6 @@ def construct_path(
     return path
 
 
-def _profiles_of(path) -> list[StrategyProfile]:
-    # one read of a path's profiles: SatisficingPath builds them per read
-    return list(_check_instance("path", getattr(path, "profiles", path), Iterable))
-
-
 def verify_path(
     game: Game,
     path,
@@ -555,7 +558,8 @@ def verify_path(
 
     Accepts a SatisficingPath, a Trajectory, or any sequence of profiles.
     """
-    profiles = _profiles_of(path)
+    # one read of a path's profiles: SatisficingPath builds them per read
+    profiles = list(_check_instance("path", getattr(path, "profiles", path), Iterable))
     if not profiles:
         raise GameInputError("path must contain at least one profile")
     for p in profiles:

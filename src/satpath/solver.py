@@ -10,8 +10,9 @@ all at once, from one table of each player's shortfall (best reply minus
 own payoff) over the action grid: the first profile in that order whose
 shortfalls are all within tolerance, and which passes the off-support
 test, is the pure equilibrium the singleton supports would have produced.
-Only without one does the enumeration proper begin, at total support size
-n + 1.
+It is made of the shared vertex strategies (``games._vertex``), and its
+gaps are seeded from the table rather than computed again.  Only without
+one does the enumeration proper begin, at total support size n + 1.
 
 For two players the indifference conditions decouple: each player's
 supported payoffs constrain only the opponent's probabilities, giving one

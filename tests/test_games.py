@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import copy
+import dataclasses
 import itertools
 import math
 import numbers
@@ -855,3 +856,8 @@ class TestReportMaxGap:
         gaps = np.array([0.25, 3.0, 1.0])
         report = satpath.games.SatisfactionReport(gaps, frozenset(), frozenset({0, 1, 2}), 0.1)
         assert report.max_gap == 3.0 and type(report.max_gap) is float
+        # max_gap is derived, never given, so it always matches gaps
+        with pytest.raises(TypeError):
+            satpath.games.SatisfactionReport(gaps, frozenset(), frozenset({0, 1, 2}), 0.1, 0.0)
+        replaced = dataclasses.replace(report, gaps=np.array([0.5, 0.0, 0.125]))
+        assert replaced.max_gap == 0.5
