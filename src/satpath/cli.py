@@ -16,6 +16,8 @@ import json
 import sys
 
 from .dynamics import (
+    _DEFAULT_EXPLORER,
+    _DEFAULT_MAX_STEPS,
     DYNAMICS_EPSILON,
     EXPLORER_KINDS,
     ExplorerPolicy,
@@ -31,8 +33,11 @@ from .errors import (
 )
 from .games import (
     DEFAULT_EPSILON,
+    MAX_ACTIONS,
+    MAX_PLAYERS,
     Game,
     StrategyProfile,
+    _check_int,
     _check_real,
     _check_seed,
     _profile_gaps,
@@ -46,7 +51,7 @@ from .gameio import (
     save_game,
     _write_text,
 )
-from .paths import WorseSearchConfig, construct_path, verify_path
+from .paths import _DEFAULT_WORSE, WorseSearchConfig, construct_path, verify_path
 from .solver import SolverConfig, find_nash
 
 import numpy as np
@@ -71,10 +76,20 @@ def _initial_profile(game: Game, spec: str, rng: np.random.Generator) -> Strateg
     )
 
 
+def _dynamics_flags(args) -> tuple[float, int, ExplorerPolicy]:
+    """The --eps, --max-steps and explorer flags of simulate and batch, each
+    checked against the library's bounds under the flag's own name."""
+    epsilon = _check_real("--eps", args.eps)
+    max_steps = _check_int("--max-steps", args.max_steps, 1)
+    weight = _check_real("--mixture-weight", args.mixture_weight, high=1.0)
+    return epsilon, max_steps, ExplorerPolicy(kind=args.explorer, mixture_weight=weight)
+
+
 def _cmd_gen(args) -> int:
-    game = generate_random_game(
-        args.players, _integers("--actions", args.actions), args.seed, name=args.name
-    )
+    players = _check_int("--players", args.players, 1, MAX_PLAYERS)
+    counts = _integers("--actions", args.actions)
+    actions = [_check_int("--actions", c, 1, MAX_ACTIONS) for c in counts]
+    game = generate_random_game(players, actions, args.seed, name=args.name)
     save_game(game, args.out or sys.stdout)
     return 0
 
@@ -97,7 +112,7 @@ def _cmd_solve(args) -> int:
 
 def _cmd_path(args) -> int:
     solver = SolverConfig(tolerance=_check_real("--eps", args.eps, positive=True))
-    worse = WorseSearchConfig(budget=args.budget)
+    worse = WorseSearchConfig(budget=_check_int("--budget", args.budget, 1, sys.maxsize))
     game = load_game(args.game)
     rng = np.random.default_rng(_check_seed("--seed", args.seed))
     x1 = _initial_profile(game, args.init, rng)
@@ -107,12 +122,13 @@ def _cmd_path(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    epsilon = _check_real("--eps", args.eps)
     game = load_game(args.game)
     trace = read_trace(args.infile)
     result = verify_path(
         game,
         list(trace.profiles),
-        args.eps,
+        epsilon,
         require_terminal_nash=not args.no_terminal_nash,
         require_length_bound=not args.no_length_bound,
     )
@@ -121,26 +137,26 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    epsilon, max_steps, explorer = _dynamics_flags(args)
     game = load_game(args.game)
     # trial 0 of game 0 in `batch --seed`: the start and the run draw from
     # separate streams, so a random start is not the run's first redraw
     init, run_seed = _trial_streams(_check_seed("--seed", args.seed), 0, 0)
     x1 = _initial_profile(game, args.init, init)
-    explorer = ExplorerPolicy(kind=args.explorer, mixture_weight=args.mixture_weight)
-    trajectory = run_dynamics(game, x1, args.eps, args.max_steps, explorer, run_seed)
+    trajectory = run_dynamics(game, x1, epsilon, max_steps, explorer, run_seed)
     emit_path(trajectory, args.format, args.out or sys.stdout)
     return 0
 
 
 def _cmd_batch(args) -> int:
+    epsilon, max_steps, explorer = _dynamics_flags(args)
     games = [load_game(path) for path in args.game]
-    explorer = ExplorerPolicy(kind=args.explorer, mixture_weight=args.mixture_weight)
     rows = batch_experiment(
         games,
-        trials_per_game=args.trials,
-        epsilon=args.eps,
+        trials_per_game=_check_int("--trials", args.trials, 1),
+        epsilon=epsilon,
         explorer=explorer,
-        max_steps=args.max_steps,
+        max_steps=max_steps,
         master_seed=args.seed,
     )
     if args.format == "json":
@@ -175,9 +191,9 @@ def build_parser() -> argparse.ArgumentParser:
     # the path constructor and the dynamics default to different epsilons
     for eps_flags, eps in ((exact, DEFAULT_EPSILON), (dynamics, DYNAMICS_EPSILON)):
         eps_flags.add_argument("--eps", type=float, default=eps)
-    dynamics.add_argument("--max-steps", type=int, default=1000)
-    dynamics.add_argument("--explorer", choices=list(EXPLORER_KINDS), default="dirichlet_uniform")
-    dynamics.add_argument("--mixture-weight", type=float, default=0.5)
+    dynamics.add_argument("--max-steps", type=int, default=_DEFAULT_MAX_STEPS)
+    dynamics.add_argument("--explorer", choices=EXPLORER_KINDS, default=_DEFAULT_EXPLORER.kind)
+    dynamics.add_argument("--mixture-weight", type=float, default=_DEFAULT_EXPLORER.mixture_weight)
     seed.add_argument("--seed", type=int, default=0)
     init.add_argument(
         "--init",
@@ -203,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
         parents=[game, exact, seed, init, fmt, out],
         help="construct a satisficing path to equilibrium",
     )
-    path.add_argument("--budget", type=int, default=5000)
+    path.add_argument("--budget", type=int, default=_DEFAULT_WORSE.budget)
     path.set_defaults(func=_cmd_path)
 
     verify = sub.add_parser(

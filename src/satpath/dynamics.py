@@ -27,7 +27,7 @@ unreachable.  It is a knob, not a claim.
 from __future__ import annotations
 
 from collections.abc import Iterable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -52,6 +52,9 @@ EXPLORER_KINDS = ("dirichlet_uniform", "pure_uniform", "mixture_with_current")
 
 #: Default satisfaction tolerance for the dynamics.
 DYNAMICS_EPSILON = 1e-6
+
+#: Default cap on the profiles of one run (``run_dynamics``, ``batch_experiment``).
+_DEFAULT_MAX_STEPS = 1000
 
 #: Trace kind of every trajectory profile after the initial one.
 _STEP_KIND = "dynamics_step"
@@ -91,25 +94,23 @@ _DEFAULT_EXPLORER = ExplorerPolicy()
 class Trajectory:
     """A simulated profile sequence with per-step satisfaction reports.
 
-    ``hit_step`` is the 1-based index of the first epsilon-Nash profile, or
+    ``hit_step``, derived from the reports, is the 1-based index of the
+    first epsilon-Nash profile (a report with no unsatisfied player), or
     None if the run stopped at the step cap without absorbing.
     """
 
     profiles: tuple[StrategyProfile, ...]
     reports: tuple[SatisfactionReport, ...]
-    hit_step: int | None
     seed: int
+    hit_step: int | None = field(init=False)
 
     def __post_init__(self):
         if not self.profiles:
             raise GameInputError("a trajectory must contain at least one profile")
         if len(self.profiles) != len(self.reports):
             raise GameInputError("trajectory profiles and reports differ in length")
-        if self.hit_step is not None:
-            _check_int("hit_step", self.hit_step, 1, len(self.profiles))
-            report = self.reports[self.hit_step - 1]
-            if report.max_gap > report.epsilon:
-                raise GameInputError("hit_step does not index an epsilon-Nash profile")
+        hits = (t for t, report in enumerate(self.reports, 1) if not report.unsatisfied)
+        object.__setattr__(self, "hit_step", next(hits, None))
 
     def __len__(self) -> int:
         return len(self.profiles)
@@ -246,7 +247,7 @@ def run_dynamics(
     game: Game,
     x1: StrategyProfile,
     epsilon: float = DYNAMICS_EPSILON,
-    max_steps: int = 1000,
+    max_steps: int = _DEFAULT_MAX_STEPS,
     explorer: ExplorerPolicy | None = None,
     seed: int = 0,
 ) -> Trajectory:
@@ -264,8 +265,7 @@ def run_dynamics(
     while reports[-1].unsatisfied and len(profiles) < max_steps:
         profiles.append(_step(profiles[-1], reports[-1], segments, explorer, rng))
         reports.append(satisfaction_report(game, profiles[-1], epsilon))
-    hit = None if reports[-1].unsatisfied else len(profiles)
-    return Trajectory(profiles=tuple(profiles), reports=tuple(reports), hit_step=hit, seed=seed)
+    return Trajectory(profiles=tuple(profiles), reports=tuple(reports), seed=seed)
 
 
 def batch_experiment(
@@ -273,7 +273,7 @@ def batch_experiment(
     trials_per_game: int,
     epsilon: float = DYNAMICS_EPSILON,
     explorer: ExplorerPolicy | None = None,
-    max_steps: int = 1000,
+    max_steps: int = _DEFAULT_MAX_STEPS,
     master_seed: int = 0,
 ) -> list[dict]:
     """Run seeded independent trials of the dynamics on each game and

@@ -34,8 +34,10 @@ per pair and keeps it on the profile, where every whole-profile gap read
 ``solver.verify_nash``, ``solver.find_nash``) finds it; and ``find_nash``
 keeps its equilibria on the game.  The same memo entry keeps the last
 ``SatisfactionReport`` built from those gaps, so asking again at the same
-epsilon returns that report, whose ``max_gap`` is the largest entry of
-``gaps.tolist()``, not a numpy reduction.  A profile built from gaps already
+epsilon returns that report.  A report takes only the gaps and epsilon,
+sharing the memo's read-only array, and derives from one ``gaps.tolist()``
+the split by ``gap <= epsilon`` and ``max_gap``, the largest entry, not a
+numpy reduction.  A profile built from gaps already
 in hand starts with its memo filled (``_seed_gaps``): the Worse search keeps
 the gaps it computed to accept a candidate, so the Worse step's report and
 its verification compute none, and ``find_nash``'s pure screen seeds its
@@ -342,20 +344,31 @@ class StrategyProfile:
 
 @dataclass(frozen=True, eq=False, slots=True)
 class SatisfactionReport:
-    """Per-player deviation gaps and the satisfied/unsatisfied split at a
-    profile; ``max_gap``, the largest gap, is computed once, with the report.
+    """Per-player deviation gaps at a profile and the split they induce: a
+    player is satisfied when its gap is at most ``epsilon``.  The split and
+    ``max_gap``, the largest gap, are derived with the report (and anew by
+    ``dataclasses.replace``).  ``gaps`` shares a read-only float array that
+    owns its data, such as the gap memo's, and copies anything else.
     Profiles keep their last report (``satisfaction_report``), hence the
     slots."""
 
     gaps: np.ndarray
-    satisfied: frozenset[int]
-    unsatisfied: frozenset[int]
     epsilon: float
+    satisfied: frozenset[int] = field(init=False)
+    unsatisfied: frozenset[int] = field(init=False)
     max_gap: float = field(init=False)
 
     def __post_init__(self):
+        gaps = self.gaps
+        floats = isinstance(gaps, np.ndarray) and gaps.dtype == np.float64
+        if not (floats and gaps.flags.owndata and not gaps.flags.writeable):
+            object.__setattr__(self, "gaps", _readonly(gaps))
+        values = self.gaps.tolist()
+        satisfied, unsatisfied = _split(tuple(gap <= self.epsilon for gap in values))
+        object.__setattr__(self, "satisfied", satisfied)
+        object.__setattr__(self, "unsatisfied", unsatisfied)
         # kernel gaps are clamped to +0.0 and never NaN, so this is numpy's max
-        object.__setattr__(self, "max_gap", max(self.gaps.tolist()))
+        object.__setattr__(self, "max_gap", max(values))
 
     def __repr__(self) -> str:
         return (
@@ -606,23 +619,18 @@ def satisfaction_report(
     _check_profile(game, profile)
     epsilon = _check_real("epsilon", epsilon)
     entry = _gap_entry(game, profile)
-    report = entry[2]
-    if report is None or report.epsilon != epsilon:
-        gaps = entry[1]
-        satisfied, unsatisfied = _split(
-            tuple(i for i, gap in enumerate(gaps.tolist()) if gap <= epsilon), gaps.size
-        )
-        entry[2] = report = SatisfactionReport(
-            gaps=gaps, satisfied=satisfied, unsatisfied=unsatisfied, epsilon=epsilon
-        )
-    return report
+    if entry[2] is None or entry[2].epsilon != epsilon:
+        entry[2] = SatisfactionReport(entry[1], epsilon)
+    return entry[2]
 
 
 @lru_cache(maxsize=1024)
-def _split(satisfied: tuple[int, ...], n: int) -> tuple[frozenset[int], frozenset[int]]:
-    """The satisfied and unsatisfied sets of ``n`` players, built once per
-    split and shared by the reports that profiles keep."""
-    return frozenset(satisfied), frozenset(range(n)).difference(satisfied)
+def _split(flags: tuple[bool, ...]) -> tuple[frozenset[int], frozenset[int]]:
+    """The satisfied and unsatisfied sets of the players whose ``flags`` say
+    whether each is satisfied, built once per split and shared by the
+    reports that profiles keep."""
+    satisfied = frozenset(i for i, flag in enumerate(flags) if flag)
+    return satisfied, frozenset(range(len(flags))).difference(satisfied)
 
 
 def is_eps_best_response(

@@ -101,14 +101,14 @@ class PathStep:
 @dataclass(frozen=True, eq=False)
 class SatisficingPath:
     """An ordered profile sequence ending, when construction succeeds, at an
-    epsilon-Nash equilibrium.  ``escalations`` is always 0: the Worse search
+    epsilon-Nash equilibrium.  ``terminal_gap`` is read from the last step's
+    report.  ``escalations`` is a class constant, always 0: the Worse search
     reads a finite list, so a failed subgame jump raises rather than
-    searching again; the field stays for readers of path traces."""
+    searching again; it stays for readers of path traces."""
 
     steps: tuple[PathStep, ...]
     epsilon: float
-    terminal_gap: float
-    escalations: int = 0
+    escalations = 0  # not annotated: a class constant, not a field
 
     def __post_init__(self):
         if not self.steps:
@@ -116,6 +116,10 @@ class SatisficingPath:
 
     def __len__(self) -> int:
         return len(self.steps)
+
+    @property
+    def terminal_gap(self) -> float:
+        return self.steps[-1].report.max_gap
 
     @property
     def profiles(self) -> tuple[StrategyProfile, ...]:
@@ -210,16 +214,11 @@ def in_nob(game: Game, x: StrategyProfile, y: StrategyProfile, epsilon: float) -
 def in_worse(game: Game, x: StrategyProfile, y: StrategyProfile, epsilon: float) -> bool:
     """Whether y is in NoB(x) and flips at least one satisfied player, so the
     unsatisfied set strictly grows."""
-    _check_profile(game, x)
-    _check_profile(game, y)
-    report_x = satisfaction_report(game, x, epsilon)
+    if not in_nob(game, x, y, epsilon):
+        return False
     probs = [s.probs for s in y.strategies]
-    gaps = [None] * game.num_players
-    return (
-        is_accessible(x, y, report_x)
-        and _keeps_unsatisfied(game, probs, report_x, gaps)
-        and _flips_satisfied(game, probs, report_x, gaps)
-    )
+    report_x = satisfaction_report(game, x, epsilon)
+    return _flips_satisfied(game, probs, report_x, [None] * game.num_players)
 
 
 def build_w_xi(
@@ -336,23 +335,21 @@ def _vertex_and_blends(num_actions: int, action: int) -> tuple[MixedStrategy, ..
 
 
 def _worse_candidates(game: Game, x: StrategyProfile, report: SatisfactionReport):
-    """Yield accessible candidates as full probability lists, in search order:
-    for each joint pure profile v of the unsatisfied players, in C order over
-    the sorted players, v itself and then v blended with the uniform
-    strategies as in ``build_w_xi`` for each xi in ``_XI_GRID``.  Satisfied
-    players keep x's probability arrays (the same objects), and unsatisfied
-    ones get the arrays of ``_vertex_and_blends``, so candidate k is made of
-    entry k % 4 of its players' tuples.  A v equal to x, never in Worse(x),
-    is yielded as None (its blends stay)."""
-    base = [s.probs for s in x.strategies]
+    """Yield accessible candidates as full lists of strategies, in search
+    order: for each joint pure profile v of the unsatisfied players, in C
+    order over the sorted players, v itself and then v blended with the
+    uniform strategies as in ``build_w_xi`` for each xi in ``_XI_GRID``.
+    Satisfied players keep x's strategies (the same objects), and
+    unsatisfied ones get the shared strategies of ``_vertex_and_blends``.  A
+    v equal to x, never in Worse(x), is yielded as None (its blends stay)."""
     unsat = sorted(report.unsatisfied)
     counts = [game.action_counts[i] for i in unsat]
     # x's joint action, compared once per search: each unsatisfied player's
     # action where it plays a vertex, else None, which matches no joint
     own = []
     for i, c in zip(unsat, counts):
-        a = int(base[i].argmax())
-        own.append(a if np.array_equal(base[i], _vertex(c, a).probs) else None)
+        a = int(x[i].probs.argmax())
+        own.append(a if np.array_equal(x[i].probs, _vertex(c, a).probs) else None)
     own = tuple(own)
     for joint in itertools.product(*map(range, counts)):
         rows = [_vertex_and_blends(c, a) for c, a in zip(counts, joint)]
@@ -360,22 +357,10 @@ def _worse_candidates(game: Game, x: StrategyProfile, report: SatisfactionReport
             if k == 0 and joint == own:
                 yield None
                 continue
-            probs = list(base)
+            strategies = list(x.strategies)
             for i, row in zip(unsat, rows):
-                probs[i] = row[k].probs
-            yield probs
-
-
-def _candidate_profile(game: Game, x: StrategyProfile, report: SatisfactionReport, index: int):
-    """The profile of entry ``index`` of ``_worse_candidates(game, x, report)``,
-    made of x's strategies and the shared ones of ``_vertex_and_blends``."""
-    joint, k = divmod(index, 1 + len(_XI_GRID))
-    unsat = sorted(report.unsatisfied)
-    actions = np.unravel_index(joint, [game.action_counts[i] for i in unsat])
-    strategies = list(x.strategies)
-    for i, a in zip(unsat, actions):
-        strategies[i] = _vertex_and_blends(game.action_counts[i], int(a))[k]
-    return StrategyProfile(tuple(strategies))
+                strategies[i] = row[k]
+            yield strategies
 
 
 def _rounding_floor(game: Game, i: int) -> float:
@@ -443,14 +428,16 @@ def find_worse_candidate(
     candidates = _worse_candidates(game, x, report)
     # candidates only move unsatisfied players, so accessibility holds by
     # construction and membership in Worse is the two gap predicates
-    for index, probs in enumerate(itertools.islice(candidates, config.budget)):
+    for strategies in itertools.islice(candidates, config.budget):
+        if strategies is None:
+            continue
+        probs = [s.probs for s in strategies]
         gaps = [None] * game.num_players
         if (
-            probs is not None
-            and _keeps_unsatisfied(game, probs, report, gaps)
+            _keeps_unsatisfied(game, probs, report, gaps)
             and _flips_satisfied(game, probs, report, gaps)
         ):
-            profile = _candidate_profile(game, x, report, index)
+            profile = StrategyProfile(tuple(strategies))
             for i, gap in enumerate(gaps):
                 if gap is None:
                     gaps[i] = _deviation_gap_raw(game, probs, i)
@@ -478,8 +465,8 @@ def construct_path(
     WorseSearchIncompleteError is raised with the partial path.
 
     For the terminal certification to be meaningful, ``solver_config``'s
-    tolerance must not exceed ``epsilon`` (GameInputError otherwise); the
-    defaults agree at 1e-9.
+    tolerance must not exceed ``epsilon`` (GameInputError otherwise); both
+    default to ``DEFAULT_EPSILON``.
     """
     _check_profile(game, x1)
     epsilon = _check_real("epsilon", epsilon)
@@ -531,9 +518,7 @@ def construct_path(
         steps.append(PathStep(profile=target, kind=kind, report=target_report))
         break
 
-    path = SatisficingPath(
-        steps=tuple(steps), epsilon=epsilon, terminal_gap=steps[-1].report.max_gap
-    )
+    path = SatisficingPath(steps=tuple(steps), epsilon=epsilon)
     check = verify_path(game, path, epsilon, require_terminal_nash=True, require_length_bound=True)
     if not check.ok:
         raise PathInvariantError(f"constructed path failed verification: {check.reason}")

@@ -41,6 +41,7 @@ import numpy as np
 
 from .errors import GameInputError, SolverIncompleteError
 from .games import (
+    DEFAULT_EPSILON,
     Game,
     MixedStrategy,
     StrategyProfile,
@@ -111,7 +112,7 @@ class SolverConfig:
     (None = unlimited).
     """
 
-    tolerance: float = 1e-9
+    tolerance: float = DEFAULT_EPSILON
     max_support_size: int | None = None
 
     def __post_init__(self):

@@ -88,16 +88,19 @@ def random_game(rng: np.random.Generator, n: int | None = None, max_actions: int
 def uncertified_search(game: Game, x: StrategyProfile, report):
     """The first member of Worse(x) in the Worse search's whole candidate
     list, tried by the search's two membership predicates without the
-    emptiness certificate or a budget; None when the list holds none.  The
-    list's None entry, x itself, is skipped as the search skips it."""
-    for probs in _worse_candidates(game, x, report):
+    emptiness certificate or a budget, as a profile of the candidate's
+    strategies; None when the list holds none.  The list's None entry, x
+    itself, is skipped as the search skips it."""
+    for strategies in _worse_candidates(game, x, report):
+        if strategies is None:
+            continue
+        probs = [s.probs for s in strategies]
         gaps = [None] * game.num_players
         if (
-            probs is not None
-            and _keeps_unsatisfied(game, probs, report, gaps)
+            _keeps_unsatisfied(game, probs, report, gaps)
             and _flips_satisfied(game, probs, report, gaps)
         ):
-            return probs
+            return StrategyProfile(tuple(strategies))
     return None
 
 

@@ -4,9 +4,9 @@ Criteria (tolerances pinned inline):
   1. path construction succeeds on a 200-game x 5-start random corpus with
      oracle-checked terminal gap <= 1e-6, 100% overall, within 5 minutes;
      likewise from one boundary start per corpus game.  The check that
-     >= 99% of paths have ``escalations`` 0 stays, though the field is
-     always 0: the Worse search reads a finite list, and a failed subgame
-     jump raises instead of searching again
+     >= 99% of paths have ``escalations`` 0 stays, though it is a class
+     constant, always 0: the Worse search reads a finite list, and a failed
+     subgame jump raises instead of searching again
   2. length bound: from the fully mixed starts, T <= n (the check still
      allows T <= n + 1 for a path with escalations, which no path has);
      from the boundary starts, T <= n + 1

@@ -322,7 +322,7 @@ class TestRunFlagValidation:
                     "--budget", "100000000000000000000"])
         assert code == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: budget must be at most") and err.count("\n") == 1
+        assert err.startswith("error: --budget must be at most") and err.count("\n") == 1
 
     @pytest.mark.parametrize("command", ["simulate", "batch"])
     def test_zero_max_steps(self, mp_file, command):
@@ -333,14 +333,59 @@ class TestRunFlagValidation:
     def test_bad_eps(self, mp_file, command, eps):
         assert run([command, "--game", mp_file, "--eps", eps]) == 2
 
-    @pytest.mark.parametrize("command", ["path", "solve"])
-    @pytest.mark.parametrize("eps", ["-1", "0", "inf"])
-    def test_eps_error_names_the_flag(self, mp_file, capsys, command, eps):
-        # the user typed --eps, not the solver config's "tolerance"
-        assert run([command, "--game", mp_file, "--eps", eps]) == 2
+    @pytest.mark.parametrize(
+        "eps, command",
+        [(eps, command) for command in ("path", "solve") for eps in ("-1", "0", "inf")]
+        + [(eps, command) for command in ("verify", "simulate", "batch") for eps in ("-1", "nan")],
+    )
+    def test_eps_error_names_the_flag(self, mp_file, tmp_path, capsys, command, eps):
+        # the user typed --eps, not the solver config's "tolerance" or the
+        # library's "epsilon"; solve and path need a positive solver tolerance
+        args = [command, "--game", mp_file, "--eps", eps]
+        if command == "verify":
+            trace = tmp_path / "trace.json"
+            assert run(["path", "--game", mp_file, "--out", str(trace)]) == 0
+            args += ["--in", str(trace)]
+        assert run(args) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == f"error: --eps must be a finite positive real, got {float(eps)!r}\n"
+        sign = "positive" if command in ("path", "solve") else "nonnegative"
+        assert captured.err == f"error: --eps must be a finite {sign} real, got {float(eps)!r}\n"
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["simulate", "--mixture-weight", "2"],
+             "--mixture-weight must be a finite nonnegative real at most 1.0, got 2.0"),
+            (["batch", "--mixture-weight", "-0.5"],
+             "--mixture-weight must be a finite nonnegative real at most 1.0, got -0.5"),
+            (["batch", "--trials", "0"], "--trials must be at least 1, got 0: out of range"),
+            (["simulate", "--max-steps", "0"],
+             "--max-steps must be at least 1, got 0: out of range"),
+            (["batch", "--max-steps", "-3"],
+             "--max-steps must be at least 1, got -3: out of range"),
+            (["path", "--budget", "0"], "--budget must be at least 1, got 0: out of range"),
+        ],
+        ids=["simulate-weight", "batch-weight", "trials", "simulate-steps", "batch-steps", "budget"],
+    )
+    def test_range_error_names_the_flag(self, mp_file, capsys, args, message):
+        assert run([*args, "--game", mp_file]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "players, actions, message",
+        [
+            ("7", "2,2,2,2,2,2,2", "--players must be at most 6, the maximum, got 7: out of range"),
+            ("0", "2", "--players must be at least 1, got 0: out of range"),
+            ("2", "2,7", "--actions must be at most 6, the maximum, got 7: out of range"),
+        ],
+        ids=["players-7", "players-0", "actions-7"],
+    )
+    def test_gen_range_error_names_the_flag(self, capsys, players, actions, message):
+        assert run(["gen", "--players", players, "--actions", actions]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: {message}\n"
 
 
 def test_library_import_loads_no_cli():

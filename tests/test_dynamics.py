@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import io
+import json
+
 import numpy as np
 import pytest
 
@@ -13,6 +16,7 @@ from satpath import (
     StrategyProfile,
     Trajectory,
     batch_experiment,
+    emit_path,
     generate_random_game,
     random_profile,
     run_dynamics,
@@ -77,13 +81,43 @@ class TestTrajectoryType:
         prof = uniform(mp)
         report = satisfaction_report(mp, prof, 1e-6)
         with pytest.raises(GameInputError, match="length"):
-            Trajectory(profiles=(prof, prof), reports=(report,), hit_step=None, seed=0)
+            Trajectory(profiles=(prof, prof), reports=(report,), seed=0)
 
     def test_hit_step_must_index_equilibrium(self, mp):
+        # hit_step is derived: a profile that is not epsilon-Nash is never
+        # the hit, and no hit can be stated
         prof = pure(mp, (0, 0))
         report = satisfaction_report(mp, prof, 1e-6)
-        with pytest.raises(GameInputError, match="hit_step"):
+        assert Trajectory(profiles=(prof,), reports=(report,), seed=0).hit_step is None
+        with pytest.raises(TypeError):
             Trajectory(profiles=(prof,), reports=(report,), hit_step=1, seed=0)
+
+    def test_hit_step_is_the_first_epsilon_nash_report(self, mp):
+        hh, nash = pure(mp, (0, 0)), uniform(mp)
+        miss, hit = (satisfaction_report(mp, p, 1e-6) for p in (hh, nash))
+        cases = [
+            ((miss,), None),
+            ((miss, miss, miss), None),
+            ((hit,), 1),
+            ((miss, hit, miss, hit, hit), 2),
+            ((miss, miss, miss, hit), 4),
+        ]
+        for reports, expected in cases:
+            profiles = tuple(nash if r is hit else hh for r in reports)
+            assert Trajectory(profiles, reports, 0).hit_step == expected
+
+    def test_an_equilibrium_hit_cannot_be_denied(self, pd):
+        # at the parent, hit_step=None was accepted at (D, D), the
+        # prisoner's dilemma equilibrium, and emitted as "hit_step": null
+        dd = pure(pd, (1, 1))
+        report = satisfaction_report(pd, dd, 1e-6)
+        with pytest.raises(TypeError):
+            Trajectory(profiles=(dd,), reports=(report,), hit_step=None, seed=0)
+        trajectory = Trajectory(profiles=(dd,), reports=(report,), seed=0)
+        assert trajectory.hit_step == 1
+        buf = io.StringIO()
+        emit_path(trajectory, "json", buf)
+        assert json.loads(buf.getvalue())["hit_step"] == 1
 
 
 class TestRunDynamics:

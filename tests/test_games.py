@@ -35,6 +35,7 @@ from satpath import (
     verify_path,
 )
 from satpath.games import (
+    SatisfactionReport,
     _batch_gaps,
     _check_real,
     _contract,
@@ -854,10 +855,91 @@ class TestReportMaxGap:
 
     def test_a_report_built_directly_derives_max_gap(self):
         gaps = np.array([0.25, 3.0, 1.0])
-        report = satpath.games.SatisfactionReport(gaps, frozenset(), frozenset({0, 1, 2}), 0.1)
+        report = SatisfactionReport(gaps, 0.1)
         assert report.max_gap == 3.0 and type(report.max_gap) is float
         # max_gap is derived, never given, so it always matches gaps
         with pytest.raises(TypeError):
-            satpath.games.SatisfactionReport(gaps, frozenset(), frozenset({0, 1, 2}), 0.1, 0.0)
+            SatisfactionReport(gaps, 0.1, 0.0)
         replaced = dataclasses.replace(report, gaps=np.array([0.5, 0.0, 0.125]))
         assert replaced.max_gap == 0.5
+
+
+@st.composite
+def gaps_and_epsilons(draw):
+    """A gap vector of 1-6 entries and an epsilon, with entries equal to
+    epsilon, zeros and the float just above epsilon drawn often."""
+    eps = draw(st.one_of(st.just(0.0), st.floats(0.0, 2.0)))
+    entry = st.one_of(
+        st.just(eps), st.just(0.0), st.just(math.nextafter(eps, math.inf)), st.floats(0.0, 3.0)
+    )
+    return draw(st.lists(entry, min_size=1, max_size=6)), eps
+
+
+def assert_derived(report, values, eps):
+    """``report``'s derived fields are those of ``values`` at ``eps``."""
+    assert report.gaps.tolist() == values and report.epsilon == eps
+    assert report.satisfied == {i for i, gap in enumerate(values) if gap <= eps}
+    assert report.unsatisfied == {i for i, gap in enumerate(values) if not gap <= eps}
+    assert type(report.max_gap) is float and report.max_gap == max(values)
+
+
+class TestDerivedReportFields:
+    """A report takes only its gaps and epsilon; the split and max_gap are
+    derived from them, so no report states a split its gaps contradict."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(gaps_and_epsilons(), gaps_and_epsilons())
+    def test_split_is_gap_at_most_epsilon(self, case, other):
+        values, eps = case
+        report = SatisfactionReport(np.array(values), eps)
+        assert_derived(report, values, eps)
+        # replace recomputes every derived field from the new inputs
+        assert_derived(dataclasses.replace(report, epsilon=other[1]), values, other[1])
+        assert_derived(dataclasses.replace(report, gaps=np.array(other[0])), other[0], eps)
+        assert_derived(SatisfactionReport(values, eps), values, eps)
+
+    @pytest.mark.parametrize(
+        "name, value", [("satisfied", frozenset()), ("unsatisfied", frozenset()), ("max_gap", 0.0)]
+    )
+    def test_derived_fields_are_not_arguments(self, name, value):
+        with pytest.raises(TypeError):
+            SatisfactionReport(np.array([0.0, 2.0]), 1e-9, **{name: value})
+
+    def test_split_given_at_the_parent_is_refused(self, mp):
+        # matching pennies at (H, H): nobody unsatisfied at max_gap 2 cannot
+        # be stated, and the derived report says player 1 is unsatisfied
+        gaps = satisfaction_report(mp, pure(mp, (0, 0)), 1e-9).gaps
+        assert gaps.tolist() == [0.0, 2.0]
+        with pytest.raises(TypeError):
+            SatisfactionReport(gaps, frozenset({0, 1}), frozenset(), 1e-9)
+        assert SatisfactionReport(gaps, 1e-9).unsatisfied == {1}
+
+    def test_replace_epsilon_resplits(self, mp):
+        # at the parent, replace(report, epsilon=5.0) kept unsatisfied {1}
+        report = satisfaction_report(mp, pure(mp, (0, 0)), 1e-9)
+        assert report.unsatisfied == {1}
+        loose = dataclasses.replace(report, epsilon=5.0)
+        assert loose.satisfied == {0, 1} and loose.unsatisfied == frozenset()
+        assert loose.max_gap == 2.0 and loose.gaps is report.gaps
+
+    def test_caller_writes_do_not_reach_the_report(self):
+        gaps = np.array([0.5, 2.0])
+        report = SatisfactionReport(gaps, 1.0)
+        view = np.array([0.5, 2.0])[:]
+        view.setflags(write=False)  # read-only, but its base stays writable
+        from_view = SatisfactionReport(view, 1.0)
+        gaps[:] = 0.0
+        view.base[:] = 0.0
+        for kept in (report, from_view):
+            assert kept.gaps.tolist() == [0.5, 2.0] and not kept.gaps.flags.writeable
+            assert kept.unsatisfied == {1} and kept.max_gap == 2.0
+
+    def test_memo_gaps_are_shared_not_copied(self, mp):
+        profile = pure(mp, (0, 0))
+        report = satisfaction_report(mp, profile, 1e-9)
+        assert report.gaps is profile._gaps[id(mp)][1]
+        assert SatisfactionReport(report.gaps, 0.5).gaps is report.gaps
+        # an integer array is copied as floats, so max_gap stays a float
+        ints = np.array([0, 2])
+        ints.setflags(write=False)
+        assert type(SatisfactionReport(ints, 0.5).max_gap) is float

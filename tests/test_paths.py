@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import dataclasses
+import io
 import itertools
+import json
 import math
+import operator
 import sys
 from fractions import Fraction
 
@@ -20,6 +23,7 @@ from satpath import (
     MixedStrategy,
     PathInvariantError,
     PathVerification,
+    SatisficingPath,
     SolverConfig,
     SolverIncompleteError,
     StrategyProfile,
@@ -28,6 +32,7 @@ from satpath import (
     build_w_xi,
     build_z_lambda,
     construct_path,
+    emit_path,
     find_worse_candidate,
     in_nob,
     in_worse,
@@ -210,6 +215,15 @@ class TestFindWorseCandidate:
         y = find_worse_candidate(mp, x, EPS, WorseSearchConfig(budget=6))
         assert y == profile_from([[1.0, 0.0], [0.25, 0.75]]) and y[0] is x[0]
 
+    def test_hit_is_made_of_its_candidate_strategies(self, mp):
+        # the hit is the sixth list entry, the 0.5 blend of the vertex T: the
+        # profile holds x's strategy and that shared blend, not copies
+        x = pure(mp, (0, 0))
+        sixth = list(satpath.paths._worse_candidates(mp, x, report(mp, x)))[5]
+        y = find_worse_candidate(mp, x, EPS)
+        assert y.strategies == tuple(sixth) and all(map(operator.is_, y.strategies, sixth))
+        assert y[1] is satpath.paths._vertex_and_blends(2, 1)[1]
+
 
 class TestWorseSearchConfig:
     @pytest.mark.parametrize(
@@ -273,9 +287,15 @@ class TestWorseSearchStageOrder:
         assert len(listed) == len(expected) == 4 * 2 * 3
         # x itself is the first vertex; None holds its place in the list
         assert listed[0] is None and expected[0] == x
-        for probs, profile in zip(listed[1:], expected[1:]):
-            assert probs[0] is x[0].probs
-            assert all(p.tobytes() == s.probs.tobytes() for p, s in zip(probs, profile))
+        for strategies, profile in zip(listed[1:], expected[1:]):
+            assert strategies[0] is x[0]
+            assert all(
+                s.probs.tobytes() == t.probs.tobytes() for s, t in zip(strategies, profile)
+            )
+        # unsatisfied players get the shared vertex and blend objects: entry
+        # 5 is the 0.5 blend of joint (0, 1)
+        shared = satpath.paths._vertex_and_blends
+        assert listed[5][1] is shared(2, 0)[1] and listed[5][2] is shared(3, 1)[1]
 
     def test_x_itself_is_never_a_candidate(self):
         # from a pure start x is one of the listed vertices: None holds its
@@ -294,9 +314,11 @@ class TestWorseSearchStageOrder:
             own = np.ravel_multi_index(
                 [int(np.argmax(x[i].probs)) for i in unsat], [game.action_counts[i] for i in unsat]
             )
-            assert [k for k, probs in enumerate(listed) if probs is None] == [4 * own]
+            assert [k for k, strategies in enumerate(listed) if strategies is None] == [4 * own]
             mine = [s.probs.tolist() for s in x.strategies]
-            assert all([p.tolist() for p in probs] != mine for probs in listed if probs)
+            assert all(
+                [s.probs.tolist() for s in strategies] != mine for strategies in listed if strategies
+            )
             # from a mixed start no vertex is x, so nothing is left out
             y = uniform(game)
             if report(game, y).unsatisfied:
@@ -401,9 +423,9 @@ class TestWorseCertificate:
         real = satpath.paths._worse_candidates
 
         def counted(*args):
-            for probs in real(*args):
-                read.append(probs)
-                yield probs
+            for strategies in real(*args):
+                read.append(strategies)
+                yield strategies
 
         monkeypatch.setattr(satpath.paths, "_worse_candidates", counted)
         return read
@@ -923,3 +945,35 @@ class TestConstructPath:
                         value = float(np.polynomial.polynomial.polyval(lam, coeffs))
                         assert value == pytest.approx(direct, abs=1e-9)
         assert case2_events > 0  # the corpus really triggers subgame jumps
+
+
+class TestDerivedPathFields:
+    """A path takes only its steps and epsilon: terminal_gap is read from the
+    last step's report and escalations is a class constant."""
+
+    def test_terminal_gap_is_the_last_reports_max_gap(self):
+        rng = np.random.default_rng(37)
+        for _ in range(20):
+            game = random_game(rng)
+            path = construct_path(game, random_profile(game, rng), EPS)
+            assert path.terminal_gap == path.steps[-1].report.max_gap
+            assert type(path.terminal_gap) is float and path.escalations == 0
+
+    @pytest.mark.parametrize("name, value", [("terminal_gap", 0.0), ("escalations", 7)])
+    def test_derived_fields_are_not_arguments(self, mp, name, value):
+        path = construct_path(mp, pure(mp, (0, 0)), EPS)
+        with pytest.raises(TypeError):
+            SatisficingPath(steps=path.steps, epsilon=EPS, **{name: value})
+
+    def test_a_truncated_path_reports_its_own_terminal_gap(self, mp):
+        # at the parent, SatisficingPath(path.steps[:1], 1e-9, terminal_gap=0.0,
+        # escalations=7) was accepted at (H, H), a non-equilibrium
+        path = construct_path(mp, pure(mp, (0, 0)), EPS)
+        with pytest.raises(TypeError):
+            SatisficingPath(steps=path.steps[:1], epsilon=EPS, terminal_gap=0.0, escalations=7)
+        head = SatisficingPath(steps=path.steps[:1], epsilon=EPS)
+        assert head.terminal_gap == 2.0 and head.escalations == 0
+        buf = io.StringIO()
+        emit_path(head, "json", buf)
+        doc = json.loads(buf.getvalue())
+        assert doc["terminal_gap"] == 2.0 and doc["escalations"] == 0
