@@ -70,7 +70,14 @@ def _initial_profile(game: Game, spec: str, rng: np.random.Generator) -> Strateg
     if spec == "uniform":
         return StrategyProfile.uniform(game)
     if spec.startswith("pure:"):
-        return StrategyProfile.pure(game, _integers("--init pure:", spec[len("pure:") :]))
+        actions = _integers("--init pure:", spec[len("pure:") :])
+        if len(actions) != game.num_players:
+            raise GameInputError(
+                f"--init pure: gives {len(actions)} actions for {game.num_players} players"
+            )
+        for i, (action, count) in enumerate(zip(actions, game.action_counts)):
+            _check_int(f"--init pure: player {i}'s action", action, 0, count - 1)
+        return StrategyProfile.pure(game, actions)
     raise GameInputError(
         f"unknown --init {spec!r}; use 'random', 'uniform', or 'pure:a1,a2,...'"
     )
@@ -89,6 +96,10 @@ def _cmd_gen(args) -> int:
     players = _check_int("--players", args.players, 1, MAX_PLAYERS)
     counts = _integers("--actions", args.actions)
     actions = [_check_int("--actions", c, 1, MAX_ACTIONS) for c in counts]
+    if len(actions) != players:
+        raise GameInputError(
+            f"--actions gives {len(actions)} action counts for --players {players}"
+        )
     game = generate_random_game(players, actions, args.seed, name=args.name)
     save_game(game, args.out or sys.stdout)
     return 0

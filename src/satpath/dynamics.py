@@ -7,16 +7,24 @@ epsilon-Nash profiles are fixed points.
 
 ``run_dynamics`` iterates the single-profile step of ``satisficing_step``,
 reading each profile's gaps from ``satisfaction_report``.
-``batch_experiment`` steps a game's trials in lock-step through one loop
-over a (trials x total actions) array of profiles: each step evaluates
-every active trial's gaps with one batched contraction per player
-(``_batch_gaps``), then every unsatisfied player of every active trial
-redraws from that trial's own generator, and a trial that hits an
-epsilon-Nash profile drops out.  Every ``batch_experiment`` row equals a
-replay of its trials through ``run_dynamics`` because ``_batch_gaps`` rows
-equal ``satisfaction_report`` gaps bitwise and both paths redraw through
-``_redraw``, which makes one generator call per step for a Dirichlet
-explorer and one per unsatisfied player for ``pure_uniform``.
+``batch_experiment`` runs a game's trials together over a (rows x total
+actions) array of profiles, one batched contraction per player
+(``_batch_gaps``) per round for every row of the round; each trial redraws
+from its own generator, and a trial that hits an epsilon-Nash profile drops
+out.  ``pure_uniform`` trials advance one profile a round (``_lockstep``).
+The Dirichlet explorers' trials advance by blocks of profiles
+(``_blockstep``): a trial draws its next k profiles as if its unsatisfied
+set stayed put, keeps them up to the first whose set differs, and rolls
+its generator back to redraw the kept steps when it keeps fewer than k.
+A ``pure_uniform`` draw is a vertex, often a best response, so its set
+changes too often for blocks to pay.
+
+Every ``batch_experiment`` row equals a replay of its trials through
+``run_dynamics`` because ``_batch_gaps`` rows equal ``satisfaction_report``
+gaps bitwise and every redraw is bitwise ``_redraw``'s: one generator call
+per step for a Dirichlet explorer and one per unsatisfied player for
+``pure_uniform``.  A block of k steps makes one ``_simplex_draws`` call,
+which draws what k single calls would.
 
 The default satisfaction tolerance here is looser (1e-6) than the path
 constructor's internal one: continuous resampling never lands exactly on
@@ -28,6 +36,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 from dataclasses import dataclass, field
+from itertools import compress
 
 import numpy as np
 
@@ -59,8 +68,9 @@ _DEFAULT_MAX_STEPS = 1000
 #: Trace kind of every trajectory profile after the initial one.
 _STEP_KIND = "dynamics_step"
 
-# Most trials one lock-step loop runs at once: each trial holds a generator
-# (about 1 KB), so blocks keep batch_experiment's memory flat in the trial count.
+# Most profile rows one round of batch_experiment holds, and so the most
+# trials it runs at once (each holds a generator, about 1 KB): memory stays
+# flat in the trial count and in the block length.
 _TRIAL_BLOCK = 1024
 
 
@@ -118,8 +128,11 @@ class Trajectory:
 
 def _trial_streams(master: int, game_index: int, trial: int) -> tuple[np.random.Generator, int]:
     """The generator that draws a trial's initial profile and the seed of its
-    run, both spawned from SeedSequence([master, game_index, trial])."""
-    init_ss, run_ss = np.random.SeedSequence([master, game_index, trial]).spawn(2)
+    run, from the two children of SeedSequence([master, game_index, trial]),
+    built as ``spawn(2)`` would build them (spawn keys 0 and 1)."""
+    entropy = [master, game_index, trial]
+    init_ss = np.random.SeedSequence(entropy, spawn_key=(0,))
+    run_ss = np.random.SeedSequence(entropy, spawn_key=(1,))
     return np.random.default_rng(init_ss), int(run_ss.generate_state(1, np.uint64)[0])
 
 
@@ -167,6 +180,37 @@ def _redraw(
             row[segments[i]] = sample
         else:
             row[segments[i]] = (1.0 - w) * row[segments[i]] + w * sample
+
+
+def _redraw_steps(
+    rows: np.ndarray,
+    players,
+    segments: list[slice],
+    explorer: ExplorerPolicy,
+    rng: np.random.Generator,
+) -> None:
+    """Fill ``rows``, k copies of a trial's profile, with its next k profiles
+    if every step redraws ``players``: what k ``_redraw`` calls give, row
+    after row, bitwise and in the state they leave ``rng`` in.  The
+    Dirichlet explorers draw all k rows by one ``_simplex_draws`` call, and
+    ``mixture_with_current`` blends each row's draws into the row before."""
+    if explorer.kind == "pure_uniform" or len(rows) == 1:
+        _redraw(rows[0], players, segments, explorer, rng)
+        for r in range(1, len(rows)):
+            rows[r] = rows[r - 1]
+            _redraw(rows[r], players, segments, explorer, rng)
+        return
+    counts = [segments[i].stop - segments[i].start for i in players]
+    w = explorer.mixture_weight
+    for i, samples in zip(players, _simplex_draws(rng, counts, len(rows))):
+        seg = segments[i]
+        if explorer.kind == "dirichlet_uniform":
+            rows[:, seg] = samples
+            continue
+        previous = rows[0, seg]
+        for row, sample in zip(rows, samples):
+            # _redraw's blend, into the strategy of the step before
+            row[seg] = previous = (1.0 - w) * previous + w * sample
 
 
 def _step(
@@ -221,6 +265,73 @@ def _lockstep(
             players = [i for i, flag in enumerate(flags) if flag]
             _redraw(rows[r], players, segments, explorer, rngs[live[r]])
         _check_rows(rows, segments)
+    return hits
+
+
+def _blockstep(
+    game: Game,
+    rows: np.ndarray,
+    rngs: list[np.random.Generator],
+    epsilon: float,
+    explorer: ExplorerPolicy,
+    max_steps: int,
+) -> list[int | None]:
+    """``_lockstep``'s result, stepping each trial by a block of profiles a
+    round.
+
+    A trial's block of k rows is drawn by one ``_redraw_steps`` call as if
+    its unsatisfied set stayed put, and every block of the round is checked,
+    before any gap is computed, and evaluated together.  The trial keeps its
+    rows up to the first whose unsatisfied set differs (or the block's end);
+    if that leaves some unkept, its generator goes back to the state saved
+    before the block and draws the kept steps again, so its stream goes on
+    as a step-by-step run's would.  k doubles after a block that kept every
+    row and drops to 1 after a change, and a round holds at most
+    ``_TRIAL_BLOCK`` rows.
+    """
+    segments = _segments(game)
+    everyone = range(game.num_players)
+    flags = (_batch_gaps(game, [rows[:, seg] for seg in segments]) > epsilon).tolist()
+    hits: list[int | None] = [None if any(f) else 1 for f in flags]
+    # per live trial: its index, unsatisfied flags, profiles emitted, block length
+    live = [t for t, f in enumerate(flags) if any(f)]
+    flags = [flags[t] for t in live]
+    done, lengths = [1] * len(live), [1] * len(live)
+    rows = rows[live]
+    while live and max_steps > 1:
+        cap = _TRIAL_BLOCK // len(live)
+        lengths = [min(k, cap, max_steps - d) for k, d in zip(lengths, done)]
+        block = np.repeat(rows, lengths, axis=0)
+        states, end = [], 0
+        for t, k, f in zip(live, lengths, flags):
+            states.append(rngs[t].bit_generator.state if k > 1 else None)
+            players = list(compress(everyone, f))
+            _redraw_steps(block[end : end + k], players, segments, explorer, rngs[t])
+            end += k
+        _check_rows(block, segments)
+        new = (_batch_gaps(game, [block[:, seg] for seg in segments]) > epsilon).tolist()
+        on, on_rows, end = [], [], 0  # the trials that go on and their last kept rows
+        for r, (t, k, f) in enumerate(zip(live, lengths, flags)):
+            start, end = end, end + k
+            last = start
+            while new[last] == f and last < end - 1:
+                last += 1
+            done[r] += last + 1 - start
+            if not any(new[last]):
+                hits[t] = done[r]
+            elif done[r] < max_steps:
+                if last < end - 1:
+                    rngs[t].bit_generator.state = states[r]
+                    kept = np.repeat(rows[r : r + 1], last + 1 - start, axis=0)
+                    _redraw_steps(kept, list(compress(everyone, f)), segments, explorer, rngs[t])
+                lengths[r] = 1 if new[last] != f else 2 * k
+                on.append(r)
+                on_rows.append(last)
+        live = [live[r] for r in on]
+        done = [done[r] for r in on]
+        lengths = [lengths[r] for r in on]
+        flags = [new[j] for j in on_rows]
+        rows = block[on_rows]
     return hits
 
 
@@ -282,11 +393,14 @@ def batch_experiment(
     Trial t of game g derives its randomness from
     SeedSequence([master_seed, g, t]), so results depend only on the
     arguments; each trial draws its own initial profile uniformly from the
-    product of simplices.  A game's trials step in lock-step, up to
-    ``_TRIAL_BLOCK`` at a time, and each row equals a per-trial replay:
-    ``run_dynamics`` from that initial profile, seeded from the second child
-    of the trial's SeedSequence.  Returns one row per game with the hit
-    frequency and the mean/median hitting time among hits.
+    product of simplices.  A game's trials run together, up to
+    ``_TRIAL_BLOCK`` at a time: ``pure_uniform`` trials one profile a round,
+    the others by blocks of profiles whose generators roll back past a
+    change of unsatisfied set (``_blockstep``).  Each row equals a
+    per-trial replay: ``run_dynamics`` from that initial profile, seeded
+    from the second child of the trial's SeedSequence.  Returns one row per
+    game with the hit frequency and the mean/median hitting time among
+    hits.
     """
     epsilon = _check_real("epsilon", epsilon)
     trials = _check_int("trials_per_game", trials_per_game, 1)
@@ -309,7 +423,8 @@ def batch_experiment(
                 starts[r] = np.concatenate(_simplex_draws(init, game.action_counts))
                 rngs.append(np.random.default_rng(run_seed))
             _check_rows(starts, _segments(game))
-            hits = _lockstep(game, starts, rngs, epsilon, explorer, max_steps)
+            run = _lockstep if explorer.kind == "pure_uniform" else _blockstep
+            hits = run(game, starts, rngs, epsilon, explorer, max_steps)
             hit_steps += [h for h in hits if h is not None]
         out.append(
             {

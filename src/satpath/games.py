@@ -345,9 +345,10 @@ class StrategyProfile:
 @dataclass(frozen=True, eq=False, slots=True)
 class SatisfactionReport:
     """Per-player deviation gaps at a profile and the split they induce: a
-    player is satisfied when its gap is at most ``epsilon``.  The split and
-    ``max_gap``, the largest gap, are derived with the report (and anew by
-    ``dataclasses.replace``).  ``gaps`` shares a read-only float array that
+    player is satisfied when its gap is at most ``epsilon``, which is
+    checked as every entry point's epsilon is (``_check_real``).  The split
+    and ``max_gap``, the largest gap, are derived with the report (and anew
+    by ``dataclasses.replace``).  ``gaps`` shares a read-only float array that
     owns its data, such as the gap memo's, and copies anything else.
     Profiles keep their last report (``satisfaction_report``), hence the
     slots."""
@@ -359,6 +360,7 @@ class SatisfactionReport:
     max_gap: float = field(init=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "epsilon", _check_real("epsilon", self.epsilon))
         gaps = self.gaps
         floats = isinstance(gaps, np.ndarray) and gaps.dtype == np.float64
         if not (floats and gaps.flags.owndata and not gaps.flags.writeable):
@@ -385,17 +387,27 @@ def random_profile(game: Game, rng: np.random.Generator) -> StrategyProfile:
     return StrategyProfile(tuple(map(MixedStrategy, _simplex_draws(rng, game.action_counts))))
 
 
-def _simplex_draws(rng: np.random.Generator, counts) -> list[np.ndarray]:
+def _simplex_draws(rng: np.random.Generator, counts, rows: int | None = None) -> list[np.ndarray]:
     """A uniform draw on the simplex of each of ``counts`` actions from one
     generator call, bitwise what ``Generator.dirichlet`` with all-ones
     alphas returns for each count in turn, leaving ``rng`` in the same
     state: that draws exponentials, sums each vector left to right (unlike
-    ``ndarray.sum`` from 8 entries on) and scales by the reciprocal."""
-    values = rng.standard_exponential(sum(counts))
+    ``ndarray.sum`` from 8 entries on) and scales by the reciprocal.
+
+    With ``rows``, each entry is a (rows, count) array whose row r is the
+    draw of the r-th of ``rows`` successive calls without it, bitwise, and
+    ``rng`` ends where those calls leave it: numpy draws each exponential
+    on its own, so one call for all of them draws the same stream, and the
+    columns are added one at a time, so each row sums left to right too."""
+    total = sum(counts)
+    values = rng.standard_exponential(total if rows is None else (rows, total))
     draws, start = [], 0
     for count in counts:
-        draw = values[start : start + count]
-        draw *= 1.0 / reduce(add, draw.tolist())
+        draw = values[..., start : start + count]
+        if rows is None:
+            draw *= 1.0 / reduce(add, draw.tolist())
+        else:
+            draw *= (1.0 / reduce(add, draw.T))[:, None]
         draws.append(draw)
         start += count
     return draws

@@ -387,6 +387,31 @@ class TestRunFlagValidation:
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err == f"error: {message}\n"
 
+    def test_gen_count_mismatch_names_both_flags(self, capsys):
+        assert run(["gen", "--players", "3", "--actions", "2,2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --actions gives 2 action counts for --players 3\n"
+
+    @pytest.mark.parametrize("command", ["path", "simulate"])
+    @pytest.mark.parametrize(
+        "init, message",
+        [
+            ("pure:5,0", "--init pure: player 0's action must be at most 1, the maximum, "
+                         "got 5: out of range"),
+            ("pure:0,-1",
+             "--init pure: player 1's action must be at least 0, got -1: out of range"),
+            ("pure:0", "--init pure: gives 1 actions for 2 players"),
+        ],
+        ids=["too-large", "negative", "too-few"],
+    )
+    def test_pure_init_error_names_the_flag_and_player(
+        self, mp_file, capsys, command, init, message
+    ):
+        assert run([command, "--game", mp_file, "--init", init]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: {message}\n"
+
 
 def test_library_import_loads_no_cli():
     src = str(Path(satpath.__file__).resolve().parents[1])

@@ -253,6 +253,7 @@ class TestEntryValidation:
             raise AssertionError("a trial ran before every game was checked")
 
         monkeypatch.setattr(dynamics, "_lockstep", no_trials)
+        monkeypatch.setattr(dynamics, "_blockstep", no_trials)
         with pytest.raises(GameInputError, match=r"games\[1\]"):
             batch_experiment([pd, "not a game"], 2)
 
@@ -306,6 +307,9 @@ def replayed_rows(games, trials, epsilon, explorer, max_steps, master):
     return rows
 
 
+# a sum off 1, a NaN, a negative entry, an infinity
+BAD_DRAWS = [[0.7, 0.7], [np.nan, 1.0], [-0.5, 1.5], [np.inf, 0.0]]
+
 EXPLORERS = [
     ExplorerPolicy("dirichlet_uniform"),
     ExplorerPolicy("pure_uniform"),
@@ -351,6 +355,82 @@ class TestLockStep:
         rows = batch_experiment([game, game], 8, 1e-6, explorer, max_steps=40, master_seed=5)
         assert rows == replayed_rows([game, game], 8, 1e-6, explorer, 40, 5)
 
+    @pytest.mark.parametrize("explorer", EXPLORERS[::2], ids=lambda e: e.kind)
+    def test_trial_blocks_cap_the_rows_of_a_round(self, monkeypatch, explorer):
+        game = generate_random_game(3, (2, 3, 2), 451)
+        batch_gaps, redraw_steps = dynamics._batch_gaps, dynamics._redraw_steps
+        sizes, lengths = [], []
+
+        def gaps_spy(game, probs):
+            sizes.append(len(probs[0]))
+            return batch_gaps(game, probs)
+
+        def redraw_spy(rows, *args):
+            lengths.append(len(rows))
+            redraw_steps(rows, *args)
+
+        monkeypatch.setattr(dynamics, "_TRIAL_BLOCK", 3)
+        monkeypatch.setattr(dynamics, "_batch_gaps", gaps_spy)
+        monkeypatch.setattr(dynamics, "_redraw_steps", redraw_spy)
+        # 7 trials run as 3, 3 and 1 at a time, and hit at this epsilon
+        rows = batch_experiment([game, game], 7, 0.05, explorer, max_steps=40, master_seed=6)
+        assert rows == replayed_rows([game, game], 7, 0.05, explorer, 40, 6)
+        assert max(sizes) == 3
+        # no unsatisfied set changes at this one, so a lone trial's blocks
+        # grow 1, 2 and then stay at the cap of 3 rows
+        sizes.clear()
+        lengths.clear()
+        batch_experiment([game], 4, 1e-6, explorer, max_steps=40, master_seed=6)
+        assert max(sizes) == 3 and max(lengths) == 3 and lengths.count(3) > 5
+
+    @pytest.mark.parametrize("explorer", EXPLORERS[::2], ids=lambda e: e.kind)
+    def test_rollbacks_continue_the_stream(self, monkeypatch, explorer):
+        # at a loose epsilon unsatisfied sets change inside long blocks; a
+        # rollback shows as a generator drawing again from a state it has
+        # already drawn from
+        redraw, starts = dynamics._redraw_steps, []
+
+        def spy(rows, players, segments, explorer, rng):
+            starts.append((id(rng), rng.bit_generator.state["state"]["state"], len(rows)))
+            redraw(rows, players, segments, explorer, rng)
+
+        monkeypatch.setattr(dynamics, "_redraw_steps", spy)
+        games = [generate_random_game(len(s), s, 500 + k) for k, s in enumerate(SHAPES)]
+        rows = batch_experiment(games, 8, 0.05, explorer, max_steps=60, master_seed=21)
+        assert rows == replayed_rows(games, 8, 0.05, explorer, 60, 21)
+        seen, rollbacks = set(), 0
+        for rng, state, _ in starts:
+            rollbacks += (rng, state) in seen
+            seen.add((rng, state))
+        assert rollbacks > 0
+        assert max(k for _, _, k in starts) > 8
+
+    @pytest.mark.parametrize("explorer", EXPLORERS, ids=lambda e: e.kind)
+    def test_redraw_steps_equal_successive_redraws(self, explorer):
+        # a block of k rows is bitwise k _redraw calls, each from the row
+        # before, and leaves the generator where they leave it
+        game = generate_random_game(3, (2, 3, 4), 460)
+        segments = dynamics._segments(game)
+        x = random_profile(game, np.random.default_rng(0))
+        start = np.concatenate([s.probs for s in x.strategies])
+        for players in ([0], [1, 2], [0, 1, 2]):
+            for k in (1, 2, 5, 64):
+                ours, ref = np.random.default_rng(k), np.random.default_rng(k)
+                rows = np.repeat(start[None, :], k, axis=0)
+                dynamics._redraw_steps(rows, players, segments, explorer, ours)
+                row = start.copy()
+                for r in range(k):
+                    dynamics._redraw(row, players, segments, explorer, ref)
+                    assert rows[r].tobytes() == row.tobytes()
+                assert ours.bit_generator.state == ref.bit_generator.state
+
+    def test_trial_streams_are_the_spawned_children(self):
+        for master, g, t in [(0, 0, 0), (17, 3, 1023), (2**64 - 1, 5, 7)]:
+            init, seed = dynamics._trial_streams(master, g, t)
+            init_ss, run_ss = np.random.SeedSequence([master, g, t]).spawn(2)
+            assert init.bit_generator.state == np.random.default_rng(init_ss).bit_generator.state
+            assert seed == int(run_ss.generate_state(1, np.uint64)[0])
+
     def test_one_step_cap(self, pd, mp):
         for explorer in EXPLORERS:
             rows = batch_experiment([pd, mp], 5, 1e-6, explorer, max_steps=1, master_seed=2)
@@ -372,7 +452,7 @@ class TestLockStep:
         assert row == replayed_rows([mp], 6, 1e-9, explorer, 25, 8)[0]
         assert (row["hits"], row["mean_hit_step"], row["median_hit_step"]) == (0, None, None)
 
-    @pytest.mark.parametrize("bad", [[0.7, 0.7], [np.nan, 1.0], [-0.5, 1.5], [np.inf, 0.0]])
+    @pytest.mark.parametrize("bad", BAD_DRAWS)
     @pytest.mark.parametrize("entry", ["batch", "run", "step"])
     def test_invalid_draw_raises_input_error(self, mp, monkeypatch, entry, bad):
         def bad_draw(row, players, segments, explorer, rng):
@@ -387,3 +467,21 @@ class TestLockStep:
                 run_dynamics(mp, x1, max_steps=5)
             else:
                 satisficing_step(mp, x1, 1e-6, ExplorerPolicy(), np.random.default_rng(0))
+
+    @pytest.mark.parametrize("bad", BAD_DRAWS)
+    def test_invalid_draw_in_a_long_block_raises_input_error(self, mp, monkeypatch, bad):
+        # good draws until the first block of more than one step, whose last
+        # row gets a bad strategy: it must fail the row check, not reach the
+        # gap kernel
+        redraw, lengths = dynamics._redraw_steps, []
+
+        def bad_in_long_block(rows, players, segments, explorer, rng):
+            redraw(rows, players, segments, explorer, rng)
+            lengths.append(len(rows))
+            if len(rows) > 1:
+                rows[-1, segments[players[0]]] = bad
+
+        monkeypatch.setattr(dynamics, "_redraw_steps", bad_in_long_block)
+        with pytest.raises(GameInputError, match="probability vector"):
+            batch_experiment([mp], 2, max_steps=50)
+        assert lengths[0] == 1 and lengths[-1] > 1

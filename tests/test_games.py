@@ -27,6 +27,7 @@ from satpath import (
     deviation_gap,
     expected_reward,
     find_nash,
+    generate_random_game,
     is_eps_best_response,
     pure_action_payoffs,
     random_profile,
@@ -42,6 +43,7 @@ from satpath.games import (
     _deviation_gap_raw,
     _simplex_draws,
 )
+from satpath.dynamics import _TRIAL_BLOCK
 
 from conftest import (
     brute_expected_reward,
@@ -524,6 +526,22 @@ class TestBatchedKernel:
                     # its gap is exactly 0 either way, checked above
                     np.testing.assert_allclose(w[r], want, rtol=0.0, atol=KERNEL_TOL)
 
+    @pytest.mark.parametrize("shape", [(3,), (1, 4), (2, 3), (2, 2, 2), (3, 1, 2, 2)])
+    def test_block_sized_batches_equal_single_profile_calls(self, shape):
+        # a round of block-stepped dynamics evaluates up to _TRIAL_BLOCK rows
+        game = generate_random_game(len(shape), shape, len(shape) * 10 + sum(shape))
+        rng = np.random.default_rng(sum(shape))
+        profiles = [random_profile(game, rng) for _ in range(_TRIAL_BLOCK)]
+        rows = np.array([np.concatenate([s.probs for s in p.strategies]) for p in profiles])
+        ends = np.cumsum(game.action_counts)
+        for size in (1, 2, 63, 64, 65, 511, _TRIAL_BLOCK):
+            probs = [rows[:size, end - c : end] for c, end in zip(game.action_counts, ends)]
+            gaps = _batch_gaps(game, probs)
+            assert gaps.shape == (size, game.num_players)
+            for r in range(size):
+                want = satisfaction_report(game, profiles[r], 0.0).gaps
+                assert gaps[r].tobytes() == want.tobytes()
+
 
 # --- uniform draws on simplices ----------------------------------------------
 
@@ -571,6 +589,31 @@ class TestSimplexDraws:
             want = dirichlet_per_player(ref, counts)
             assert [d.tobytes() for d in draws] == [w.tobytes() for w in want]
         assert ours.bit_generator.state == ref.bit_generator.state
+
+    @staticmethod
+    def assert_block_same_as_calls(seed, counts, rows):
+        ours, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        block = _simplex_draws(ours, counts, rows)
+        assert [b.shape for b in block] == [(rows, c) for c in counts]
+        for r in range(rows):
+            want = _simplex_draws(ref, counts)
+            assert [b[r].tobytes() for b in block] == [w.tobytes() for w in want]
+        assert ours.bit_generator.state == ref.bit_generator.state
+
+    def test_block_equals_successive_calls_for_every_count(self):
+        for c, n in itertools.product(range(1, 7), range(1, 4)):
+            for rows in (1, 2, 5, 64):
+                self.assert_block_same_as_calls(c * 10 + n + rows, [c] * n, rows)
+
+    def test_block_equals_successive_calls_for_mixed_counts(self):
+        picker = np.random.default_rng(23)
+        for seed in range(300):
+            counts = picker.integers(1, 7, size=int(picker.integers(1, 7))).tolist()
+            self.assert_block_same_as_calls(seed, counts, int(picker.integers(1, 130)))
+
+    def test_block_sums_left_to_right_past_seven_entries(self):
+        for seed in range(50):
+            self.assert_block_same_as_calls(seed, [8, 9, 12], 16)
 
     def test_random_profile_draws_dirichlet_per_player(self):
         picker = np.random.default_rng(41)
@@ -913,6 +956,21 @@ class TestDerivedReportFields:
         with pytest.raises(TypeError):
             SatisfactionReport(gaps, frozenset({0, 1}), frozenset(), 1e-9)
         assert SatisfactionReport(gaps, 1e-9).unsatisfied == {1}
+
+    @pytest.mark.parametrize("epsilon", [-1.0, math.nan, math.inf, "1", True, None])
+    def test_epsilon_is_checked(self, epsilon):
+        # unchecked, -1.0 and nan would report both players unsatisfied and
+        # "1" would raise a bare TypeError from the split's comparison
+        with pytest.raises(GameInputError, match="epsilon must be a finite nonnegative real"):
+            SatisfactionReport(np.array([0.0, 2.0]), epsilon)
+        report = SatisfactionReport(np.array([0.0, 2.0]), 1e-9)
+        with pytest.raises(GameInputError, match="epsilon"):
+            dataclasses.replace(report, epsilon=-0.5)
+
+    def test_epsilon_is_kept_as_a_float(self):
+        for epsilon in (np.float64(0.5), 1, Fraction(1, 2)):
+            report = SatisfactionReport(np.array([0.0, 2.0]), epsilon)
+            assert type(report.epsilon) is float and report.epsilon == float(epsilon)
 
     def test_replace_epsilon_resplits(self, mp):
         # at the parent, replace(report, epsilon=5.0) kept unsatisfied {1}
