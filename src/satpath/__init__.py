@@ -42,15 +42,12 @@ from .paths import (
     SatisficingPath,
     WorseSearchConfig,
     build_w_xi,
-    build_z_lambda,
     construct_path,
     find_worse_candidate,
     in_nob,
     in_worse,
-    indifference_poly,
     is_accessible,
     verify_path,
-    zero_poly_check,
 )
 from .dynamics import (
     DYNAMICS_EPSILON,
@@ -94,7 +91,6 @@ __all__ = [
     "WorseSearchIncompleteError",
     "batch_experiment",
     "build_w_xi",
-    "build_z_lambda",
     "construct_path",
     "deviation_gap",
     "emit_path",
@@ -107,7 +103,6 @@ __all__ = [
     "generate_random_game",
     "in_nob",
     "in_worse",
-    "indifference_poly",
     "is_accessible",
     "is_eps_best_response",
     "load_game",
@@ -122,5 +117,4 @@ __all__ = [
     "solve_on_support",
     "verify_nash",
     "verify_path",
-    "zero_poly_check",
 ]

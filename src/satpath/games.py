@@ -213,13 +213,14 @@ class MixedStrategy:
     def pure(cls, num_actions: int, action: int) -> "MixedStrategy":
         """The point mass on ``action``, built once per process (``_vertex``)."""
         # Check before the lookup: True == 1, so a bool would find the cached
-        # vertex of action 1.
-        num_actions = _check_int("num_actions", num_actions, 1)
+        # vertex of action 1, and a size past MAX_ACTIONS would hold a vertex
+        # no game can play in the cache.
+        num_actions = _check_int("num_actions", num_actions, 1, MAX_ACTIONS)
         return _vertex(num_actions, _check_int("action", action, 0, num_actions - 1))
 
     @classmethod
     def uniform(cls, num_actions: int) -> "MixedStrategy":
-        num_actions = _check_int("num_actions", num_actions, 1)
+        num_actions = _check_int("num_actions", num_actions, 1, MAX_ACTIONS)
         return cls(np.full(num_actions, 1.0 / num_actions))
 
     def __reduce__(self):

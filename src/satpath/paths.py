@@ -32,11 +32,6 @@ built so far.
 Strategy equality along paths is bitwise on the stored probabilities:
 the constructor copies satisfied strategies verbatim, so exact equality
 is achievable and unambiguous.
-
-The indifference helpers (``build_z_lambda``, ``indifference_poly``,
-``zero_poly_check``) work on numpy core alone: ``indifference_poly``
-interpolates exactly, solving the Vandermonde system at n nodes, and
-``zero_poly_check`` evaluates with ``np.polyval``.
 """
 
 from __future__ import annotations
@@ -60,12 +55,10 @@ from .games import (
     _check_int,
     _check_profile,
     _check_real,
-    _check_reals,
     _contract,
     _deviation_gap_raw,
     _seed_gaps,
     _vertex,
-    pure_action_payoffs,
     satisfaction_report,
 )
 from .solver import _DEFAULT_CONFIG, SolverConfig, find_nash, find_subgame_nash
@@ -159,6 +152,13 @@ class PathVerification:
     player: int | None = None
 
 
+def _check_report(name: str, report, num_players: int) -> None:
+    """Raise unless ``report`` is a SatisfactionReport on ``num_players`` players."""
+    _check_instance(name, report, SatisfactionReport)
+    if report.gaps.size != num_players:
+        raise GameInputError(f"{name} covers {report.gaps.size} players, not {num_players}")
+
+
 def is_accessible(x: StrategyProfile, y: StrategyProfile, report_x: SatisfactionReport) -> bool:
     """Whether y differs from x only in players unsatisfied at x.
 
@@ -166,9 +166,9 @@ def is_accessible(x: StrategyProfile, y: StrategyProfile, report_x: Satisfaction
     """
     _check_instance("x", x, StrategyProfile)
     _check_instance("y", y, StrategyProfile)
-    _check_instance("report_x", report_x, SatisfactionReport)
     if len(x) != len(y):
         raise GameInputError(f"profiles cover {len(x)} and {len(y)} players")
+    _check_report("report_x", report_x, len(x))
     for i, (sx, sy) in enumerate(zip(x.strategies, y.strategies)):
         if sx.num_actions != sy.num_actions:
             raise GameInputError(f"player {i} strategies have mismatched sizes")
@@ -229,109 +229,30 @@ def build_w_xi(
     the result is accessible from x_k, and unsatisfied players become fully
     mixed with every coordinate at least xi / num_actions."""
     _check_profile(game, x_k)
-    _check_instance("report_k", report_k, SatisfactionReport)
+    _check_report("report_k", report_k, len(x_k))
     xi = _check_real("xi", xi, positive=True, high=1.0)
     return StrategyProfile(
         tuple(
-            MixedStrategy((1.0 - xi) * s.probs + xi / s.num_actions)
-            if i in report_k.unsatisfied
-            else s
+            _blend(s.probs, xi) if i in report_k.unsatisfied else s
             for i, s in enumerate(x_k.strategies)
         )
     )
 
 
-def build_z_lambda(
-    x_star: StrategyProfile,
-    w_xi: StrategyProfile,
-    unsat_set,
-    x_k: StrategyProfile,
-    lam: float,
-) -> StrategyProfile:
-    """Interpolate unsatisfied players between x_star (lam = 0) and w_xi
-    (lam = 1); players outside ``unsat_set`` keep their x_k strategy."""
-    lam = _check_real("lambda", lam, high=1.0)
-    for name, profile in (("x_star", x_star), ("w_xi", w_xi), ("x_k", x_k)):
-        _check_instance(name, profile, StrategyProfile)
-    if not len(x_star) == len(w_xi) == len(x_k):
-        raise GameInputError("profiles cover different numbers of players")
-    unsat = {
-        _check_int("unsatisfied player index", i, 0, len(x_k) - 1)
-        for i in _check_instance("unsat_set", unsat_set, Iterable)
-    }
-    strategies = []
-    for i in range(len(x_k)):
-        if x_star[i].num_actions != w_xi[i].num_actions or x_star[i].num_actions != x_k[i].num_actions:
-            raise GameInputError(f"player {i} strategies have mismatched sizes")
-        if i in unsat:
-            strategies.append(
-                MixedStrategy((1.0 - lam) * x_star[i].probs + lam * w_xi[i].probs)
-            )
-        else:
-            strategies.append(x_k[i])
-    return StrategyProfile(tuple(strategies))
-
-
-def indifference_poly(
-    game: Game,
-    x_star: StrategyProfile,
-    w_xi: StrategyProfile,
-    unsat_set,
-    x_k: StrategyProfile,
-    player: int,
-    a: int,
-    a_prime: int,
-) -> np.ndarray:
-    """Coefficients (ascending, length = num_players) of the payoff difference
-
-        g(lam) = R_player(delta_a, z_lam^{-player}) - R_player(delta_a', ...)
-
-    as a polynomial in the interpolation parameter.  The difference is a sum
-    of products of at most n - 1 affine factors, so the degree is at most
-    n - 1; g is evaluated at n equispaced nodes on [0, 1] and interpolated
-    exactly.
-    """
-    _check_profile(game, x_k)
-    n = game.num_players
-    player = _check_int("player", player, 0, n - 1)
-    a = _check_int("a", a, 0, game.action_counts[player] - 1)
-    a_prime = _check_int("a_prime", a_prime, 0, game.action_counts[player] - 1)
-    if a == a_prime:
-        raise GameInputError("the two actions to compare must differ")
-    nodes = np.array([0.0]) if n == 1 else np.linspace(0.0, 1.0, n)
-    values = []
-    for lam in nodes:
-        z = build_z_lambda(x_star, w_xi, unsat_set, x_k, float(lam))
-        w = pure_action_payoffs(game, z, player)
-        values.append(float(w[a]) - float(w[a_prime]))
-    return np.linalg.solve(np.vander(nodes, increasing=True), values)
-
-
-def zero_poly_check(coeffs, roots_observed, tolerance: float) -> bool:
-    """Whether the observed roots force the polynomial to be identically zero:
-    a degree-d polynomial vanishing at d + 1 distinct points is the zero
-    polynomial.  True iff there are more distinct roots than the degree and
-    the polynomial evaluates within ``tolerance`` of zero at each."""
-    tolerance = _check_real("tolerance", tolerance)
-    coeffs = np.array(_check_reals("coeffs", coeffs))
-    roots = sorted(set(_check_reals("roots_observed", roots_observed)))
-    nonzero = np.nonzero(coeffs)[0]
-    degree = int(nonzero[-1]) if nonzero.size else 0
-    if len(roots) <= degree:
-        return False
-    values = np.polyval(coeffs[::-1], np.asarray(roots))
-    return bool(np.all(np.abs(values) <= tolerance))
+def _blend(probs: np.ndarray, xi: float) -> MixedStrategy:
+    """The uniform blend (1 - xi) * probs + xi * uniform, for a checked xi
+    in (0, 1]: fully mixed, with every coordinate at least xi / probs.size."""
+    return MixedStrategy((1.0 - xi) * probs + xi / probs.size)
 
 
 @cache
 def _vertex_and_blends(num_actions: int, action: int) -> tuple[MixedStrategy, ...]:
-    """The point mass on ``action`` (``games._vertex``), then its blends with
-    the uniform strategy as in ``build_w_xi`` for each xi in ``_XI_GRID``:
+    """The point mass on ``action`` (``games._vertex``), then its uniform
+    blends (``_blend``, as in ``build_w_xi``) for each xi in ``_XI_GRID``:
     the strategies the Worse search's candidates give an unsatisfied player.
     Each is built and validated once per process and shared."""
     vertex = _vertex(num_actions, action)
-    blends = ((1.0 - xi) * vertex.probs + xi / num_actions for xi in _XI_GRID)
-    return (vertex, *map(MixedStrategy, blends))
+    return (vertex, *(_blend(vertex.probs, xi) for xi in _XI_GRID))
 
 
 def _worse_candidates(game: Game, x: StrategyProfile, report: SatisfactionReport):

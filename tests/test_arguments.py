@@ -11,24 +11,26 @@ from __future__ import annotations
 
 import json
 import math
+import types
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import satpath
 from satpath import (
     ExplorerPolicy,
     Game,
     GameFormatError,
     GameInputError,
     MixedStrategy,
+    SatisfactionReport,
     SolverConfig,
     StrategyProfile,
     SupportProfile,
     WorseSearchConfig,
     batch_experiment,
     build_w_xi,
-    build_z_lambda,
     construct_path,
     deviation_gap,
     emit_path,
@@ -39,7 +41,6 @@ from satpath import (
     find_worse_candidate,
     game_document,
     generate_random_game,
-    indifference_poly,
     is_accessible,
     is_eps_best_response,
     load_game,
@@ -52,15 +53,16 @@ from satpath import (
     solve_on_support,
     verify_nash,
     verify_path,
-    zero_poly_check,
 )
 from satpath.cli import run
+from satpath.games import MAX_ACTIONS
 
 from conftest import matching_pennies, pure, uniform
 
 MP = matching_pennies()
 X = uniform(MP)
 PURE = pure(MP, (0, 0))
+THREE_PLAYER_REPORT = SatisfactionReport(np.array([1.0, 1.0, 0.0]), 1e-9)
 
 
 def _trace_with_gaps(tmp_path, gaps):
@@ -102,15 +104,15 @@ BAD_ARGUMENTS = BAD_GAMES + [
     ("pure-float-action", lambda tmp: MixedStrategy.pure(2, 1.0)),
     ("pure-float-count", lambda tmp: MixedStrategy.pure(2.0, 1)),
     ("uniform-float-count", lambda tmp: MixedStrategy.uniform(2.5)),
+    # no game has more actions, and pure strategies are cached for the process
+    ("pure-too-many-actions", lambda tmp: MixedStrategy.pure(MAX_ACTIONS + 1, 0)),
+    ("uniform-too-many-actions", lambda tmp: MixedStrategy.uniform(MAX_ACTIONS + 1)),
     ("replace-float-player", lambda tmp: X.replace(1.0, X[0])),
     ("payoff-tensor-bool-player", lambda tmp: MP.payoff_tensor(True)),
     ("reward-float-player", lambda tmp: expected_reward(MP, X, 1.0)),
     ("gap-bool-player", lambda tmp: deviation_gap(MP, X, True)),
     ("support-float-action", lambda tmp: SupportProfile(((0.5,), (0,)))),
     ("subgame-float-index", lambda tmp: find_subgame_nash(MP, {0.0: X[0]})),
-    ("z-lambda-float-index", lambda tmp: build_z_lambda(X, X, {0.5}, X, 0.5)),
-    ("poly-float-action", lambda tmp: indifference_poly(MP, X, X, {1}, X, 0, a=1.0, a_prime=0)),
-    ("poly-string-player", lambda tmp: indifference_poly(MP, X, X, {1}, X, "0", 1, 0)),
     ("gen-float-count", lambda tmp: generate_random_game(2, (2.5, 2), 0)),
     ("gen-string-players", lambda tmp: generate_random_game("2", (2, 2), 0)),
     # seeds
@@ -124,9 +126,6 @@ BAD_ARGUMENTS = BAD_GAMES + [
     ("best-response-nan-epsilon", lambda tmp: is_eps_best_response(MP, X, 0, math.nan)),
     ("verify-nash-huge-int-epsilon", lambda tmp: verify_nash(MP, X, 10**400)),
     ("w-xi-string", lambda tmp: build_w_xi(MP, X, satisfaction_report(MP, X), xi="a")),
-    ("z-lambda-string", lambda tmp: build_z_lambda(X, X, {1}, X, "0.5")),
-    ("zero-poly-nan-tolerance", lambda tmp: zero_poly_check([0.0, 1.0], [0.0, 1.0], math.nan)),
-    ("zero-poly-inf-tolerance", lambda tmp: zero_poly_check([0.0, 1.0], [0.0, 1.0], math.inf)),
     ("mixture-weight-string", lambda tmp: ExplorerPolicy(mixture_weight="0.5")),
     # configs, explorers, generators and containers of the wrong type
     ("find-nash-string-config", lambda tmp: find_nash(MP, "x")),
@@ -152,18 +151,9 @@ BAD_ARGUMENTS = BAD_GAMES + [
     ("verify-path-int-path", lambda tmp: verify_path(MP, 5)),
     ("support-int", lambda tmp: SupportProfile(5)),
     ("profile-int", lambda tmp: StrategyProfile(5)),
-    ("z-lambda-none-unsat", lambda tmp: build_z_lambda(X, X, None, X, 0.5)),
-    ("z-lambda-int-profile", lambda tmp: build_z_lambda(X, X, [0], 5, 0.5)),
-    ("poly-none-unsat",
-     lambda tmp: indifference_poly(MP, X, X, None, X, player=0, a=1, a_prime=0)),
-    ("zero-poly-string-coeffs", lambda tmp: zero_poly_check(["a"], [0], 0)),
-    # numeric strings are rejected too, not converted
-    ("zero-poly-numeric-strings", lambda tmp: zero_poly_check(["1"], ["0.5"], 0)),
-    ("zero-poly-numeric-string-root", lambda tmp: zero_poly_check([1.0], ["0.5"], 0)),
-    ("zero-poly-bool-coeff", lambda tmp: zero_poly_check([True], [0.5], 0)),
-    ("zero-poly-nested-coeffs", lambda tmp: zero_poly_check([[1.0, 2.0]], [0.5], 0)),
-    ("zero-poly-overflowing-coeff", lambda tmp: zero_poly_check([10**400], [0.5], 0)),
     ("support-int-entry", lambda tmp: SupportProfile((5,))),
+    # reals in payoffs and strategies: strings, numeric strings, bools, nested
+    # lists and ints beyond a float are rejected, not converted
     ("game-string-payoff", lambda tmp: Game((2, 2), (["a"] * 4, [0] * 4))),
     ("game-numeric-string-payoff", lambda tmp: Game((2, 2), (["0.5"] * 4, [0] * 4))),
     ("game-bool-payoff", lambda tmp: Game((2, 2), ([True] * 4, [0] * 4))),
@@ -183,6 +173,9 @@ BAD_ARGUMENTS = BAD_GAMES + [
     ("accessible-none-report", lambda tmp: is_accessible(X, X, None)),
     ("accessible-int-profile", lambda tmp: is_accessible(5, X, satisfaction_report(MP, X))),
     ("w-xi-none-report", lambda tmp: build_w_xi(MP, X, None, 0.5)),
+    ("accessible-three-player-report", lambda tmp: is_accessible(X, X, THREE_PLAYER_REPORT)),
+    ("w-xi-one-player-report",
+     lambda tmp: build_w_xi(MP, X, SatisfactionReport(np.array([1.0]), 1e-9), 0.5)),
     # file paths: an integer would be taken as a file descriptor (stdin,
     # stdout), read or written, and closed
     ("load-game-int-path", lambda tmp: load_game(0)),
@@ -207,6 +200,29 @@ def test_bad_argument_raises_game_input_error(call, tmp_path):
 def test_bad_game_error_names_the_game(call, tmp_path):
     with pytest.raises(GameInputError, match=r"^game must be of type Game, got "):
         call(tmp_path)
+
+
+def test_report_for_another_player_count_is_named():
+    with pytest.raises(GameInputError, match=r"^report_x covers 3 players, not 2$"):
+        is_accessible(X, X, THREE_PLAYER_REPORT)
+    with pytest.raises(GameInputError, match=r"^report_k covers 3 players, not 2$"):
+        build_w_xi(MP, X, THREE_PLAYER_REPORT, 0.5)
+
+
+def test_public_api_is_consistent():
+    # a stale export (a name deleted from a module but left in __all__) fails
+    # the star import; a name imported but not exported fails the last check
+    names = satpath.__all__
+    assert names == sorted(set(names))
+    star = {}
+    exec("from satpath import *", star)
+    assert star.keys() - {"__builtins__"} == set(names)
+    public = {
+        name
+        for name, value in vars(satpath).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert public == set(names)
 
 
 def test_trace_gap_errors_name_the_step_and_exit_2(tmp_path, capsys):
@@ -241,9 +257,6 @@ class TestValidEdges:
         # epsilon = 0 certifies an exact best response only
         assert satisfaction_report(MP, PURE, 0).satisfied == {0}
         assert verify_nash(MP, X, 0.0)
-        assert build_z_lambda(X, PURE, {1}, X, 0) == X
-        assert build_z_lambda(X, PURE, {1}, X, 1) == X.replace(1, PURE[1])
-        assert zero_poly_check([0.0], [0.0], 0)
 
     def test_vectors_of_reals(self):
         # payoffs and strategies take numpy and Python ints and floats, and
@@ -258,15 +271,6 @@ class TestValidEdges:
         assert mp == Game((2, 2), tuple([Fraction(v) for v in p] for p in payoffs))
         assert mp == Game((2, 2), tuple([np.float32(v) for v in p] for p in payoffs))
         assert Game((2,), ([10**30, 0],)).payoffs[0][0] == 1e30
-
-    def test_reals_beyond_float_entries(self):
-        # coeffs and roots_observed take the same reals: a Fraction, an int
-        # beyond int64, numpy scalars and arrays
-        assert zero_poly_check([Fraction(0), Fraction(0, 3)], [Fraction(1, 3), 0.5], 0)
-        assert not zero_poly_check([Fraction(1, 2)], [Fraction(1, 3)], 0)
-        assert not zero_poly_check([10**30, 1], [10**30, 0], 0)
-        assert zero_poly_check(np.zeros(3), np.array([0.1, 0.2, 0.3]), 0)
-        assert zero_poly_check([np.int64(0), np.float32(0)], [np.int64(1), 2], 0)
 
     @pytest.mark.parametrize("seed", [-1, -(2**63), 2**64 - 1, 2**70, np.int64(-5)])
     def test_seeds_are_reduced_to_64_bits(self, seed):

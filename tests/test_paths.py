@@ -1,4 +1,4 @@
-"""Set algebra, path construction/verification, and mixing-family utilities."""
+"""Set algebra, path construction and verification, and the uniform blend."""
 
 from __future__ import annotations
 
@@ -13,7 +13,6 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from numpy.polynomial import polynomial as npoly
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
@@ -30,20 +29,16 @@ from satpath import (
     WorseSearchConfig,
     WorseSearchIncompleteError,
     build_w_xi,
-    build_z_lambda,
     construct_path,
     emit_path,
     find_worse_candidate,
     in_nob,
     in_worse,
-    indifference_poly,
     is_accessible,
-    pure_action_payoffs,
     random_profile,
     satisfaction_report,
     verify_nash,
     verify_path,
-    zero_poly_check,
 )
 import satpath.paths
 
@@ -599,140 +594,6 @@ class TestBuildWXi:
                 build_w_xi(mp, x, rep, bad)
 
 
-class TestBuildZLambda:
-    def setup_method(self):
-        self.x_star = profile_from([[1.0, 0.0], [0.5, 0.5]])
-        self.w = profile_from([[0.5, 0.5], [0.25, 0.75]])
-        self.x_k = profile_from([[1.0, 0.0], [0.0, 1.0]])
-
-    def test_endpoints(self):
-        z0 = build_z_lambda(self.x_star, self.w, {1}, self.x_k, 0.0)
-        assert z0[0] is self.x_k[0]
-        np.testing.assert_array_equal(z0[1].probs, self.x_star[1].probs)
-        z1 = build_z_lambda(self.x_star, self.w, {1}, self.x_k, 1.0)
-        np.testing.assert_array_equal(z1[1].probs, self.w[1].probs)
-
-    def test_midpoint_arithmetic(self):
-        x_star = profile_from([[1.0, 0.0], [1.0, 0.0]])
-        w = profile_from([[1.0, 0.0], [0.25, 0.75]])
-        z = build_z_lambda(x_star, w, {1}, self.x_k, 0.5)
-        np.testing.assert_array_equal(z[1].probs, [0.625, 0.375])
-
-    def test_domain_validated(self):
-        with pytest.raises(GameInputError, match="lambda"):
-            build_z_lambda(self.x_star, self.w, {1}, self.x_k, 1.0001)
-        with pytest.raises(GameInputError, match="out of range"):
-            build_z_lambda(self.x_star, self.w, {7}, self.x_k, 0.5)
-
-
-class TestIndifferencePoly:
-    def test_matching_pennies_hand_expansion(self, mp):
-        # opponent coordinate interpolates (1/2,1/2) -> (1/4,3/4), giving
-        # g(lam) = -lam, i.e. coefficients (0, -1)
-        x_star = profile_from([[0.5, 0.5], [0.5, 0.5]])
-        w = profile_from([[0.5, 0.5], [0.25, 0.75]])
-        x_k = pure(mp, (0, 0))
-        coeffs = indifference_poly(mp, x_star, w, {1}, x_k, player=0, a=0, a_prime=1)
-        np.testing.assert_allclose(coeffs, [0.0, -1.0], atol=1e-12)
-
-    def test_identical_payoff_rows_give_zero_polynomial(self):
-        from satpath import Game
-
-        game = Game((2, 2), ([1.0, 2.0, 1.0, 2.0], [0.0, 0.0, 0.0, 0.0]))
-        x_star = profile_from([[1.0, 0.0], [1.0, 0.0]])
-        w = profile_from([[0.5, 0.5], [0.5, 0.5]])
-        x_k = profile_from([[0.0, 1.0], [0.0, 1.0]])
-        coeffs = indifference_poly(game, x_star, w, {0, 1}, x_k, player=0, a=0, a_prime=1)
-        np.testing.assert_allclose(coeffs, [0.0, 0.0], atol=1e-12)
-
-    def test_two_player_affine_with_anchored_constant(self, mp):
-        x_star = profile_from([[1.0, 0.0], [0.7, 0.3]])
-        w = profile_from([[0.5, 0.5], [0.25, 0.75]])
-        x_k = pure(mp, (0, 0))
-        coeffs = indifference_poly(mp, x_star, w, {1}, x_k, player=0, a=0, a_prime=1)
-        assert coeffs.size == 2
-        z0 = build_z_lambda(x_star, w, {1}, x_k, 0.0)
-        w0 = pure_action_payoffs(mp, z0, 0)
-        assert coeffs[0] == pytest.approx(float(w0[0] - w0[1]), abs=1e-12)
-
-    def test_matches_direct_evaluation_on_random_configs(self):
-        rng = np.random.default_rng(33)
-        for _ in range(30):
-            game = random_game(rng)
-            n = game.num_players
-            x_star = random_profile(game, rng)
-            x_k = random_profile(game, rng)
-            unsat = {i for i in range(n) if rng.uniform() < 0.6}
-            w = random_profile(game, rng)
-            player = int(rng.integers(n))
-            count = game.action_counts[player]
-            a, a_prime = rng.choice(count, size=2, replace=False)
-            coeffs = indifference_poly(
-                game, x_star, w, unsat, x_k, player, int(a), int(a_prime)
-            )
-            assert coeffs.size <= n  # degree at most n - 1
-            for lam in np.linspace(0.0, 1.0, 5):
-                z = build_z_lambda(x_star, w, unsat, x_k, float(lam))
-                payoffs = pure_action_payoffs(game, z, player)
-                direct = float(payoffs[int(a)] - payoffs[int(a_prime)])
-                poly_val = float(npoly.polyval(lam, coeffs))
-                assert poly_val == pytest.approx(direct, abs=1e-9)
-            # the reference: numpy's least-squares fit of degree n - 1 through
-            # the same n nodes, which is the interpolant
-            nodes = np.array([0.0]) if n == 1 else np.linspace(0.0, 1.0, n)
-            values = []
-            for lam in nodes:
-                z = build_z_lambda(x_star, w, unsat, x_k, float(lam))
-                payoffs = pure_action_payoffs(game, z, player)
-                values.append(float(payoffs[int(a)] - payoffs[int(a_prime)]))
-            np.testing.assert_allclose(coeffs, npoly.polyfit(nodes, values, n - 1), atol=1e-9)
-
-    def test_equal_actions_rejected(self, mp):
-        x = uniform(mp)
-        with pytest.raises(GameInputError, match="differ"):
-            indifference_poly(mp, x, x, {1}, x, player=0, a=1, a_prime=1)
-
-
-class TestZeroPolyCheck:
-    def test_zero_polynomial(self):
-        assert zero_poly_check([0.0, 0.0], [0.2, 0.9], 1e-12)
-        # no coefficients at all is the zero polynomial too
-        assert zero_poly_check([], [0.2], 1e-12)
-
-    def test_single_root_of_degree_one_is_inconclusive(self):
-        assert not zero_poly_check([0.0, -1.0], [0.0], 1e-12)
-
-    def test_all_zero_quadratic_vector(self):
-        assert zero_poly_check([0.0, 0.0, 0.0], [0.0, 0.5, 1.0], 1e-12)
-
-    def test_nonvanishing_root_fails(self):
-        # g(lam) = lam*(lam-1) vanishes at 0 and 1 but not at 0.5
-        coeffs = [0.0, -1.0, 1.0]
-        assert not zero_poly_check(coeffs, [0.0, 0.5, 1.0], 1e-12)
-
-    def test_enough_near_roots_flag_zero(self):
-        coeffs = [1e-14, -1e-14, 1e-15]
-        assert zero_poly_check(coeffs, [0.0, 0.5, 1.0, 0.25], 1e-10)
-
-    def test_agrees_with_numpy_polynomial_reference(self):
-        # the reference verdict evaluates with numpy.polynomial's polyval
-        rng = np.random.default_rng(41)
-        verdicts = []
-        for _ in range(400):
-            coeffs = rng.normal(size=rng.integers(1, 5)) * 10.0 ** rng.integers(-16, 1)
-            coeffs[rng.uniform(size=coeffs.size) < 0.3] = 0.0
-            roots = rng.choice([0.0, 0.25, 0.5, 1.0], size=rng.integers(0, 6)).tolist()
-            nonzero = np.nonzero(coeffs)[0]
-            degree = int(nonzero[-1]) if nonzero.size else 0
-            distinct = sorted(set(roots))
-            expected = len(distinct) > degree and bool(
-                np.all(np.abs(npoly.polyval(np.array(distinct), coeffs)) <= 1e-12)
-            )
-            assert zero_poly_check(coeffs, roots, 1e-12) == expected
-            verdicts.append(expected)
-        assert any(verdicts) and not all(verdicts)
-
-
 class TestVerifyPath:
     def test_constant_sequences_always_satisfy_constraint(self, mp, pd):
         for game in (mp, pd):
@@ -907,11 +768,7 @@ class TestConstructPath:
     def test_case2_events_are_consistent_with_mixing_machinery(self):
         # At every subgame jump in a crafted-start corpus, the uniform blend
         # at the pre-jump profile must be fully mixed on unsatisfied
-        # coordinates, and the payoff-difference polynomial between the jump
-        # target and that blend must agree with direct evaluation.  When the
-        # jump gives an unsatisfied player a mixed strategy, the polynomial
-        # is built on a support pair, which the equilibrium certifies as
-        # indifferent at the target.
+        # coordinates.
         rng = np.random.default_rng(36)
         case2_events = 0
         for _ in range(60):
@@ -922,28 +779,10 @@ class TestConstructPath:
                 if step.kind != "case2_jump":
                     continue
                 case2_events += 1
-                x_k, rep_k = prev.profile, prev.report
-                x_star = step.profile
                 xi = 0.5
-                w = build_w_xi(game, x_k, rep_k, xi)
-                unsat = rep_k.unsatisfied
-                for i in unsat:
+                w = build_w_xi(game, prev.profile, prev.report, xi)
+                for i in prev.report.unsatisfied:
                     assert np.all(w[i].probs >= xi / game.action_counts[i])
-                    support = x_star[i].support
-                    if len(support) >= 2:
-                        a, a_prime = support[0], support[1]
-                    else:
-                        a, a_prime = 0, 1
-                    coeffs = indifference_poly(
-                        game, x_star, w, unsat, x_k, i, a, a_prime
-                    )
-                    assert coeffs.size <= game.num_players
-                    for lam in np.linspace(0.0, 1.0, 5):
-                        z = build_z_lambda(x_star, w, unsat, x_k, float(lam))
-                        payoffs = pure_action_payoffs(game, z, i)
-                        direct = float(payoffs[a] - payoffs[a_prime])
-                        value = float(np.polynomial.polynomial.polyval(lam, coeffs))
-                        assert value == pytest.approx(direct, abs=1e-9)
         assert case2_events > 0  # the corpus really triggers subgame jumps
 
 

@@ -649,7 +649,7 @@ class TestKnownDefects:
     @pytest.mark.xfail(
         strict=True,
         raises=SolverIncompleteError,
-        reason="no support yields a verified candidate on this 3x3x2x2 game (ROADMAP item 1)",
+        reason="no support yields a verified candidate on this 3x3x2x2 game (ROADMAP item 2)",
     )
     def test_held_out_corpus_game_143_solves(self):
         # game k = 143 of the corpus under held-out seed 354529847: the shape
