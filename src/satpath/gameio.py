@@ -342,6 +342,16 @@ def _check_no_gap(indices, first: int, what: str) -> None:
         raise GameFormatError("document", f"{what} {sorted(indices)} leave a gap")
 
 
+def _csv_index(field: str) -> int:
+    """A CSV trace index: ASCII decimal digits, after a minus sign that the
+    range check then rejects.  ``int`` alone also takes ``+1``, `` 1 ``,
+    ``0_1`` and non-ASCII digits, which a JSON trace's integers cannot be."""
+    digits = field[1:] if field.startswith("-") else field
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"invalid index {field!r}")
+    return int(field)
+
+
 def _parse_csv_trace(text: str) -> ParsedTrace:
     reader = csv.reader(io.StringIO(text))
     try:
@@ -357,9 +367,7 @@ def _parse_csv_trace(text: str) -> ParsedTrace:
         if len(row) != len(_CSV_HEADER):
             raise GameFormatError("document", f"row {row_num} has {len(row)} fields")
         try:
-            step = int(row[0])
-            player = int(row[2])
-            action = int(row[3])
+            step, player, action = map(_csv_index, (row[0], row[2], row[3]))
             probability = float(row[4])
             gap = float(row[5])
             flag = {"true": True, "false": False}[row[6]]

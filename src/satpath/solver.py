@@ -105,22 +105,18 @@ class SupportProfile:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Tolerances and enumeration controls for the support solver.
+    """The support solver's tolerance.
 
     ``tolerance`` bounds acceptable deviation gaps and probability
-    clamping.  ``max_support_size`` caps per-player support sizes
-    (None = unlimited).
+    clamping.  The enumeration itself has no setting: it visits every
+    support profile, in ``enumerate_supports`` order, until one verifies.
     """
 
     tolerance: float = DEFAULT_EPSILON
-    max_support_size: int | None = None
 
     def __post_init__(self):
         tolerance = _check_real("tolerance", self.tolerance, positive=True)
         object.__setattr__(self, "tolerance", tolerance)
-        if self.max_support_size is not None:
-            cap = _check_int("max_support_size", self.max_support_size, 1)
-            object.__setattr__(self, "max_support_size", cap)
 
 
 #: The config every solver entry point uses when given None.
@@ -342,20 +338,19 @@ def solve_on_support(
     return None
 
 
-def enumerate_supports(game: Game, config: SolverConfig | None = None):
-    """Yield support profiles in increasing total size, then lexicographic order."""
+def enumerate_supports(game: Game):
+    """Yield every support profile once: in increasing total size, then
+    lexicographically by the players' support sizes, then by each player's
+    action subset."""
     _check_instance("game", game, Game)
-    config = _check_instance("config", config, SolverConfig, _DEFAULT_CONFIG)
-    yield from _supports_from(game, config, game.num_players)
+    yield from _supports_from(game, game.num_players)
 
 
-def _supports_from(game: Game, config: SolverConfig, smallest_total: int):
+def _supports_from(game: Game, smallest_total: int):
     """``enumerate_supports`` from total support size ``smallest_total`` on."""
     counts = game.action_counts
-    cap = config.max_support_size
-    caps = [c if cap is None else min(c, cap) for c in counts]
-    for total in range(smallest_total, sum(caps) + 1):
-        for sizes in itertools.product(*(range(1, c + 1) for c in caps)):
+    for total in range(smallest_total, sum(counts) + 1):
+        for sizes in itertools.product(*(range(1, c + 1) for c in counts)):
             if sum(sizes) != total:
                 continue
             pools = [
@@ -450,7 +445,7 @@ def find_nash(game: Game, config: SolverConfig | None = None) -> StrategyProfile
         [_pure_candidate(game, config)],
         (
             solve_on_support(game, support, config)
-            for support in _supports_from(game, config, game.num_players + 1)
+            for support in _supports_from(game, game.num_players + 1)
         ),
     )
     for profile in candidates:

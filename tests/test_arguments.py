@@ -132,7 +132,6 @@ BAD_ARGUMENTS = BAD_GAMES + [
     ("solve-on-support-int-config",
      lambda tmp: solve_on_support(MP, SupportProfile(((0,), (0,))), 5)),
     ("solve-on-support-tuple-support", lambda tmp: solve_on_support(MP, ((0,), (0,)))),
-    ("enumerate-string-config", lambda tmp: next(enumerate_supports(MP, "x"))),
     ("subgame-list-frozen", lambda tmp: find_subgame_nash(MP, [1])),
     ("subgame-array-strategy", lambda tmp: find_subgame_nash(MP, {0: np.array([1.0, 0.0])})),
     ("worse-int-config", lambda tmp: find_worse_candidate(MP, PURE, config=5)),

@@ -132,6 +132,24 @@ class TestPathVerifyPipeline:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("spelling", ["+1", " 1 ", "0_1", "\u0661"])
+    def test_csv_index_other_than_ascii_digits_is_input_error(
+        self, mp_file, tmp_path, spelling, capsys
+    ):
+        # int() reads each spelling as 1, which a JSON trace could not say
+        trace = tmp_path / "trace.csv"
+        run(["path", "--game", mp_file, "--init", "pure:0,0", "--format", "csv",
+             "--out", str(trace)])
+        header, first, second, *rest = trace.read_text().splitlines()
+        fields = second.split(",")
+        assert fields[3] == "1"
+        fields[3] = spelling
+        trace.write_text("\n".join([header, first, ",".join(fields), *rest]) + "\n")
+        capsys.readouterr()
+        assert run(["verify", "--game", mp_file, "--in", str(trace)]) == 2
+        err = capsys.readouterr().err
+        assert "row 3 is malformed" in err and err.count("\n") == 1
+
     @pytest.mark.parametrize("broken", ["json-structure", "csv-kind"])
     def test_structurally_broken_trace_is_input_error(self, mp_file, tmp_path, broken, capsys):
         fmt = broken.split("-")[0]

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 
@@ -71,9 +72,6 @@ class TestSolverConfig:
         [
             {"tolerance": "1e-9"},
             {"tolerance": True},
-            {"max_support_size": 2.5},
-            {"max_support_size": True},
-            {"max_support_size": 0},
         ],
     )
     def test_rejects_mistyped_fields(self, kwargs):
@@ -81,9 +79,14 @@ class TestSolverConfig:
             SolverConfig(**kwargs)
 
     def test_numpy_scalars_are_accepted(self):
-        assert SolverConfig(tolerance=np.float64(1e-9), max_support_size=np.int64(2)) == (
-            SolverConfig(max_support_size=2)
-        )
+        assert SolverConfig(tolerance=np.float64(1e-9)) == SolverConfig(tolerance=1e-9)
+
+    def test_tolerance_is_the_only_field(self, mp):
+        assert [f.name for f in dataclasses.fields(SolverConfig)] == ["tolerance"]
+        with pytest.raises(TypeError):
+            SolverConfig(max_support_size=1)
+        with pytest.raises(TypeError):
+            enumerate_supports(mp, SolverConfig())
 
 
 class TestSolveOnSupport:
@@ -225,12 +228,20 @@ class TestEnumerationOrder:
         first = next(iter(enumerate_supports(mp)))
         assert first.supports == ((0,), (0,))
 
-    def test_max_support_size_caps_enumeration(self, rps):
-        config = SolverConfig(max_support_size=2)
-        assert all(
-            max(len(s) for s in sp.supports) <= 2
-            for sp in enumerate_supports(rps, config)
+    @pytest.mark.parametrize("counts", [(1,), (2, 3), (3, 1, 2), (2, 2, 2)])
+    def test_every_support_once_in_order(self, counts):
+        game = Game(counts, tuple(np.zeros(math.prod(counts)) for _ in counts))
+        got = [sp.supports for sp in enumerate_supports(game)]
+        every = [
+            [s for k in range(1, c + 1) for s in itertools.combinations(range(c), k)]
+            for c in counts
+        ]
+        want = sorted(
+            itertools.product(*every),
+            key=lambda sp: (sum(map(len, sp)), [len(s) for s in sp], sp),
         )
+        assert len(want) == math.prod(2**c - 1 for c in counts)
+        assert got == want
 
 
 class TestFindNash:
@@ -338,7 +349,7 @@ class TestFindNashMemo:
         config = SolverConfig(tolerance=1e-300)
         # every stage: the pure pass, then each support larger than a singleton
         stages = ["pure"] + [
-            sp for sp in enumerate_supports(game, config) if _total(sp) > game.num_players
+            sp for sp in enumerate_supports(game) if _total(sp) > game.num_players
         ]
         assert len(stages) > 1
         for attempt in (1, 2):
@@ -400,7 +411,7 @@ def singleton_loop(game: Game, config: SolverConfig):
     through ``solve_on_support``; the first whose max gap is within tolerance,
     else the first of least gap (the best candidate), else None."""
     best, best_gap = None, math.inf
-    for support in enumerate_supports(game, config):
+    for support in enumerate_supports(game):
         if _total(support) > game.num_players:
             break
         profile = solve_on_support(game, support, config)
@@ -412,6 +423,13 @@ def singleton_loop(game: Game, config: SolverConfig):
         if gap < best_gap:
             best, best_gap = profile, gap
     return best, best_gap
+
+
+def find_pure_nash(game: Game, config: SolverConfig | None = None) -> StrategyProfile:
+    """``find_nash`` with its mixed stage emptied, so only the pure screen runs."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(satpath.solver, "_supports_from", lambda *a: iter(()))
+        return find_nash(game, config)
 
 
 def _bitwise(a: StrategyProfile, b: StrategyProfile) -> bool:
@@ -431,12 +449,11 @@ class TestPureStage:
             assert got is None
         else:
             assert got is not None and _bitwise(got, expected)
-        capped = SolverConfig(max_support_size=1)
         if gap <= config.tolerance:
-            assert _bitwise(find_nash(game, capped), expected)
+            assert _bitwise(find_pure_nash(game, config), expected)
         else:
             with pytest.raises(SolverIncompleteError) as exc_info:
-                find_nash(game, capped)
+                find_pure_nash(game, config)
             assert exc_info.value.best_gap == gap
             if expected is not None:
                 assert _bitwise(exc_info.value.best_candidate, expected)
@@ -449,7 +466,7 @@ class TestPureStage:
         game = Game((2, 2), ([hi, 1.0, 1.0, hi], [1.0, hi, hi, 1.0]))
         assert hi - 1.0 > PURE_TOL
         with pytest.raises(SolverIncompleteError) as exc_info:
-            find_nash(game, SolverConfig(max_support_size=1))
+            find_pure_nash(game)
         assert exc_info.value.best_gap == hi - 1.0
         assert exc_info.value.best_candidate == pure(game, (0, 0))
         assert verify_nash(game, find_nash(game), PURE_TOL)
@@ -462,16 +479,16 @@ class TestPureStage:
         high = low + 0.125
         assert low + 0.1 == high
         game = Game((2, 2), ([high, low, low, high], [low, high, high, low]))
-        config = SolverConfig(tolerance=0.1, max_support_size=1)
+        config = SolverConfig(tolerance=0.1)
         assert singleton_loop(game, config) == (None, math.inf)
         assert satpath.solver._pure_candidate(game, config) is None
         with pytest.raises(SolverIncompleteError) as exc_info:
-            find_nash(game, config)
+            find_pure_nash(game, config)
         assert exc_info.value.best_gap == math.inf
 
     def test_no_pure_equilibrium_under_singleton_cap(self, mp):
         with pytest.raises(SolverIncompleteError) as exc_info:
-            find_nash(mp, SolverConfig(max_support_size=1))
+            find_pure_nash(mp)
         assert exc_info.value.best_gap == math.inf
         assert exc_info.value.best_candidate is None
 
@@ -513,7 +530,7 @@ class TestPureScreenTable:
     def test_first_accepted_singleton_with_seeded_gaps(self, game):
         config = SolverConfig()
         expected = None
-        for support in enumerate_supports(game, config):
+        for support in enumerate_supports(game):
             if _total(support) > game.num_players:
                 break
             profile = solve_on_support(game, support, config)
