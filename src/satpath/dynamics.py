@@ -8,8 +8,9 @@ epsilon-Nash profiles are fixed points.
 ``run_dynamics`` iterates the single-profile step of ``satisficing_step``,
 reading each profile's gaps from ``satisfaction_report``.
 ``batch_experiment`` runs a game's trials together over a (rows x total
-actions) array of profiles, one batched contraction per player
-(``_batch_gaps``) per round for every row of the round; each trial redraws
+actions) array of profiles, reading every row's gaps of a round from one
+``_batch_gaps`` call, which runs per row and player the BLAS
+matrix-vector product of the per-profile kernel; each trial redraws
 from its own generator, and a trial that hits an epsilon-Nash profile drops
 out.  ``pure_uniform`` trials advance one profile a round (``_lockstep``).
 The Dirichlet explorers' trials advance by blocks of profiles
@@ -21,10 +22,13 @@ changes too often for blocks to pay.
 
 Every ``batch_experiment`` row equals a replay of its trials through
 ``run_dynamics`` because ``_batch_gaps`` rows equal ``satisfaction_report``
-gaps bitwise and every redraw is bitwise ``_redraw``'s: one generator call
+gaps bitwise, and every redraw is bitwise ``_redraw``'s: one generator call
 per step for a Dirichlet explorer and one per unsatisfied player for
-``pure_uniform``.  A block of k steps makes one ``_simplex_draws`` call,
-which draws what k single calls would.
+``pure_uniform``.  The gaps agree because both kernels multiply each
+player's payoff matrix by the same products of the opponents'
+probabilities, with the same BLAS product; they may differ in the last
+place from earlier versions of the package.  A block of k steps makes one
+``_simplex_draws`` call, which draws what k single calls would.
 
 The default satisfaction tolerance here is looser (1e-6) than the path
 constructor's internal one: continuous resampling never lands exactly on

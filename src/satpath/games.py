@@ -18,12 +18,15 @@ which is continuous, nonnegative, and zero exactly when player i best
 responds, i.e. when x_i is supported on the argmax of the pure-action
 payoff vector.
 
-One player's gap is one ``np.einsum`` call on a plan the game builds once:
-that player's payoff tensor, the subscripts that keep the player's own axis
-and average every other one, and the opponents' indices
-(``Game._gap_plan``).  The plan is the call ``_contract`` makes for the
-pure-action payoffs, so a gap is bitwise what ``_contract`` gives; it only
-skips rebuilding the call for each gap.
+One player's pure-action payoffs are one BLAS matrix-vector product
+(``_pure_payoffs``): the game keeps each player's payoffs as a contiguous
+(c_i, m) matrix, own action by the opponents' joint actions
+(``Game._gap_plan``), and multiplies it by the opponents' joint
+distribution q, whose m entries are products of their probabilities built
+in ascending player order.  ``_batch_gaps`` builds the same products for a
+batch of profiles and runs the same product per row, so its rows equal
+single-profile gaps bitwise.  Gaps may differ from earlier versions of the
+package, which used ``np.einsum``, in the last place.
 
 Games, strategies and profiles are immutable: every array they hold is a
 read-only copy of what the caller passed, so nothing the caller keeps can
@@ -145,14 +148,14 @@ class Game:
         return tuple(arr.reshape(self.action_counts) for arr in self.payoffs)
 
     @cached_property
-    def _gap_plan(self) -> tuple[tuple[str, np.ndarray, tuple[int, ...]], ...]:
-        """Per player: the ``np.einsum`` subscripts ``_contract`` uses for that
-        player's pure-action payoffs, the payoff tensor, and the opponents
-        whose strategies it averages over, in axis order."""
-        n = self.num_players
+    def _gap_plan(self) -> tuple[tuple[np.ndarray, tuple[int, ...]], ...]:
+        """Per player: the payoff tensor as a read-only C-contiguous (c_i, m)
+        matrix, the player's own axis first and the opponents' axes after it
+        in ascending order, and those opponents."""
         return tuple(
-            (_subscripts(n, (i,), False), tensor, tuple(j for j in range(n) if j != i))
-            for i, tensor in enumerate(self._tensors)
+            (_readonly(t.transpose(i, *others)).reshape(t.shape[i], -1), others)
+            for i, t in enumerate(self._tensors)
+            for others in [tuple(j for j in range(self.num_players) if j != i)]
         )
 
     @cached_property
@@ -255,9 +258,7 @@ def _vertex(num_actions: int, action: int) -> MixedStrategy:
     that plays it: pure starts, the pure equilibria ``find_nash`` screens
     and the Worse search's candidates.  A game's players have at most
     MAX_ACTIONS actions, so 21 vertices cover every game."""
-    vec = np.zeros(num_actions)
-    vec[action] = 1.0
-    return MixedStrategy._prechecked(vec)
+    return MixedStrategy._prechecked(np.eye(num_actions)[action])
 
 
 def _strategy_fault(arr: np.ndarray) -> str:
@@ -505,50 +506,42 @@ def _check_instance(name: str, value, cls, default=None):
 
 
 @cache
-def _subscripts(ndim: int, keep: tuple[int, ...], batched: bool) -> str:
+def _subscripts(ndim: int, keep: tuple[int, ...]) -> str:
     axes = string.ascii_lowercase[:ndim]
-    batch = "z" if batched else ""
-    averaged = [batch + axes[j] for j in range(ndim) if j not in keep]
-    return ",".join([axes, *averaged]) + "->" + batch + "".join(axes[j] for j in keep)
+    averaged = [axes[j] for j in range(ndim) if j not in keep]
+    return ",".join([axes, *averaged]) + "->" + "".join(axes[j] for j in keep)
 
 
 def _contract(tensor: np.ndarray, probs, keep: tuple[int, ...]) -> np.ndarray:
     """Average ``tensor`` over every axis not in ``keep``, weighting axis j by
     ``probs[j]``; the kept axes come out in the order ``keep`` lists them.
 
-    Only ``probs[j]`` for averaged axes is read.  Every payoff average in the
-    package goes through here: keep=() is an expected reward, keep=(i,) the
-    pure-action payoffs, keep=(i, j) a pairwise payoff matrix, and keeping the
-    free players reduces a game to the subgame induced by frozen strategies.
-
-    The averaged ``probs[j]`` may instead all be (B, c_j) arrays, one row per
-    profile of a batch; the result then gains a leading batch axis of size B.
-    Unbatched calls keep their subscripts, so their results do not change.
-    A batched row equals the unbatched call bitwise unless the unbatched
-    result has a single entry (every kept axis of size 1, or none kept):
-    einsum then groups that full reduction differently, and the two may
-    differ in the last place.
+    Only ``probs[j]`` for averaged axes is read.  The solver, the Worse
+    certificate and the subgame reduction average payoffs through here:
+    keep=() is an expected reward, keep=(i,) the pure-action payoffs,
+    keep=(i, j) a pairwise payoff matrix, and keeping the free players
+    reduces a game to the subgame induced by frozen strategies.  Gaps go
+    through ``_pure_payoffs`` instead.
     """
     averaged = [probs[j] for j in range(tensor.ndim) if j not in keep]
-    batched = bool(averaged) and averaged[0].ndim == 2
-    return np.einsum(_subscripts(tensor.ndim, keep, batched), tensor, *averaged)
+    return np.einsum(_subscripts(tensor.ndim, keep), tensor, *averaged)
 
 
 def expected_reward(game: Game, profile: StrategyProfile, player: int) -> float:
     """Exact expected reward of ``player`` at ``profile``."""
     _check_profile(game, profile)
     player = _check_int("player", player, 0, game.num_players - 1)
-    probs = [s.probs for s in profile.strategies]
-    return float(_contract(game._tensors[player], probs, ()))
+    return float(_contract(game._tensors[player], [s.probs for s in profile.strategies], ()))
 
 
 def pure_action_payoffs(game: Game, profile: StrategyProfile, player: int) -> np.ndarray:
     """Vector of ``player``'s expected rewards from each pure action, holding
-    the other players at ``profile``.  Its maximum is the best-reply value."""
+    the other players at ``profile``.  Its maximum is the best-reply value,
+    and for this vector w, ``max(w) - w @ x_i`` clamped at 0 is
+    ``deviation_gap`` bit for bit."""
     _check_profile(game, profile)
     player = _check_int("player", player, 0, game.num_players - 1)
-    probs = [s.probs for s in profile.strategies]
-    return _contract(game._tensors[player], probs, (player,))
+    return _pure_payoffs(game, [s.probs for s in profile.strategies], player)
 
 
 def deviation_gap(game: Game, profile: StrategyProfile, player: int) -> float:
@@ -558,11 +551,27 @@ def deviation_gap(game: Game, profile: StrategyProfile, player: int) -> float:
     return float(_profile_gaps(game, profile)[player])
 
 
+def _pure_payoffs(game: Game, probs: list[np.ndarray], player: int) -> np.ndarray:
+    """``player``'s pure-action payoffs at the profile whose strategies are
+    ``probs``: the game's plan matrix times the opponents' joint
+    distribution q, in one BLAS matrix-vector product.  q is built by
+    successive outer products in ascending player order, so each entry is
+    ((x_a x_b) x_c) ... for opponents a < b < c; broadcasting forms each
+    outer product with less overhead than ``np.multiply.outer``.
+    ``flat.dot(q)`` makes the BLAS call ``np.matmul`` makes for each row of
+    ``_batch_gaps``, with less overhead than ``flat @ q``."""
+    flat, others = game._gap_plan[player]
+    q = probs[others[0]] if others else np.ones(1)  # a one-player game has no opponents
+    for j in others[1:]:
+        q = (q[:, None] * probs[j]).ravel()
+    return flat.dot(q)
+
+
 def _deviation_gap_raw(game: Game, probs: list[np.ndarray], player: int) -> float:
     """``player``'s deviation gap at the profile whose strategies are
-    ``probs``: ``_contract``'s pure-action payoffs, through the game's plan."""
-    subscripts, tensor, others = game._gap_plan[player]
-    w = np.einsum(subscripts, tensor, *[probs[j] for j in others])
+    ``probs``: the largest of the pure-action payoffs ``_pure_payoffs``
+    gives, minus their dot product with ``probs[player]``, clamped at 0."""
+    w = _pure_payoffs(game, probs, player)
     gap = max(w.tolist()) - float(w.dot(probs[player]))
     return gap if gap > 0.0 else 0.0
 
@@ -605,14 +614,18 @@ def _seed_gaps(game: Game, profile: StrategyProfile, gaps: list[float]) -> None:
 def _batch_gaps(game: Game, probs: list[np.ndarray]) -> np.ndarray:
     """Every player's deviation gap at each profile of a batch: ``probs[j]``
     is a (B, c_j) array of player j's strategies, and row b of the (B, n)
-    result equals the gaps ``satisfaction_report`` gives at profile b bitwise
-    (the batched matmul runs the same dot product as ``_deviation_gap_raw``)."""
+    result equals the gaps ``satisfaction_report`` gives at profile b
+    bitwise.  Broadcasting builds each player's (B, m) array of opponents'
+    joint distributions, row b holding the products ``_pure_payoffs`` forms
+    at profile b, in the same association, and ``np.matmul`` runs that BLAS
+    matrix-vector product once per row."""
     gaps = np.empty((len(probs[0]), game.num_players))
-    for i, p in enumerate(probs):
-        w = _contract(game._tensors[i], probs, (i,))
-        if w.ndim == 1:  # a one-player game averages over no one
-            w = np.broadcast_to(w, p.shape)
-        gaps[:, i] = np.maximum.reduce(w, axis=1) - (w[:, None, :] @ p[:, :, None])[:, 0, 0]
+    for i, (flat, others) in enumerate(game._gap_plan):
+        q = probs[others[0]] if others else np.ones((len(gaps), 1))
+        for j in others[1:]:
+            q = (q[:, :, None] * probs[j][:, None, :]).reshape(len(q), -1)
+        w = np.matmul(flat, q[:, :, None])[:, :, 0]
+        gaps[:, i] = w.max(axis=1) - (w[:, None, :] @ probs[i][:, :, None])[:, 0, 0]
     return np.where(gaps > 0.0, gaps, 0.0)
 
 

@@ -286,11 +286,26 @@ def _worse_candidates(game: Game, x: StrategyProfile, report: SatisfactionReport
 
 def _rounding_floor(game: Game, i: int) -> float:
     """A bound on how far player i's gap, computed by the certificate or by
-    the gap kernel, can stray from its exact value, doubled.  Each payoff
-    average weighs at most ``size`` payoffs by products of ``n``
-    probabilities summing to 1, so it errs by at most (size + n) * 2**-53
-    times the largest payoff magnitude (kept on the game); a gap subtracts
-    two of them."""
+    the gap kernel, can stray from its exact value, doubled.  Write u for
+    2**-53, P for player i's largest payoff magnitude (kept on the game),
+    c for its action count and m = size / c for its opponents' joint
+    actions.
+
+    The certificate's einsum weighs at most ``size`` payoffs by products of
+    ``n`` probabilities summing to 1, so each average errs by at most
+    (size + n) * u * P, and a gap subtracts two of them.
+
+    The gap kernel (``games._pure_payoffs``) rounds each entry of the
+    opponents' joint distribution n - 2 times, as a product of n - 1
+    probabilities, and then takes a BLAS dot product of length m, which
+    rounds at most m times along any summation order (FMA only fuses some
+    of them); the entries sum to 1, so each pure-action payoff errs by at
+    most (m + n - 2) * u * P, to first order in u.  The gap takes their
+    largest, exactly, subtracts their dot product with x_i, which rounds c
+    more times, and rounds the difference once: it errs by at most
+    (2m + 2n + c - 2) * u * P.  As size = c * m, both bounds are within
+    2 * (size + n) * u * P, half the floor, with room for the higher-order
+    terms."""
     size = game.payoffs[i].size
     return 4 * (size + game.num_players) * _ULP * game._payoff_bounds[i]
 

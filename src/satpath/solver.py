@@ -379,9 +379,11 @@ def _pure_candidate(game: Game, config: SolverConfig) -> StrategyProfile | None:
     candidate the singleton loop would have kept; failing that, None.
 
     The profile is made of the shared vertices (``games._vertex``), and its
-    gap memo is seeded from the shortfalls: at a pure profile the gap
-    kernel's contraction only multiplies by 1 and adds zeros, so its gaps are
-    these shortfalls bit for bit.
+    gap memo is seeded from the shortfalls: at a pure profile the
+    opponents' joint distribution is a single 1 among zeros, so the gap
+    kernel's matrix-vector product, in whatever order BLAS sums it, returns
+    the payoffs it picks exactly, and its gaps are these shortfalls bit for
+    bit.
     """
     tol = config.tolerance
     shape = game.action_counts

@@ -451,26 +451,30 @@ class TestContractionKernel:
         assert deviation_gap(game, at_best, i) == 0.0
 
 
-def contract_gap(game, probs, player):
-    """The deviation gap as ``_contract`` computes it, before the gap plan."""
-    w = _contract(game.payoff_tensor(player), probs, (player,))
-    gap = float(w.max()) - float(w @ probs[player])
+def public_gap(game, profile, player):
+    """The deviation gap from the public pure-action payoffs w, clamped at 0:
+    max(w) - w @ x_i."""
+    w = pure_action_payoffs(game, profile, player)
+    gap = float(w.max()) - float(w @ profile[player].probs)
     return gap if gap > 0.0 else 0.0
 
 
 class TestGapPlan:
-    """``_deviation_gap_raw`` runs ``_contract``'s einsum call from the game's
-    plan, so every gap is bitwise the ``_contract``-based one."""
+    """``_deviation_gap_raw`` computes its gap from the pure-action payoffs
+    ``pure_action_payoffs`` returns, so every gap is bitwise the public
+    formula's."""
 
     @settings(max_examples=150, deadline=None)
     @given(games_and_profiles(), st.data())
-    def test_gap_equals_contract_formula_and_brute_force(self, game_and_profile, data):
+    def test_gap_equals_public_formula_and_brute_force(self, game_and_profile, data):
         game, profile = game_and_profile
         probs = [s.probs for s in profile.strategies]
         for i in range(game.num_players):
             gap = _deviation_gap_raw(game, probs, i)
             assert type(gap) is float
-            assert np.float64(gap).tobytes() == np.float64(contract_gap(game, probs, i)).tobytes()
+            want = np.float64(public_gap(game, profile, i)).tobytes()
+            assert np.float64(gap).tobytes() == want
+            assert np.float64(deviation_gap(game, profile, i)).tobytes() == want
             assert abs(gap - brute_gap(game, profile, i)) <= KERNEL_TOL
         i = data.draw(st.integers(0, game.num_players - 1))
         best = int(np.argmax(pure_action_payoffs(game, profile, i)))
@@ -479,8 +483,7 @@ class TestGapPlan:
 
 
 class TestBatchedKernel:
-    """The batch axis of ``_contract`` and ``_batch_gaps`` against the
-    single-profile calls, compared bitwise."""
+    """``_batch_gaps`` against the single-profile gaps, compared bitwise."""
 
     @settings(max_examples=150, deadline=None)
     @given(games_and_profiles(), st.data())
@@ -511,20 +514,6 @@ class TestBatchedKernel:
         for b, i in best:
             for r in np.flatnonzero(np.array(picked) == b):
                 assert gaps[r, i] == 0.0
-        if n == 1:
-            return
-        for i in range(n):
-            w = _contract(game.payoff_tensor(i), probs, (i,))
-            assert w.shape == (len(picked), game.action_counts[i])
-            for r, b in enumerate(picked):
-                want = pure_action_payoffs(game, profiles[b], i)
-                if game.action_counts[i] > 1:
-                    assert w[r].tobytes() == want.tobytes()
-                else:
-                    # unbatched, a one-action player's payoff is a full
-                    # reduction, which einsum groups differently (last ulp);
-                    # its gap is exactly 0 either way, checked above
-                    np.testing.assert_allclose(w[r], want, rtol=0.0, atol=KERNEL_TOL)
 
     @pytest.mark.parametrize("shape", [(3,), (1, 4), (2, 3), (2, 2, 2), (3, 1, 2, 2)])
     def test_block_sized_batches_equal_single_profile_calls(self, shape):

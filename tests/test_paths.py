@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from satpath import (
@@ -502,6 +502,48 @@ class TestExactOracle:
             for i in exactly | step.report.satisfied:
                 assert following.profile[i].probs.tobytes() == step.profile[i].probs.tobytes()
         assert (max(exact[-1]) <= Fraction(EPS)) == (path.terminal_gap <= EPS)
+
+
+def floor_case(counts, seed, scale):
+    """A game of ``counts`` with payoffs ``scale`` * U[-1, 1] and a
+    Dirichlet start, both drawn from ``seed``."""
+    rng = np.random.default_rng(seed)
+    payoffs = scale * rng.uniform(-1.0, 1.0, (len(counts), math.prod(counts)))
+    game = Game(counts, tuple(payoffs))
+    return game, random_profile(game, rng)
+
+
+@st.composite
+def floor_cases(draw):
+    """``floor_case`` of 1-6 players with 1-6 actions each and at most 1,728
+    joint actions, at a payoff scale from 1e-3 to 1e3."""
+    counts = draw(
+        st.lists(st.integers(1, 6), min_size=1, max_size=6).filter(
+            lambda c: math.prod(c) <= 1728
+        )
+    )
+    seed, scale = draw(st.integers(0, 2**32 - 1)), 10.0 ** draw(st.integers(-3, 3))
+    return floor_case(tuple(counts), seed, scale)
+
+
+class TestRoundingFloor:
+    """The gap kernel errs by at most half of ``_rounding_floor``, the share
+    its derivation allots the kernel, against exact rational gaps."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(floor_cases())
+    # 6-action and 4-6 player shapes, where the opponents' joint actions,
+    # the length of the kernel's dot products, are most numerous
+    @example(floor_case((6, 6, 6, 6), 1, 1.0))
+    @example(floor_case((3, 3, 3, 3, 3, 3), 2, 1e3))
+    @example(floor_case((6, 6, 6, 2, 2), 3, 1.0))
+    @example(floor_case((6, 6, 2, 2, 2, 2), 4, 1e-3))
+    def test_kernel_gap_within_half_the_floor(self, case):
+        game, x = case
+        exact = exact_gaps(game, x)
+        for i, gap in enumerate(fresh_gaps(game, x).tolist()):
+            half_floor = Fraction(satpath.paths._rounding_floor(game, i)) / 2
+            assert abs(Fraction(gap) - exact[i]) <= half_floor
 
 
 class TestSeededWorseGaps:
