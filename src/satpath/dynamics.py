@@ -7,18 +7,18 @@ epsilon-Nash profiles are fixed points.
 
 ``run_dynamics`` iterates the single-profile step of ``satisficing_step``,
 reading each profile's gaps from ``satisfaction_report``.
-``batch_experiment`` runs a game's trials together over a (rows x total
-actions) array of profiles, reading every row's gaps of a round from one
-``_batch_gaps`` call, which runs per row and player the BLAS
-matrix-vector product of the per-profile kernel; each trial redraws
-from its own generator, and a trial that hits an epsilon-Nash profile drops
-out.  ``pure_uniform`` trials advance one profile a round (``_lockstep``).
-The Dirichlet explorers' trials advance by blocks of profiles
-(``_blockstep``): a trial draws its next k profiles as if its unsatisfied
-set stayed put, keeps them up to the first whose set differs, and rolls
-its generator back to redraw the kept steps when it keeps fewer than k.
-A ``pure_uniform`` draw is a vertex, often a best response, so its set
-changes too often for blocks to pay.
+``batch_experiment`` runs a game's trials together through one loop,
+``_blockstep``, over a (rows x total actions) array of profiles, reading
+every row's gaps of a round from one ``_batch_gaps`` call, which runs per
+row and player the BLAS matrix-vector product of the per-profile kernel;
+each trial redraws from its own generator, and a trial that hits an
+epsilon-Nash profile drops out.  Each trial advances by a block of
+profiles a round: it draws its next k profiles as if its unsatisfied set
+stayed put, keeps them up to the first whose set differs, and rolls its
+generator back to redraw the kept steps when it keeps fewer than k.  A
+Dirichlet explorer's blocks grow while its set lasts; a ``pure_uniform``
+trial's stay at one profile, because its draw is a vertex, often a best
+response, so its set changes too often for longer blocks to pay.
 
 Every ``batch_experiment`` row equals a replay of its trials through
 ``run_dynamics`` because ``_batch_gaps`` rows equal ``satisfaction_report``
@@ -40,12 +40,12 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 from dataclasses import dataclass, field
-from itertools import compress
 
 import numpy as np
 
 from .errors import GameInputError
 from .games import (
+    MAX_PLAYERS,
     PROB_SUM_TOL,
     Game,
     MixedStrategy,
@@ -237,39 +237,25 @@ def _step(
     return StrategyProfile(tuple(strategies))
 
 
-def _lockstep(
-    game: Game,
-    rows: np.ndarray,
-    rngs: list[np.random.Generator],
-    epsilon: float,
-    explorer: ExplorerPolicy,
-    max_steps: int,
-) -> list[int | None]:
-    """Run trial t from profile ``rows[t]`` with generator ``rngs[t]`` until
-    it hits an epsilon-Nash profile or has ``max_steps`` profiles; returns
-    each trial's hit step, or None.  ``rows`` (trials x total actions) is
-    overwritten."""
-    segments = _segments(game)
-    hits: list[int | None] = [None] * len(rngs)
-    live = list(range(len(rngs)))  # the trial behind each row of ``rows``
-    for step in range(1, max_steps + 1):
-        gaps = _batch_gaps(game, [rows[:, seg] for seg in segments])
-        unsatisfied = gaps > epsilon
-        going = unsatisfied.any(axis=1)
-        if not going.all():
-            for r in np.flatnonzero(~going).tolist():
-                hits[live[r]] = step
-            rows, unsatisfied = rows[going], unsatisfied[going]
-            live = [t for t, keep in zip(live, going.tolist()) if keep]
-            if not live:
-                break
-        if step == max_steps:
-            break
-        for r, flags in enumerate(unsatisfied.tolist()):
-            players = [i for i, flag in enumerate(flags) if flag]
-            _redraw(rows[r], players, segments, explorer, rngs[live[r]])
-        _check_rows(rows, segments)
-    return hits
+#: The players whose bits are set in each unsatisfied-set mask (bit i for
+#: player i), in ascending order: the players a trial's next step redraws.
+#: Mask m + 2**i holds the players of mask m < 2**i and then i.
+_PLAYERS_OF: list[tuple[int, ...]] = [()]
+for _i in range(MAX_PLAYERS):
+    _PLAYERS_OF += [players + (_i,) for players in _PLAYERS_OF]
+del _i
+
+
+class _Trial:
+    """A trial of ``_blockstep``: its generator, the unsatisfied set of its
+    last kept profile as a mask (0 once it hits), the profiles it has
+    emitted, its next block length and the generator state saved before its
+    block."""
+
+    __slots__ = ("rng", "mask", "done", "k", "state")
+
+    def __init__(self, rng: np.random.Generator, mask: int):
+        self.rng, self.mask, self.done, self.k, self.state = rng, mask, 1, 1, None
 
 
 def _blockstep(
@@ -279,64 +265,69 @@ def _blockstep(
     epsilon: float,
     explorer: ExplorerPolicy,
     max_steps: int,
-) -> list[int | None]:
-    """``_lockstep``'s result, stepping each trial by a block of profiles a
-    round.
+) -> list[int]:
+    """Run trial t from profile ``rows[t]`` with generator ``rngs[t]`` until
+    it hits an epsilon-Nash profile or has ``max_steps`` profiles; returns
+    the hit steps of the trials that hit, in trial order.  ``rows`` (trials
+    x total actions) may be overwritten.
 
-    A trial's block of k rows is drawn by one ``_redraw_steps`` call as if
-    its unsatisfied set stayed put, and every block of the round is checked,
-    before any gap is computed, and evaluated together.  The trial keeps its
-    rows up to the first whose unsatisfied set differs (or the block's end);
-    if that leaves some unkept, its generator goes back to the state saved
-    before the block and draws the kept steps again, so its stream goes on
-    as a step-by-step run's would.  k doubles after a block that kept every
-    row and drops to 1 after a change, and a round holds at most
-    ``_TRIAL_BLOCK`` rows.
+    Each round steps every live trial by a block of k profiles, drawn by one
+    ``_redraw_steps`` call as if its unsatisfied set stayed put; every
+    block of the round is checked, before any gap is computed, and
+    evaluated together.  The trial keeps its rows up to the first whose
+    unsatisfied set differs (or the block's end); if that leaves some
+    unkept, its generator goes back to the state saved before the block and
+    draws the kept steps again, so its stream goes on as a step-by-step
+    run's would.  k doubles after a block that kept every row, unless the
+    explorer is ``pure_uniform``, drops to 1 after a change, and a round
+    holds at most ``_TRIAL_BLOCK`` rows.
     """
     segments = _segments(game)
-    everyone = range(game.num_players)
-    flags = (_batch_gaps(game, [rows[:, seg] for seg in segments]) > epsilon).tolist()
-    hits: list[int | None] = [None if any(f) else 1 for f in flags]
-    # per live trial: its index, unsatisfied flags, profiles emitted, block length
-    live = [t for t, f in enumerate(flags) if any(f)]
-    flags = [flags[t] for t in live]
-    done, lengths = [1] * len(live), [1] * len(live)
-    rows = rows[live]
+    bits = 1 << np.arange(game.num_players)
+
+    def masks(block: np.ndarray) -> list[int]:  # each row's unsatisfied set
+        return (_batch_gaps(game, [block[:, seg] for seg in segments]) > epsilon).dot(bits).tolist()
+
+    growth = 1 if explorer.kind == "pure_uniform" else 2
+    trials = [_Trial(rng, mask) for rng, mask in zip(rngs, masks(rows))]
+    live = [trial for trial in trials if trial.mask]
+    rows = rows[[bool(trial.mask) for trial in trials]]
     while live and max_steps > 1:
-        cap = _TRIAL_BLOCK // len(live)
-        lengths = [min(k, cap, max_steps - d) for k, d in zip(lengths, done)]
-        block = np.repeat(rows, lengths, axis=0)
-        states, end = [], 0
-        for t, k, f in zip(live, lengths, flags):
-            states.append(rngs[t].bit_generator.state if k > 1 else None)
-            players = list(compress(everyone, f))
-            _redraw_steps(block[end : end + k], players, segments, explorer, rngs[t])
-            end += k
+        block = rows  # a round of one-row blocks draws into ``rows`` itself
+        if growth > 1 and any(trial.k > 1 for trial in live):
+            for trial in live:
+                trial.k = min(trial.k, _TRIAL_BLOCK // len(live), max_steps - trial.done)
+            block = np.repeat(rows, [trial.k for trial in live], axis=0)
+        end = 0
+        for trial in live:
+            if trial.k > 1:
+                trial.state = trial.rng.bit_generator.state
+            players = _PLAYERS_OF[trial.mask]
+            _redraw_steps(block[end : end + trial.k], players, segments, explorer, trial.rng)
+            end += trial.k
         _check_rows(block, segments)
-        new = (_batch_gaps(game, [block[:, seg] for seg in segments]) > epsilon).tolist()
-        on, on_rows, end = [], [], 0  # the trials that go on and their last kept rows
-        for r, (t, k, f) in enumerate(zip(live, lengths, flags)):
-            start, end = end, end + k
+        new = masks(block)
+        going, kept, end = [], [], 0  # the trials that go on and their last kept rows
+        for r, trial in enumerate(live):
+            start, end = end, end + trial.k
             last = start
-            while new[last] == f and last < end - 1:
+            while last < end - 1 and new[last] == trial.mask:
                 last += 1
-            done[r] += last + 1 - start
-            if not any(new[last]):
-                hits[t] = done[r]
-            elif done[r] < max_steps:
-                if last < end - 1:
-                    rngs[t].bit_generator.state = states[r]
-                    kept = np.repeat(rows[r : r + 1], last + 1 - start, axis=0)
-                    _redraw_steps(kept, list(compress(everyone, f)), segments, explorer, rngs[t])
-                lengths[r] = 1 if new[last] != f else 2 * k
-                on.append(r)
-                on_rows.append(last)
-        live = [live[r] for r in on]
-        done = [done[r] for r in on]
-        lengths = [lengths[r] for r in on]
-        flags = [new[j] for j in on_rows]
-        rows = block[on_rows]
-    return hits
+            trial.done += last + 1 - start
+            if new[last] == trial.mask:
+                trial.k *= growth
+            else:
+                if last < end - 1 and new[last]:
+                    trial.rng.bit_generator.state = trial.state
+                    again = np.repeat(rows[r : r + 1], last + 1 - start, axis=0)
+                    _redraw_steps(again, _PLAYERS_OF[trial.mask], segments, explorer, trial.rng)
+                trial.k, trial.mask = 1, new[last]
+            if trial.mask and trial.done < max_steps:
+                going.append(trial)
+                kept.append(last)
+        live = going
+        rows = block if len(kept) == len(block) else block[kept]
+    return [trial.done for trial in trials if not trial.mask]
 
 
 def satisficing_step(
@@ -398,9 +389,9 @@ def batch_experiment(
     SeedSequence([master_seed, g, t]), so results depend only on the
     arguments; each trial draws its own initial profile uniformly from the
     product of simplices.  A game's trials run together, up to
-    ``_TRIAL_BLOCK`` at a time: ``pure_uniform`` trials one profile a round,
-    the others by blocks of profiles whose generators roll back past a
-    change of unsatisfied set (``_blockstep``).  Each row equals a
+    ``_TRIAL_BLOCK`` at a time, each by blocks of profiles whose generators
+    roll back past a change of unsatisfied set (``_blockstep``; a
+    ``pure_uniform`` trial's blocks hold one profile).  Each row equals a
     per-trial replay: ``run_dynamics`` from that initial profile, seeded
     from the second child of the trial's SeedSequence.  Returns one row per
     game with the hit frequency and the mean/median hitting time among
@@ -427,9 +418,7 @@ def batch_experiment(
                 starts[r] = np.concatenate(_simplex_draws(init, game.action_counts))
                 rngs.append(np.random.default_rng(run_seed))
             _check_rows(starts, _segments(game))
-            run = _lockstep if explorer.kind == "pure_uniform" else _blockstep
-            hits = run(game, starts, rngs, epsilon, explorer, max_steps)
-            hit_steps += [h for h in hits if h is not None]
+            hit_steps += _blockstep(game, starts, rngs, epsilon, explorer, max_steps)
         out.append(
             {
                 "game": game.name or f"game-{g}",

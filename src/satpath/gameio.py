@@ -353,15 +353,16 @@ def _csv_index(field: str) -> int:
 
 
 def _parse_csv_trace(text: str) -> ParsedTrace:
-    reader = csv.reader(io.StringIO(text))
     try:
-        header = next(reader)
-    except StopIteration:
-        raise GameFormatError("document", "empty CSV trace") from None
-    if header != _CSV_HEADER:
-        raise GameFormatError("document", f"unexpected CSV header {header!r}")
+        rows = list(csv.reader(io.StringIO(text)))
+    except csv.Error as exc:  # such as a field over csv.field_size_limit()
+        raise GameFormatError("document", f"unreadable CSV ({exc})") from exc
+    if not rows:
+        raise GameFormatError("document", "empty CSV trace")
+    if rows[0] != _CSV_HEADER:
+        raise GameFormatError("document", f"unexpected CSV header {rows[0]!r}")
     by_step: dict[int, dict] = {}
-    for row_num, row in enumerate(reader, start=2):
+    for row_num, row in enumerate(rows[1:], start=2):
         if not row:
             continue
         if len(row) != len(_CSV_HEADER):

@@ -21,13 +21,14 @@ Worse-emptiness is a universal statement over a continuum.  Before trying
 any candidate, the search tries to certify it, exactly up to a bound on
 rounding (``_certified_empty``).  Where that fails, the search reads one
 finite, deterministic list of candidates, built from the joint pure
-profiles of the unsatisfied players (``_worse_candidates``).  Its vertex
-and blend strategies are built and validated once per process and shared
-(``_vertex_and_blends``), and the certificate's rounding floor reads the
-game's cached payoff magnitudes.  An exhausted list is only presumptive
-emptiness: the subgame jump is certified against the full game, and a
-failed certification raises ``WorseSearchIncompleteError`` with the path
-built so far.
+profiles of the unsatisfied players and their blends toward the uniform
+strategies and toward x (``_worse_candidates``).  Its vertex and
+uniform-blend strategies are built and validated once per process and
+shared (``_vertex_and_blends``), and the certificate's rounding floor
+reads the game's cached payoff magnitudes.  An exhausted list is only
+presumptive emptiness: the subgame jump is certified against the full
+game, and a failed certification raises ``WorseSearchIncompleteError``
+with the path built so far.
 
 Strategy equality along paths is bitwise on the stored probabilities:
 the constructor copies satisfied strategies verbatim, so exact equality
@@ -125,10 +126,15 @@ class WorseSearchConfig:
 
     The list is finite and deterministic (``_worse_candidates``): for each
     joint pure profile of the unsatisfied players, that profile, then its
-    uniform blends ``build_w_xi`` for xi = 0.5, 0.1, 0.01, so it holds
-    4 * prod(c_i) candidates over the unsatisfied players' action counts.
-    ``budget``, an integer (not a bool) in 1..sys.maxsize, caps how many of
-    them are examined (x itself, when listed, counts but is not evaluated).
+    uniform blends ``build_w_xi`` for xi = 0.5, 0.1, 0.01; after all of
+    those, each joint profile blended toward x with the same weights.  So
+    it holds 7 * prod(c_i) candidates over the unsatisfied players' action
+    counts (3 fewer from a pure x).  ``budget``, an integer (not a bool) in
+    1..sys.maxsize, caps how many of them are examined (x itself, when
+    listed, counts but is not evaluated).  The default reaches the blends
+    toward x only when 4 * prod(c_i) < 5000: with 6 actions each, for up
+    to 3 unsatisfied players, so not on a 6-player game with 5 of them
+    unsatisfied (4 * 6**5 = 31,104).
     """
 
     budget: int = 5000
@@ -259,10 +265,19 @@ def _worse_candidates(game: Game, x: StrategyProfile, report: SatisfactionReport
     """Yield accessible candidates as full lists of strategies, in search
     order: for each joint pure profile v of the unsatisfied players, in C
     order over the sorted players, v itself and then v blended with the
-    uniform strategies as in ``build_w_xi`` for each xi in ``_XI_GRID``.
-    Satisfied players keep x's strategies (the same objects), and
-    unsatisfied ones get the shared strategies of ``_vertex_and_blends``.  A
-    v equal to x, never in Worse(x), is yielded as None (its blends stay)."""
+    uniform strategies as in ``build_w_xi`` for each xi in ``_XI_GRID``;
+    after all of those, for each v in the same order, v blended toward x,
+    (1 - xi) * v_i + xi * x_i for each xi in ``_XI_GRID``.  Satisfied
+    players keep x's strategies (the same objects), and in the first stage
+    unsatisfied ones get the shared strategies of ``_vertex_and_blends``.
+    A v equal to x, never in Worse(x), is yielded as None (its uniform
+    blends stay), and its blends toward x, which are x, are left out.  So
+    the list holds 7 * prod(c_i) candidates over the unsatisfied players'
+    action counts, or 3 fewer when they play a joint pure profile at x.
+
+    The blends toward x find members where every uniform blend keeps some
+    player exactly tied, as on games with {0, 1} payoffs, whose pure
+    profiles tie often."""
     unsat = sorted(report.unsatisfied)
     counts = [game.action_counts[i] for i in unsat]
     # x's joint action, compared once per search: each unsatisfied player's
@@ -281,6 +296,19 @@ def _worse_candidates(game: Game, x: StrategyProfile, report: SatisfactionReport
             strategies = list(x.strategies)
             for i, row in zip(unsat, rows):
                 strategies[i] = row[k]
+            yield strategies
+    toward = [
+        [[MixedStrategy((1.0 - xi) * _vertex(c, a).probs + xi * x[i].probs) for xi in _XI_GRID]
+         for a in range(c)]
+        for i, c in zip(unsat, counts)
+    ]
+    for joint in itertools.product(*map(range, counts)):
+        if joint == own:
+            continue  # its blends toward x are x
+        for k in range(len(_XI_GRID)):
+            strategies = list(x.strategies)
+            for i, row, a in zip(unsat, toward, joint):
+                strategies[i] = row[a][k]
             yield strategies
 
 

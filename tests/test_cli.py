@@ -132,6 +132,21 @@ class TestPathVerifyPipeline:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    def test_oversized_csv_field_is_input_error(self, mp_file, tmp_path, capsys):
+        # a probability field of 200,001 characters, over the csv module's limit
+        trace = tmp_path / "trace.csv"
+        run(["path", "--game", mp_file, "--init", "pure:0,0", "--format", "csv",
+             "--out", str(trace)])
+        header, first, *rest = trace.read_text().splitlines()
+        fields = first.split(",")
+        fields[4] += "0" * 200_000
+        trace.write_text("\n".join([header, ",".join(fields), *rest]) + "\n")
+        capsys.readouterr()
+        assert run(["verify", "--game", mp_file, "--in", str(trace)]) == 2
+        err = capsys.readouterr().err
+        assert "field larger than field limit" in err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     @pytest.mark.parametrize("spelling", ["+1", " 1 ", "0_1", "\u0661"])
     def test_csv_index_other_than_ascii_digits_is_input_error(
         self, mp_file, tmp_path, spelling, capsys

@@ -252,7 +252,6 @@ class TestEntryValidation:
         def no_trials(*args, **kwargs):
             raise AssertionError("a trial ran before every game was checked")
 
-        monkeypatch.setattr(dynamics, "_lockstep", no_trials)
         monkeypatch.setattr(dynamics, "_blockstep", no_trials)
         with pytest.raises(GameInputError, match=r"games\[1\]"):
             batch_experiment([pd, "not a game"], 2)
@@ -320,6 +319,10 @@ SHAPES = [(3,), (2, 2), (1, 3), (2, 3, 2), (2, 2, 2, 2)]
 
 
 class TestLockStep:
+    """batch_experiment's batch loop, ``_blockstep``, against per-trial
+    replays.  The class keeps the name of the one-profile-a-round loop it
+    was written for, so that its tests keep their ids."""
+
     @pytest.mark.parametrize("explorer", EXPLORERS, ids=lambda e: e.kind)
     def test_rows_equal_per_trial_replay(self, explorer):
         # a loose epsilon lets continuous explorers hit too, at varied steps
@@ -328,6 +331,33 @@ class TestLockStep:
         rows = batch_experiment(games, 8, epsilon, explorer, max_steps=60, master_seed=17)
         assert rows == replayed_rows(games, 8, epsilon, explorer, 60, 17)
         assert sum(row["hits"] for row in rows) > 0
+
+    def test_pure_uniform_rows_equal_replay_at_a_loose_epsilon(self):
+        # at 0.05 unsatisfied sets change, and trials hit, at other steps
+        explorer = ExplorerPolicy("pure_uniform")
+        games = [generate_random_game(len(s), s, 300 + k) for k, s in enumerate(SHAPES)]
+        rows = batch_experiment(games, 8, 0.05, explorer, max_steps=60, master_seed=17)
+        assert rows == replayed_rows(games, 8, 0.05, explorer, 60, 17)
+        assert rows != batch_experiment(games, 8, 1e-6, explorer, max_steps=60, master_seed=17)
+
+    @pytest.mark.parametrize("epsilon", [1e-6, 0.05])
+    def test_only_dirichlet_blocks_grow(self, monkeypatch, epsilon):
+        # a pure_uniform trial draws one profile a round; a Dirichlet
+        # trial's blocks double while its unsatisfied set stays put
+        redraw_steps, lengths = dynamics._redraw_steps, {}
+
+        def spy(rows, players, segments, explorer, rng):
+            lengths.setdefault(explorer.kind, []).append(len(rows))
+            redraw_steps(rows, players, segments, explorer, rng)
+
+        monkeypatch.setattr(dynamics, "_redraw_steps", spy)
+        games = [generate_random_game(len(s), s, 600 + k) for k, s in enumerate(SHAPES)]
+        for explorer in EXPLORERS:
+            rows = batch_experiment(games, 4, epsilon, explorer, max_steps=60, master_seed=23)
+            assert rows == replayed_rows(games, 4, epsilon, explorer, 60, 23)
+        assert set(lengths["pure_uniform"]) == {1} and len(lengths["pure_uniform"]) > 100
+        assert max(lengths["dirichlet_uniform"]) > 8
+        assert max(lengths["mixture_with_current"]) > 8
 
     @pytest.mark.parametrize("explorer", EXPLORERS, ids=lambda e: e.kind)
     def test_run_dynamics_equals_reference(self, explorer):

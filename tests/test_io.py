@@ -464,6 +464,13 @@ class TestCsvTraceIndices:
         with pytest.raises(GameFormatError, match=match):
             read_trace(_write_trace(tmp_path, rows))
 
+    def test_oversized_field_rejected(self, tmp_path):
+        # the csv module refuses a field over csv.field_size_limit() (131,072
+        # characters by default) with csv.Error, which must not escape
+        rows = _TRACE_ROWS[:3] + ["1,initial,1,1,0." + "0" * 200_000 + ",2.0,false"]
+        with pytest.raises(GameFormatError, match="field larger than field limit"):
+            read_trace(_write_trace(tmp_path, rows))
+
 
 class TestCsvTraceConsistency:
     @pytest.mark.parametrize(
