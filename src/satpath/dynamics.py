@@ -22,13 +22,15 @@ response, so its set changes too often for longer blocks to pay.
 
 Every ``batch_experiment`` row equals a replay of its trials through
 ``run_dynamics`` because ``_batch_gaps`` rows equal ``satisfaction_report``
-gaps bitwise, and every redraw is bitwise ``_redraw``'s: one generator call
-per step for a Dirichlet explorer and one per unsatisfied player for
-``pure_uniform``.  The gaps agree because both kernels multiply each
-player's payoff matrix by the same products of the opponents'
-probabilities, with the same BLAS product; they may differ in the last
-place from earlier versions of the package.  A block of k steps makes one
-``_simplex_draws`` call, which draws what k single calls would.
+gaps bitwise, and both redraw through ``_redraw_steps``, the one-profile
+step as a block of one row.  A block of k steps draws what k one-row
+blocks would, bitwise: a Dirichlet explorer makes one ``_simplex_draws``
+call for the block, which draws what k single calls would, and
+``pure_uniform`` one generator call per step and unsatisfied player.  The
+gaps agree because both kernels multiply each player's payoff matrix by
+the same products of the opponents' probabilities, with the same BLAS
+product; they may differ in the last place from earlier versions of the
+package.
 
 The default satisfaction tolerance here is looser (1e-6) than the path
 constructor's internal one: continuous resampling never lands exactly on
@@ -158,34 +160,6 @@ def _check_rows(rows: np.ndarray, segments: list[slice]) -> None:
         )
 
 
-def _redraw(
-    row: np.ndarray,
-    players,
-    segments: list[slice],
-    explorer: ExplorerPolicy,
-    rng: np.random.Generator,
-) -> None:
-    """Resample ``players`` of the profile in ``row`` in place from ``rng``.
-
-    Players draw in the order given (ascending), which fixes every stream:
-    ``pure_uniform`` jumps each to vertex ``rng.integers(c)``; the others
-    share one ``_simplex_draws`` call (per-player Dirichlet draws, bitwise),
-    which ``mixture_with_current`` blends into the current strategies.
-    """
-    counts = [segments[i].stop - segments[i].start for i in players]
-    if explorer.kind == "pure_uniform":
-        for i, count in zip(players, counts):
-            row[segments[i]] = 0.0
-            row[segments[i].start + int(rng.integers(count))] = 1.0
-        return
-    w = explorer.mixture_weight
-    for i, sample in zip(players, _simplex_draws(rng, counts)):
-        if explorer.kind == "dirichlet_uniform":
-            row[segments[i]] = sample
-        else:
-            row[segments[i]] = (1.0 - w) * row[segments[i]] + w * sample
-
-
 def _redraw_steps(
     rows: np.ndarray,
     players,
@@ -194,17 +168,22 @@ def _redraw_steps(
     rng: np.random.Generator,
 ) -> None:
     """Fill ``rows``, k copies of a trial's profile, with its next k profiles
-    if every step redraws ``players``: what k ``_redraw`` calls give, row
-    after row, bitwise and in the state they leave ``rng`` in.  The
-    Dirichlet explorers draw all k rows by one ``_simplex_draws`` call, and
-    ``mixture_with_current`` blends each row's draws into the row before."""
-    if explorer.kind == "pure_uniform" or len(rows) == 1:
-        _redraw(rows[0], players, segments, explorer, rng)
-        for r in range(1, len(rows)):
-            rows[r] = rows[r - 1]
-            _redraw(rows[r], players, segments, explorer, rng)
-        return
+    if every step redraws ``players`` from ``rng``.  Rows draw in order and
+    players in the order given (ascending), which fixes every stream:
+    ``pure_uniform`` jumps each player of each row to vertex
+    ``rng.integers(c)``; the other explorers draw all k rows by one
+    ``_simplex_draws`` call (per-player Dirichlet draws, row after row,
+    bitwise), which ``mixture_with_current`` blends into the strategy of the
+    step before."""
     counts = [segments[i].stop - segments[i].start for i in players]
+    # rows are taken by index: iterating an array ends by raising an IndexError
+    if explorer.kind == "pure_uniform":
+        for r in range(len(rows)):
+            row = rows[r]
+            for i, count in zip(players, counts):
+                row[segments[i]] = 0.0
+                row[segments[i].start + int(rng.integers(count))] = 1.0
+        return
     w = explorer.mixture_weight
     for i, samples in zip(players, _simplex_draws(rng, counts, len(rows))):
         seg = segments[i]
@@ -212,9 +191,9 @@ def _redraw_steps(
             rows[:, seg] = samples
             continue
         previous = rows[0, seg]
-        for row, sample in zip(rows, samples):
-            # _redraw's blend, into the strategy of the step before
-            row[seg] = previous = (1.0 - w) * previous + w * sample
+        for r in range(len(rows)):
+            row = rows[r]
+            row[seg] = previous = (1.0 - w) * previous + w * samples[r]
 
 
 def _step(
@@ -227,13 +206,13 @@ def _step(
     """The profile after one update from ``profile``, whose report is
     ``report``: its unsatisfied players redraw from ``rng`` and every other
     player keeps its strategy object."""
-    row = np.concatenate([s.probs for s in profile.strategies])
+    rows = np.concatenate([s.probs for s in profile.strategies])[None, :]
     players = sorted(report.unsatisfied)
-    _redraw(row, players, segments, explorer, rng)
-    _check_rows(row[None, :], segments)
+    _redraw_steps(rows, players, segments, explorer, rng)
+    _check_rows(rows, segments)
     strategies = list(profile.strategies)
     for i in players:
-        strategies[i] = MixedStrategy._prechecked(row[segments[i]])
+        strategies[i] = MixedStrategy._prechecked(rows[0, segments[i]])
     return StrategyProfile(tuple(strategies))
 
 

@@ -20,9 +20,11 @@ Traces of paths and trajectories are emitted as JSON (mirroring the
 in-memory types) or CSV with columns
 ``step,step_kind,player,action,probability,gap,satisfied`` and one row
 per (step, player, action); ``step`` is 1-based, ``player`` and
-``action`` are 0-based.  Either format numbers its steps by one rule: an
-integer from 1, none repeated and none missing, read in that order.  Files
-are read as UTF-8 without one leading byte-order mark.
+``action`` are 0-based.  A CSV trace's rows are turned into the step
+objects a JSON trace lists, so one reader applies the step rules to both
+formats: steps are numbered by integers from 1, none repeated and none
+missing, and read in that order.  Files are read as UTF-8 without one
+leading byte-order mark.
 
 Game documents and JSON traces are read through one decoder, ``_decode``:
 NaN and Infinity literals, malformed JSON, nesting too deep to decode and
@@ -274,59 +276,71 @@ class ParsedTrace:
 
 
 def read_trace(path) -> ParsedTrace:
-    """Read an emitted trace file, sniffing JSON vs CSV from the content."""
+    """Read an emitted trace file, sniffing JSON vs CSV from the content.
+
+    A CSV trace's rows become the step objects a JSON trace lists
+    (``_csv_steps``), so both formats are read by one set of step rules
+    (``_parse_steps``), whose errors name a step by its place in that list,
+    ``steps[t]``: in a CSV trace, the t-th step number in order of first
+    appearance."""
     text = _read_text(path)
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
-        return _parse_json_trace(text)
-    return _parse_csv_trace(text)
-
-
-def _parse_json_trace(text: str) -> ParsedTrace:
+    if not text.lstrip().startswith("{"):
+        return _parse_steps(_csv_steps(text), {})
     doc = _decode(text)
-    raw_steps = doc.get("steps")
+    return _parse_steps(doc.get("steps"), {k: v for k, v in doc.items() if k != "steps"})
+
+
+def _parse_steps(raw_steps, meta: dict) -> ParsedTrace:
+    """The trace whose steps are the JSON step objects ``raw_steps`` and
+    whose metadata is ``meta``."""
     if not isinstance(raw_steps, list) or not raw_steps:
         raise GameFormatError("steps", "must be a nonempty list")
     # entry k - 1 holds step k and the index t of the list entry giving it
     slots: list = [None] * len(raw_steps)
     for t, raw in enumerate(raw_steps):
+        key = f"steps[{t}]"
         try:
-            step = raw["step"]
-            kind = raw["step_kind"]
-            profile = StrategyProfile(tuple(MixedStrategy(vec) for vec in raw["profile"]))
-            raw_gaps = raw["gaps"]
-            step_sat = tuple(raw["satisfied"])
-        except (KeyError, TypeError, GameInputError) as exc:
-            raise GameFormatError(f"steps[{t}]", f"malformed step ({exc})") from exc
+            step, kind, vectors = raw["step"], raw["step_kind"], raw["profile"]
+            raw_gaps, step_sat = raw["gaps"], tuple(raw["satisfied"])
+        except (KeyError, TypeError) as exc:
+            raise GameFormatError(key, f"malformed step ({exc})") from exc
+        if not isinstance(vectors, list) or not vectors:
+            raise GameFormatError(key, f"profile must be a nonempty list, got {vectors!r}")
+        profile = StrategyProfile(tuple(_strategy(vec, key, i) for i, vec in enumerate(vectors)))
         if not isinstance(raw_gaps, list):
-            raise GameFormatError(f"steps[{t}]", f"gaps must be a list, got {raw_gaps!r}")
-        step_gaps = tuple(_number(g, f"steps[{t}]", f"gaps[{i}] ") for i, g in enumerate(raw_gaps))
-        _check_kind(kind, f"steps[{t}]", "has ")
+            raise GameFormatError(key, f"gaps must be a list, got {raw_gaps!r}")
+        step_gaps = tuple(_number(g, key, f"gaps[{i}] ") for i, g in enumerate(raw_gaps))
+        _check_kind(kind, key, "has ")
         players = len(profile)
         if len(step_gaps) != players:
-            raise GameFormatError(
-                f"steps[{t}]", f"has {len(step_gaps)} gaps for {players} players"
-            )
+            raise GameFormatError(key, f"has {len(step_gaps)} gaps for {players} players")
         for i in step_sat:
             if isinstance(i, bool) or not isinstance(i, int) or not 0 <= i < players:
                 raise GameFormatError(
-                    f"steps[{t}]", f"satisfied entry {i!r} is not a player index below {players}"
+                    key, f"satisfied entry {i!r} is not a player index below {players}"
                 )
         if len(set(step_sat)) != len(step_sat):
-            raise GameFormatError(f"steps[{t}]", f"satisfied {list(step_sat)} repeats a player")
-        # the CSV reader's rule: steps run 1, 2, ... without a gap or a repeat
+            raise GameFormatError(key, f"satisfied {list(step_sat)} repeats a player")
+        # steps run 1, 2, ... without a gap or a repeat
         if isinstance(step, bool) or not isinstance(step, int) or not 1 <= step <= len(slots):
             raise GameFormatError(
-                f"steps[{t}]", f"step must be an integer from 1 to {len(slots)}, got {step!r}"
+                key, f"step must be an integer from 1 to {len(slots)}, got {step!r}"
             )
         if slots[step - 1] is not None:
             first = slots[step - 1][0]
-            raise GameFormatError(f"steps[{t}]", f"repeats step {step} of steps[{first}]")
+            raise GameFormatError(key, f"repeats step {step} of steps[{first}]")
         slots[step - 1] = (t, kind, profile, step_gaps, step_sat)
     # distinct steps in 1..len(slots) fill every slot: ordered by step
     _, kinds, profiles, gaps, satisfied = zip(*slots)
-    meta = {k: v for k, v in doc.items() if k != "steps"}
     return ParsedTrace(kinds, profiles, gaps, satisfied, meta)
+
+
+def _strategy(vec, key: str, player: int) -> MixedStrategy:
+    """``player``'s strategy ``vec`` of the step ``key`` names."""
+    try:
+        return MixedStrategy(vec)
+    except GameInputError as exc:
+        raise GameFormatError(key, f"player {player}: {exc}") from exc
 
 
 def _check_kind(kind, key: str, where: str = "") -> None:
@@ -336,9 +350,9 @@ def _check_kind(kind, key: str, where: str = "") -> None:
         )
 
 
-def _check_no_gap(indices, first: int, what: str) -> None:
-    """Reject distinct indices that do not run first, first + 1, ... without a gap."""
-    if max(indices) != first + len(indices) - 1:
+def _check_no_gap(indices, what: str) -> None:
+    """Reject distinct indices that do not run 0, 1, ... without a gap."""
+    if max(indices) != len(indices) - 1:
         raise GameFormatError("document", f"{what} {sorted(indices)} leave a gap")
 
 
@@ -352,7 +366,12 @@ def _csv_index(field: str) -> int:
     return int(field)
 
 
-def _parse_csv_trace(text: str) -> ParsedTrace:
+def _csv_steps(text: str) -> list[dict]:
+    """The step objects a JSON trace lists for the CSV trace ``text``, one
+    per step number in order of its first row.  The checks here are the
+    rows' own: a step's rows agree on its kind, a player's on its gap and
+    satisfied flag, and a step's players and a player's actions run from 0
+    without a gap; ``_parse_steps`` checks the steps."""
     try:
         rows = list(csv.reader(io.StringIO(text)))
     except csv.Error as exc:  # such as a field over csv.field_size_limit()
@@ -406,29 +425,19 @@ def _parse_csv_trace(text: str) -> ParsedTrace:
         actions[action] = (probability, gap, flag)
     if not by_step:
         raise GameFormatError("document", "CSV trace has no data rows")
-    _check_no_gap(by_step, 1, "steps")
-    kinds, profiles, gaps, satisfied = [], [], [], []
-    for step in sorted(by_step):
-        entry = by_step[step]
+    steps = []
+    for step, entry in by_step.items():
         players = entry["players"]
-        _check_no_gap(players, 0, f"step {step} players")
-        strategies, step_gaps, step_sat = [], [], []
-        for player in sorted(players):
+        _check_no_gap(players, f"step {step} players")
+        profile, gaps, satisfied = [], [], []
+        for player in range(len(players)):
             actions = players[player]
-            _check_no_gap(actions, 0, f"step {step} player {player} actions")
-            vec = np.array([actions[a][0] for a in range(len(actions))])
-            any_action = next(iter(actions.values()))
-            try:
-                strategies.append(MixedStrategy(vec))
-            except GameInputError as exc:
-                raise GameFormatError(
-                    "document", f"step {step} player {player}: {exc}"
-                ) from exc
-            step_gaps.append(any_action[1])
-            if any_action[2]:
-                step_sat.append(player)
-        kinds.append(entry["kind"])
-        profiles.append(StrategyProfile(tuple(strategies)))
-        gaps.append(tuple(step_gaps))
-        satisfied.append(tuple(step_sat))
-    return ParsedTrace(tuple(kinds), tuple(profiles), tuple(gaps), tuple(satisfied), {})
+            _check_no_gap(actions, f"step {step} player {player} actions")
+            profile.append([actions[a][0] for a in range(len(actions))])
+            _, gap, flag = actions[0]
+            gaps.append(gap)
+            if flag:
+                satisfied.append(player)
+        steps.append({"step": step, "step_kind": entry["kind"], "profile": profile,
+                      "gaps": gaps, "satisfied": satisfied})
+    return steps

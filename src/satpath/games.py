@@ -351,9 +351,9 @@ class SatisfactionReport:
     checked as every entry point's epsilon is (``_check_real``).  The split
     and ``max_gap``, the largest gap, are derived with the report (and anew
     by ``dataclasses.replace``).  ``gaps`` shares a read-only float array that
-    owns its data, such as the gap memo's, and copies anything else.
-    Profiles keep their last report (``satisfaction_report``), hence the
-    slots."""
+    owns its data, such as the gap memo's, and copies anything else, which
+    must be a nonempty vector of finite, nonnegative reals.  Profiles keep
+    their last report (``satisfaction_report``), hence the slots."""
 
     gaps: np.ndarray
     epsilon: float
@@ -366,7 +366,14 @@ class SatisfactionReport:
         gaps = self.gaps
         floats = isinstance(gaps, np.ndarray) and gaps.dtype == np.float64
         if not (floats and gaps.flags.owndata and not gaps.flags.writeable):
-            object.__setattr__(self, "gaps", _readonly(gaps))
+            gaps = _readonly_reals("gaps", gaps)
+            # a NaN fails the min, an infinity the max
+            if gaps.ndim != 1 or not gaps.size or not (gaps.min() >= 0.0 and gaps.max() < np.inf):
+                raise GameInputError(
+                    "gaps must be a nonempty vector of finite nonnegative reals, "
+                    f"got {self.gaps!r}"
+                )
+            object.__setattr__(self, "gaps", gaps)
         values = self.gaps.tolist()
         satisfied, unsatisfied = _split(tuple(gap <= self.epsilon for gap in values))
         object.__setattr__(self, "satisfied", satisfied)
@@ -399,8 +406,9 @@ def _simplex_draws(rng: np.random.Generator, counts, rows: int | None = None) ->
     With ``rows``, each entry is a (rows, count) array whose row r is the
     draw of the r-th of ``rows`` successive calls without it, bitwise, and
     ``rng`` ends where those calls leave it: numpy draws each exponential
-    on its own, so one call for all of them draws the same stream, and the
-    columns are added one at a time, so each row sums left to right too."""
+    on its own, so one call for all of them draws the same stream, and
+    ``np.add.accumulate`` adds each row's entries one at a time, so each row
+    sums left to right too."""
     total = sum(counts)
     values = rng.standard_exponential(total if rows is None else (rows, total))
     draws, start = [], 0
@@ -409,7 +417,7 @@ def _simplex_draws(rng: np.random.Generator, counts, rows: int | None = None) ->
         if rows is None:
             draw *= 1.0 / reduce(add, draw.tolist())
         else:
-            draw *= (1.0 / reduce(add, draw.T))[:, None]
+            draw *= 1.0 / np.add.accumulate(draw, axis=1)[:, -1:]
         draws.append(draw)
         start += count
     return draws
@@ -663,5 +671,5 @@ def is_eps_best_response(
     game: Game, profile: StrategyProfile, player: int, epsilon: float
 ) -> bool:
     """Whether ``player``'s strategy is within ``epsilon`` of its best reply value."""
-    epsilon = _check_real("epsilon", epsilon)
-    return deviation_gap(game, profile, player) <= epsilon
+    report = satisfaction_report(game, profile, epsilon)
+    return _check_int("player", player, 0, game.num_players - 1) in report.satisfied

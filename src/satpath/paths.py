@@ -446,7 +446,7 @@ def construct_path(
     steps = [PathStep(profile=x1, kind="initial", report=report)]
     current, current_report = x1, report
 
-    while current_report.max_gap > epsilon:
+    while current_report.unsatisfied:
         candidate = None
         if current_report.satisfied:
             candidate = find_worse_candidate(game, current, epsilon, worse_config)
@@ -467,7 +467,7 @@ def construct_path(
         else:
             target = find_nash(game, solver_config)
         target_report = satisfaction_report(game, target, epsilon)
-        if target_report.max_gap > epsilon:
+        if target_report.unsatisfied:
             # Only a case-2 jump can fail here (find_nash accepts gaps within
             # its tolerance, which is at most epsilon).  A previously
             # satisfied player broke, so Worse(current) was not empty: every
@@ -532,7 +532,7 @@ def verify_path(
                 )
     if require_terminal_nash:
         terminal = satisfaction_report(game, profiles[-1], epsilon)
-        if terminal.max_gap > epsilon:
+        if terminal.unsatisfied:
             worst = int(np.argmax(terminal.gaps))
             return PathVerification(
                 ok=False,

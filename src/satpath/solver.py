@@ -47,13 +47,12 @@ from .games import (
     StrategyProfile,
     _check_instance,
     _check_int,
-    _check_profile,
     _check_real,
     _contract,
-    _profile_gaps,
     _seed_gaps,
     _simplex_draws,
     _vertex,
+    satisfaction_report,
 )
 
 _NEWTON_MAX_ITER = 200
@@ -124,10 +123,9 @@ _DEFAULT_CONFIG = SolverConfig()
 
 
 def verify_nash(game: Game, profile: StrategyProfile, epsilon: float) -> bool:
-    """True iff every player's deviation gap is at most ``epsilon``."""
-    _check_profile(game, profile)
-    epsilon = _check_real("epsilon", epsilon)
-    return bool(_profile_gaps(game, profile).max() <= epsilon)
+    """True iff every player's deviation gap is at most ``epsilon``: the
+    profile's ``satisfaction_report`` has no unsatisfied player."""
+    return not satisfaction_report(game, profile, epsilon).unsatisfied
 
 
 def _support_blocks(
@@ -422,9 +420,10 @@ def find_nash(game: Game, config: SolverConfig | None = None) -> StrategyProfile
     the action grid (``_pure_candidate``) rather than one singleton support
     at a time; the support enumeration then starts at total support size
     n + 1.  Every candidate, pure or mixed, is accepted only once its
-    deviation gaps are all at most ``config.tolerance``; those gaps stay
-    memoized on the returned profile (``games._profile_gaps``), so reading
-    them again is free, and a pure candidate's are seeded by the screen.
+    ``satisfaction_report`` at ``config.tolerance`` has no unsatisfied
+    player; its gaps and that report stay memoized on the returned profile,
+    so reading them again is free, and a pure candidate's gaps are seeded by
+    the screen.
 
     The result is a pure function of the immutable game and the config, so
     it is memoized on the ``Game`` instance per (equal) ``SolverConfig``: a
@@ -453,12 +452,12 @@ def find_nash(game: Game, config: SolverConfig | None = None) -> StrategyProfile
     for profile in candidates:
         if profile is None:
             continue
-        gap = float(_profile_gaps(game, profile).max())
-        if gap <= config.tolerance:
+        report = satisfaction_report(game, profile, config.tolerance)
+        if not report.unsatisfied:
             memo[config] = profile
             return profile
-        if gap < best_gap:
-            best, best_gap = profile, gap
+        if report.max_gap < best_gap:
+            best, best_gap = profile, report.max_gap
     raise SolverIncompleteError(
         f"no support produced a verified equilibrium at tolerance {config.tolerance:g} "
         f"(best max-gap seen: {best_gap:g})",

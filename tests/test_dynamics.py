@@ -257,6 +257,21 @@ class TestEntryValidation:
             batch_experiment([pd, "not a game"], 2)
 
 
+def numpy_redraw(current, explorer, rng):
+    """An unsatisfied player's next strategy after ``current`` from numpy's
+    own draws: vertex ``rng.integers(c)`` for ``pure_uniform``, else one
+    ``Generator.dirichlet`` call, blended into ``current`` for
+    ``mixture_with_current``."""
+    count = len(current)
+    if explorer.kind == "pure_uniform":
+        return np.eye(count)[int(rng.integers(count))]
+    sample = rng.dirichlet(np.ones(count))
+    if explorer.kind == "mixture_with_current":
+        w = explorer.mixture_weight
+        sample = (1.0 - w) * current + w * sample
+    return sample
+
+
 def reference_trial(game, x1, epsilon, max_steps, explorer, seed):
     """The dynamics one trial at a time through public calls: one
     satisfaction_report per step, then one validated MixedStrategy per
@@ -267,15 +282,7 @@ def reference_trial(game, x1, epsilon, max_steps, explorer, seed):
     while reports[-1].unsatisfied and len(profiles) < max_steps:
         strategies = list(profiles[-1].strategies)
         for i in sorted(reports[-1].unsatisfied):
-            count = game.action_counts[i]
-            if explorer.kind == "pure_uniform":
-                strategies[i] = MixedStrategy.pure(count, int(rng.integers(count)))
-                continue
-            sample = rng.dirichlet(np.ones(count))
-            if explorer.kind == "mixture_with_current":
-                w = explorer.mixture_weight
-                sample = (1.0 - w) * strategies[i].probs + w * sample
-            strategies[i] = MixedStrategy(sample)
+            strategies[i] = MixedStrategy(numpy_redraw(strategies[i].probs, explorer, rng))
         profiles.append(StrategyProfile(tuple(strategies)))
         reports.append(satisfaction_report(game, profiles[-1], epsilon))
     hit = None if reports[-1].unsatisfied else len(profiles)
@@ -437,8 +444,9 @@ class TestLockStep:
 
     @pytest.mark.parametrize("explorer", EXPLORERS, ids=lambda e: e.kind)
     def test_redraw_steps_equal_successive_redraws(self, explorer):
-        # a block of k rows is bitwise k _redraw calls, each from the row
-        # before, and leaves the generator where they leave it
+        # a block of k rows is bitwise k steps of numpy's own per-player
+        # draws, each from the row before, and leaves the generator where
+        # they leave it
         game = generate_random_game(3, (2, 3, 4), 460)
         segments = dynamics._segments(game)
         x = random_profile(game, np.random.default_rng(0))
@@ -450,7 +458,8 @@ class TestLockStep:
                 dynamics._redraw_steps(rows, players, segments, explorer, ours)
                 row = start.copy()
                 for r in range(k):
-                    dynamics._redraw(row, players, segments, explorer, ref)
+                    for i in players:
+                        row[segments[i]] = numpy_redraw(row[segments[i]], explorer, ref)
                     assert rows[r].tobytes() == row.tobytes()
                 assert ours.bit_generator.state == ref.bit_generator.state
 
@@ -485,10 +494,10 @@ class TestLockStep:
     @pytest.mark.parametrize("bad", BAD_DRAWS)
     @pytest.mark.parametrize("entry", ["batch", "run", "step"])
     def test_invalid_draw_raises_input_error(self, mp, monkeypatch, entry, bad):
-        def bad_draw(row, players, segments, explorer, rng):
-            row[segments[players[0]]] = bad
+        def bad_draw(rows, players, segments, explorer, rng):
+            rows[:, segments[players[0]]] = bad
 
-        monkeypatch.setattr(dynamics, "_redraw", bad_draw)
+        monkeypatch.setattr(dynamics, "_redraw_steps", bad_draw)
         x1 = StrategyProfile.pure(mp, (0, 0))
         with pytest.raises(GameInputError, match="probability vector"):
             if entry == "batch":

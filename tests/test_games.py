@@ -22,6 +22,7 @@ from satpath import (
     Game,
     GameInputError,
     MixedStrategy,
+    SolverConfig,
     StrategyProfile,
     construct_path,
     deviation_gap,
@@ -604,6 +605,17 @@ class TestSimplexDraws:
         for seed in range(50):
             self.assert_block_same_as_calls(seed, [8, 9, 12], 16)
 
+    def test_one_row_block_is_the_dirichlet_draw(self):
+        # a one-profile dynamics step draws through a block of one row
+        picker = np.random.default_rng(29)
+        for seed in range(300):
+            counts = picker.integers(1, 10, size=int(picker.integers(1, 7))).tolist()
+            ours, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            block = _simplex_draws(ours, counts, 1)
+            want = dirichlet_per_player(ref, counts)
+            assert [b[0].tobytes() for b in block] == [w.tobytes() for w in want]
+            assert ours.bit_generator.state == ref.bit_generator.state
+
     def test_random_profile_draws_dirichlet_per_player(self):
         picker = np.random.default_rng(41)
         for seed in range(60):
@@ -896,6 +908,28 @@ class TestReportMaxGap:
         assert replaced.max_gap == 0.5
 
 
+class TestEpsilonEqualToAGap:
+    """Every epsilon-Nash verdict reads the report's split, where a gap equal
+    to epsilon is satisfied: matching pennies at (H, H) has gaps 0 and 2, so
+    at epsilon 2 it is an epsilon-Nash profile."""
+
+    def test_every_verdict_accepts(self, mp):
+        x = pure(mp, (0, 0))
+        assert satisfaction_report(mp, x, 2.0).gaps.tolist() == [0.0, 2.0]
+        assert verify_nash(mp, x, 2.0) and is_eps_best_response(mp, x, 1, 2.0)
+        path = construct_path(mp, x, epsilon=2.0)
+        assert path.profiles == (x,) and path.terminal_gap == 2.0
+        assert verify_path(mp, path, 2.0, require_terminal_nash=True).ok
+        # the pure screen's first profile has gap 2, which the tolerance admits
+        solved = find_nash(mp, SolverConfig(tolerance=2.0))
+        assert satisfaction_report(mp, solved, 2.0).max_gap == 2.0
+
+    def test_the_next_float_down_rejects(self, mp):
+        x, eps = pure(mp, (0, 0)), math.nextafter(2.0, 0.0)
+        assert not verify_nash(mp, x, eps) and not is_eps_best_response(mp, x, 1, eps)
+        assert not verify_path(mp, [x], eps, require_terminal_nash=True).ok
+
+
 @st.composite
 def gaps_and_epsilons(draw):
     """A gap vector of 1-6 entries and an epsilon, with entries equal to
@@ -980,6 +1014,23 @@ class TestDerivedReportFields:
         for kept in (report, from_view):
             assert kept.gaps.tolist() == [0.5, 2.0] and not kept.gaps.flags.writeable
             assert kept.unsatisfied == {1} and kept.max_gap == 2.0
+
+    @pytest.mark.parametrize(
+        "gaps",
+        [[], [[0.0, 1.0]], ["a"], [math.nan], [-1.0], [0.0, math.inf], [True],
+         np.zeros((1, 2)), np.array(0.5), np.array([0.5, -0.25]), 0.5, None],
+        ids=["empty", "nested-list", "string", "nan", "negative", "infinite", "bool",
+             "2d-array", "0d-array", "negative-array", "scalar", "none"],
+    )
+    def test_outside_gaps_are_checked(self, gaps):
+        # anything the report copies must be a nonempty vector of finite,
+        # nonnegative reals: unchecked, [nan] gave max_gap nan, [-1.0] a
+        # negative max_gap, and [] or ['a'] a bare ValueError
+        with pytest.raises(GameInputError, match="gaps"):
+            SatisfactionReport(gaps, 0.1)
+        report = SatisfactionReport([0.0, 2.0], 0.1)
+        with pytest.raises(GameInputError, match="gaps"):
+            dataclasses.replace(report, gaps=gaps)
 
     def test_memo_gaps_are_shared_not_copied(self, mp):
         profile = pure(mp, (0, 0))

@@ -441,7 +441,9 @@ class TestCsvTraceIndices:
             # player 1's action-0 row is missing, so action 1 leaves a gap
             (_TRACE_ROWS[:2] + _TRACE_ROWS[3:], "actions .* gap"),
             (_TRACE_ROWS[:4] + ["2" + row[1:] for row in _TRACE_ROWS[2:4]], "players .* gap"),
-            (_TRACE_ROWS[:4] + ["3" + row[1:] for row in _TRACE_ROWS[4:]], "steps .* gap"),
+            # the JSON reader's step rule: two steps numbered up to 3 leave a gap
+            (_TRACE_ROWS[:4] + ["3" + row[1:] for row in _TRACE_ROWS[4:]],
+             "step must be an integer from 1 to 2, got 3"),
             # a non-finite gap, the same on each of the player's rows
             ([row.replace(",0.0,true", ",nan,true") for row in _TRACE_ROWS], "must be finite"),
             ([row.replace(",2.0,false", ",inf,false") for row in _TRACE_ROWS], "must be finite"),
@@ -485,6 +487,59 @@ class TestCsvTraceConsistency:
     def test_disagreeing_rows_rejected(self, tmp_path, rows):
         with pytest.raises(GameFormatError, match="disagreeing"):
             read_trace(_write_trace(tmp_path, rows))
+
+
+# the two steps of _TRACE_ROWS as the step objects a JSON trace lists
+_STEPS = [
+    {"step": 1, "step_kind": "initial", "profile": [[1.0, 0.0], [1.0, 0.0]],
+     "gaps": [0.0, 2.0], "satisfied": [0]},
+    {"step": 2, "step_kind": "worse_step", "profile": [[1.0, 0.0], [0.5, 0.5]],
+     "gaps": [0.0, 0.0], "satisfied": [0, 1]},
+]
+
+
+def _trace_file(tmp_path, fmt, steps):
+    """The step objects ``steps`` written as a JSON or a CSV trace."""
+    if fmt == "json":
+        target = tmp_path / "trace.json"
+        target.write_text(json.dumps({"steps": steps}))
+        return target
+    return _write_trace(tmp_path, [
+        f"{s['step']},{s['step_kind']},{i},{a},{p!r},{s['gaps'][i]!r},"
+        f"{str(i in s['satisfied']).lower()}"
+        for s in steps for i, vec in enumerate(s["profile"]) for a, p in enumerate(vec)
+    ])
+
+
+class TestStepRulesInBothFormats:
+    """A CSV trace's rows become the step objects a JSON trace lists, and one
+    reader applies the step rules to both."""
+
+    def test_steps_read_alike(self, tmp_path):
+        parsed = read_trace(_trace_file(tmp_path, "json", _STEPS))
+        assert read_trace(_trace_file(tmp_path, "csv", _STEPS)) == parsed
+        assert read_trace(_write_trace(tmp_path, _TRACE_ROWS)) == parsed
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize(
+        "change, match, keys",
+        [
+            ({"step": 3}, "step must be an integer from 1 to 2, got 3", ("steps[1]", "steps[1]")),
+            # in a CSV trace, a second step under the first's number repeats its rows
+            ({"step": 1, "step_kind": "initial"}, "repeats step 1", ("steps[1]", "document")),
+            ({"profile": [[1.0, 0.0], [0.5, 0.6]]}, "player 1: mixed strategy sums to 1.1",
+             ("steps[1]", "steps[1]")),
+            # a CSV trace names the first row of the unknown kind
+            ({"step_kind": "bogus_kind"}, "unknown step kind 'bogus_kind'",
+             ("steps[1]", "document")),
+        ],
+        ids=["missing-step", "repeated-step", "bad-strategy", "unknown-kind"],
+    )
+    def test_rejected(self, tmp_path, fmt, change, match, keys):
+        steps = [_STEPS[0], {**_STEPS[1], **change}]
+        with pytest.raises(GameFormatError, match=match) as exc_info:
+            read_trace(_trace_file(tmp_path, fmt, steps))
+        assert exc_info.value.key == keys[fmt == "csv"]
 
 
 def _broken_json_trace(tmp_path, mp, **step):
