@@ -121,6 +121,8 @@ class Trajectory:
     hit_step: int | None = field(init=False)
 
     def __post_init__(self):
+        # a numpy integer would reach a JSON trace's metadata, which cannot hold it
+        object.__setattr__(self, "seed", _check_int("seed", self.seed))
         if not self.profiles:
             raise GameInputError("a trajectory must contain at least one profile")
         if len(self.profiles) != len(self.reports):

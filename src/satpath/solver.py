@@ -3,16 +3,20 @@
 A profile with prescribed supports is an equilibrium candidate exactly
 when, for every player, all supported actions earn the same expected
 payoff (indifference), no unsupported action earns more, and the support
-probabilities form a distribution.  Supports are enumerated in a fixed
-order (increasing total support size, then lexicographic), so runs are
-reproducible.  The smallest supports, one action per player, are screened
-all at once, from one table of each player's shortfall (best reply minus
-own payoff) over the action grid: the first profile in that order whose
-shortfalls are all within tolerance, and which passes the off-support
-test, is the pure equilibrium the singleton supports would have produced.
-It is made of the shared vertex strategies (``games._vertex``), and its
-gaps are seeded from the table rather than computed again.  Only without
-one does the enumeration proper begin, at total support size n + 1.
+probabilities form a distribution.  Every candidate is checked once, by
+its deviation gaps from the gap kernel, which stay memoized on the
+profile: a support's solution is kept when each player's gap is within
+the dominance-pruning margin, and ``find_nash`` accepts it when each is
+within tolerance.  Supports are enumerated in a fixed order (increasing
+total support size, then lexicographic), so runs are reproducible.  The
+smallest supports, one action per player, are screened all at once, from
+one table of each player's shortfall (best reply minus own payoff) over
+the action grid: a pure profile's gaps are these shortfalls, so the first
+profile in that order whose shortfalls are all within tolerance is the
+pure equilibrium the singleton supports would have produced.  It is made
+of the shared vertex strategies (``games._vertex``), and its gaps are
+seeded from the table rather than computed again.  Only without one does
+the enumeration proper begin, at total support size n + 1.
 
 For two players the indifference conditions decouple: each player's
 supported payoffs constrain only the opponent's probabilities, giving one
@@ -49,6 +53,7 @@ from .games import (
     _check_int,
     _check_real,
     _contract,
+    _profile_gaps,
     _seed_gaps,
     _simplex_draws,
     _vertex,
@@ -57,8 +62,9 @@ from .games import (
 
 _NEWTON_MAX_ITER = 200
 _NEWTON_TARGET = 1e-13
-# Largest spread of supported payoffs (and linear-system residual) still
-# accepted as indifference.
+# Largest linear-system or Newton residual still accepted as a solution; a
+# support's candidate is kept when no player's gap exceeds this plus the
+# solver's tolerance, the dominance-pruning margin.
 _RESIDUAL_TOLERANCE = 1e-8
 _NEWTON_EXTRA_STARTS = 2
 # A run still above this residual after this many damped iterations is
@@ -130,28 +136,26 @@ def verify_nash(game: Game, profile: StrategyProfile, epsilon: float) -> bool:
 
 def _support_blocks(
     game: Game, support: SupportProfile, margin: float
-) -> tuple[list[np.ndarray], list[np.ndarray]] | None:
-    """The payoff blocks every per-support computation reads, sliced once,
-    or None when dominance pruning rejects the support.
+) -> list[np.ndarray] | None:
+    """The payoff blocks every per-support solve reads, sliced once, or None
+    when dominance pruning rejects the support.
 
-    ``wide[i]`` is player i's payoff tensor restricted to the opponents'
-    supports, over all of i's own actions; ``box[i]`` is that block cut to
-    i's support too.  Axes stay in player order, and along an opponent's
-    axis position k stands for that opponent's k-th supported action.  Each
-    wide block is checked for dominance as soon as it is cut, so a pruned
-    support, the common case, costs only the blocks up to its first
-    dominated player.
+    ``box[i]`` is player i's payoff tensor restricted to every player's
+    support.  Axes stay in player order, and along player j's axis position
+    k stands for j's k-th supported action.  It is cut from i's wide block,
+    the same tensor over all of i's own actions, which is checked for
+    dominance as soon as it is cut and then dropped, so a pruned support,
+    the common case, costs only the blocks up to its first dominated player.
     """
-    wide, box = [], []
+    box = []
     for i, own in enumerate(support.supports):
         idx = list(support.supports)
         idx[i] = range(game.action_counts[i])
-        block = game._tensors[i][np.ix_(*idx)]
-        if _conditionally_dominated(block, i, own, margin):
+        wide = game._tensors[i][np.ix_(*idx)]
+        if _conditionally_dominated(wide, i, own, margin):
             return None
-        wide.append(block)
-        box.append(np.take(block, own, axis=i))
-    return wide, box
+        box.append(np.take(wide, own, axis=i))
+    return box
 
 
 def _conditionally_dominated(
@@ -168,15 +172,14 @@ def _conditionally_dominated(
 
 
 def _assemble_candidate(
-    support: SupportProfile,
-    wide: list[np.ndarray],
-    raw_probs: list[np.ndarray],
-    config: SolverConfig,
+    game: Game, support: SupportProfile, raw_probs: list[np.ndarray], config: SolverConfig
 ) -> StrategyProfile | None:
-    """Clamp, renormalize, and accept a solver iterate as an equilibrium with
-    the given supports, or reject it."""
-    strategies, probs = [], []
-    for i, (own, raw) in enumerate(zip(support.supports, raw_probs)):
+    """Clamp and renormalize a solver iterate into a profile with the given
+    supports, and keep it iff no player's deviation gap exceeds the
+    dominance-pruning margin.  The gaps stay memoized on the profile, so
+    ``find_nash``'s acceptance reads them without computing them again."""
+    strategies = []
+    for own, count, raw in zip(support.supports, game.action_counts, raw_probs):
         p = np.asarray(raw, dtype=float)
         if not np.all(np.isfinite(p)):
             return None
@@ -186,20 +189,13 @@ def _assemble_candidate(
         total = p.sum()
         if total <= 0.0:
             return None
-        probs.append(p / total)
-        full = np.zeros(wide[i].shape[i])
-        full[list(own)] = probs[i]
+        full = np.zeros(count)
+        full[list(own)] = p / total
         strategies.append(MixedStrategy(full))
-    for i, own in enumerate(support.supports):
-        w = _contract(wide[i], probs, (i,))
-        supported = w[list(own)]
-        value = float(supported.max())
-        if value - float(supported.min()) > _RESIDUAL_TOLERANCE:
-            return None
-        off = np.delete(w, own)
-        if off.size and float(off.max()) > value + config.tolerance:
-            return None
-    return StrategyProfile(tuple(strategies))
+    profile = StrategyProfile(tuple(strategies))
+    if _profile_gaps(game, profile).max() > _RESIDUAL_TOLERANCE + config.tolerance:
+        return None
+    return profile
 
 
 def _solve_two_player(box: list[np.ndarray]) -> list[np.ndarray] | None:
@@ -306,31 +302,33 @@ def solve_on_support(
     """Find an equilibrium whose supports are exactly contained in ``support``,
     or None when the indifference system has no acceptable solution there.
 
-    Singular or non-convergent solves count as "no equilibrium on this
-    support"; they never raise.
+    A solution is acceptable when every player's deviation gap, from the gap
+    kernel, is within the dominance-pruning margin (``_RESIDUAL_TOLERANCE``
+    plus ``config.tolerance``); the returned profile keeps those gaps in its
+    memo for ``game``.  Singular or non-convergent solves count as "no
+    equilibrium on this support"; they never raise.
     """
     _check_instance("game", game, Game)
     config = _check_instance("config", config, SolverConfig, _DEFAULT_CONFIG)
     _check_instance("support", support, SupportProfile).validate_for(game)
     n = game.num_players
-    blocks = _support_blocks(game, support, _RESIDUAL_TOLERANCE + config.tolerance)
-    if blocks is None:
+    box = _support_blocks(game, support, _RESIDUAL_TOLERANCE + config.tolerance)
+    if box is None:
         return None
-    wide, box = blocks
     if n == 1 or all(len(s) == 1 for s in support.supports):
         # nothing to solve: the candidate is uniform on each support
         raw = [np.full(len(s), 1.0 / len(s)) for s in support.supports]
-        return _assemble_candidate(support, wide, raw, config)
+        return _assemble_candidate(game, support, raw, config)
     if n == 2:
         raw = _solve_two_player(box)
         if raw is None:
             return None
-        return _assemble_candidate(support, wide, raw, config)
+        return _assemble_candidate(game, support, raw, config)
     for start in _newton_starts(support, n):
         raw = _solve_newton(box, start)
         if raw is None:
             continue
-        profile = _assemble_candidate(support, wide, raw, config)
+        profile = _assemble_candidate(game, support, raw, config)
         if profile is not None:
             return profile
     return None
@@ -364,48 +362,32 @@ def _pure_candidate(game: Game, config: SolverConfig) -> StrategyProfile | None:
     table of shortfalls over the action grid instead of one
     ``solve_on_support`` per profile.
 
-    At a pure profile, ``solve_on_support`` accepts a singleton support when
-    no action beats each player's own by more than the dominance margin or
-    by more than ``tolerance`` (the off-support test); ``find_nash`` then
-    needs the gap, best reply minus own payoff, to be at most ``tolerance``.
-    These are the comparisons below, made on the same floats.  Returns the
-    first accepted profile in C order (the order ``enumerate_supports``
-    yields singletons) whose gap passes: the profiles whose largest
-    shortfall is within ``tolerance`` already pass the dominance test, as
-    ``tolerance`` is below the margin, so each needs only the off-support
-    test.  Failing that, the first accepted profile of least gap, the best
-    candidate the singleton loop would have kept; failing that, None.
+    At a pure profile the opponents' joint distribution is a single 1 among
+    zeros, so the gap kernel's matrix-vector product, in whatever order BLAS
+    sums it, returns the payoffs it picks exactly, and its gaps are the
+    shortfalls, best reply minus own payoff, bit for bit.  The singleton
+    loop keeps a profile whose largest shortfall is within the margin, and
+    ``find_nash`` accepts it when that shortfall is within ``tolerance``.
+    So this returns the first profile in C order (the order
+    ``enumerate_supports`` yields singletons) whose largest shortfall is
+    within ``tolerance``; failing that, the first profile of least
+    shortfall, the best candidate the singleton loop would have kept, if
+    that shortfall is within the margin; failing that, None.
 
     The profile is made of the shared vertices (``games._vertex``), and its
-    gap memo is seeded from the shortfalls: at a pure profile the
-    opponents' joint distribution is a single 1 among zeros, so the gap
-    kernel's matrix-vector product, in whatever order BLAS sums it, returns
-    the payoffs it picks exactly, and its gaps are these shortfalls bit for
-    bit.
+    gap memo is seeded from the shortfalls.
     """
     tol = config.tolerance
     shape = game.action_counts
-    payoffs = game._tensors
     # player i's best reply values keep i's axis, with length 1
-    bests = [p.max(axis=i, keepdims=True) for i, p in enumerate(payoffs)]
-    shortfalls = [b - p for b, p in zip(bests, payoffs)]
+    shortfalls = [p.max(axis=i, keepdims=True) - p for i, p in enumerate(game._tensors)]
     gap = reduce(np.maximum, shortfalls)
-    for flat in np.flatnonzero(gap <= tol).tolist():
-        index = np.unravel_index(flat, shape)
-        if all(
-            b[index[:i] + (0,) + index[i + 1 :]] <= p[index] + tol
-            for i, (b, p) in enumerate(zip(bests, payoffs))
-        ):
-            break
-    else:
-        margin = _RESIDUAL_TOLERANCE + tol
-        accepted = reduce(
-            np.logical_and,
-            [(s <= margin) & (b <= p + tol) for s, b, p in zip(shortfalls, bests, payoffs)],
-        )
-        if not accepted.any():
+    flat = int(np.argmax(gap <= tol))  # 0 when no profile is within tolerance
+    if gap.flat[flat] > tol:
+        flat = int(np.argmin(gap))
+        if gap.flat[flat] > _RESIDUAL_TOLERANCE + tol:
             return None
-        index = np.unravel_index(np.argmin(np.where(accepted, gap, np.inf)), shape)
+    index = np.unravel_index(flat, shape)
     profile = StrategyProfile(tuple(_vertex(c, int(a)) for c, a in zip(shape, index)))
     # the kernel's clamp, which also turns a -0.0 shortfall into 0.0
     gaps = [float(s[index]) for s in shortfalls]
@@ -421,9 +403,10 @@ def find_nash(game: Game, config: SolverConfig | None = None) -> StrategyProfile
     at a time; the support enumeration then starts at total support size
     n + 1.  Every candidate, pure or mixed, is accepted only once its
     ``satisfaction_report`` at ``config.tolerance`` has no unsatisfied
-    player; its gaps and that report stay memoized on the returned profile,
-    so reading them again is free, and a pure candidate's gaps are seeded by
-    the screen.
+    player.  That report reads the gaps the candidate's own check computed
+    (``solve_on_support``) or the screen seeded, memoized on the profile,
+    so each candidate's gaps are computed once; the report stays memoized
+    beside them.
 
     The result is a pure function of the immutable game and the config, so
     it is memoized on the ``Game`` instance per (equal) ``SolverConfig``: a

@@ -9,6 +9,7 @@ coerced into a different valid value.
 
 from __future__ import annotations
 
+import io
 import json
 import math
 import types
@@ -24,10 +25,13 @@ from satpath import (
     GameFormatError,
     GameInputError,
     MixedStrategy,
+    PathStep,
     SatisfactionReport,
+    SatisficingPath,
     SolverConfig,
     StrategyProfile,
     SupportProfile,
+    Trajectory,
     WorseSearchConfig,
     batch_experiment,
     build_w_xi,
@@ -119,6 +123,8 @@ BAD_ARGUMENTS = BAD_GAMES + [
     ("dynamics-float-seed", lambda tmp: run_dynamics(MP, X, seed=1.7)),
     ("batch-string-seed", lambda tmp: batch_experiment([MP], 2, master_seed="1")),
     ("gen-float-seed", lambda tmp: generate_random_game(2, (2, 2), 1.5)),
+    ("trajectory-string-seed",
+     lambda tmp: Trajectory((X,), (satisfaction_report(MP, X),), "3")),
     # reals: strings, bools and non-finite values are rejected
     ("report-string-epsilon", lambda tmp: satisfaction_report(MP, X, "a")),
     ("report-numeric-string-epsilon", lambda tmp: satisfaction_report(MP, X, "0.5")),
@@ -181,6 +187,20 @@ BAD_ARGUMENTS = BAD_GAMES + [
     ("read-trace-int-path", lambda tmp: read_trace(0)),
     ("save-game-int-path", lambda tmp: save_game(MP, 1)),
     ("emit-int-destination", lambda tmp: emit_path(construct_path(MP, PURE), "json", 1)),
+    # steps of a path or trajectory built by hand, checked before they are read
+    ("emit-path-profile-as-step",
+     lambda tmp: emit_path(SatisficingPath((X,), 1e-9), "json", tmp / "t.json")),
+    ("emit-path-none-report",
+     lambda tmp: emit_path(SatisficingPath((PathStep(X, "initial", None),), 1e-9), "json",
+                           tmp / "t.json")),
+    ("emit-path-three-player-report",
+     lambda tmp: emit_path(SatisficingPath((PathStep(X, "initial", THREE_PLAYER_REPORT),), 1e-9),
+                           "csv", tmp / "t.csv")),
+    ("emit-trajectory-three-player-report",
+     lambda tmp: emit_path(Trajectory((X,), (THREE_PLAYER_REPORT,), 0), "json", tmp / "t.json")),
+    ("emit-trajectory-array-profile",
+     lambda tmp: emit_path(Trajectory((np.array([0.5, 0.5]),), (THREE_PLAYER_REPORT,), 0),
+                           "json", tmp / "t.json")),
     # numbers in a JSON trace: gaps must be a list of numbers
     ("trace-string-gaps", lambda tmp: read_trace(_trace_with_gaps(tmp, "12"))),
     ("trace-bool-gap", lambda tmp: read_trace(_trace_with_gaps(tmp, [True, 0.5]))),
@@ -251,6 +271,11 @@ class TestValidEdges:
             build_w_xi(MP, PURE, satisfaction_report(MP, PURE), 0.5)
         )
         assert find_subgame_nash(MP, {np.int64(0): PURE[0]})[0] == PURE[0]
+        trajectory = Trajectory((X,), (satisfaction_report(MP, X),), np.int64(3))
+        assert type(trajectory.seed) is int
+        buf = io.StringIO()
+        emit_path(trajectory, "json", buf)
+        assert json.loads(buf.getvalue())["seed"] == 3
 
     def test_zero_epsilon_and_bounds(self):
         # epsilon = 0 certifies an exact best response only

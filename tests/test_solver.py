@@ -122,6 +122,49 @@ class TestSolveOnSupport:
             np.testing.assert_allclose(sol[i].probs, [0.5, 0.5], atol=1e-9)
 
 
+class TestOneCandidateCheck:
+    """A support's candidate is checked once, by its memoized deviation gaps."""
+
+    @staticmethod
+    def gap_calls(monkeypatch) -> list:
+        """The players of every ``_deviation_gap_raw`` call from now on."""
+        calls = []
+        real = satpath.games._deviation_gap_raw
+
+        def spy(game, probs, player):
+            calls.append(player)
+            return real(game, probs, player)
+
+        monkeypatch.setattr(satpath.games, "_deviation_gap_raw", spy)
+        return calls
+
+    def test_found_profile_holds_its_gaps(self, mp, monkeypatch):
+        sol = solve_on_support(mp, SupportProfile(((0, 1), (0, 1))))
+        calls = self.gap_calls(monkeypatch)
+        report = satisfaction_report(mp, sol, 1e-9)
+        assert calls == [] and not report.unsatisfied
+        assert report.gaps.tobytes() == fresh_gaps(mp, sol).tobytes()
+
+    def test_find_nash_reads_the_memoized_gaps(self, mp, monkeypatch):
+        # games only the mixed stage solves; the pure screen seeds its gaps
+        calls = self.gap_calls(monkeypatch)
+        found, outside = [], []
+        real_support = satpath.solver.solve_on_support
+
+        def support_stage(*args):
+            before = len(calls)
+            found.append(real_support(*args))
+            del calls[before:]  # the candidate's own check
+            return found[-1]
+
+        monkeypatch.setattr(satpath.solver, "solve_on_support", support_stage)
+        for game in (mp, three_player_cycle()):
+            sol = find_nash(game)
+            assert any(sol is f for f in found)
+            outside += calls
+        assert outside == []
+
+
 def _random_support(rng: np.random.Generator, game: Game) -> SupportProfile:
     return SupportProfile(
         tuple(
@@ -133,7 +176,7 @@ def _random_support(rng: np.random.Generator, game: Game) -> SupportProfile:
 
 def _newton_system(game: Game, support: SupportProfile):
     """The sliced Newton residual and Jacobian of ``support`` as functions of u."""
-    _, box = satpath.solver._support_blocks(game, support, margin=math.inf)  # no pruning
+    box = satpath.solver._support_blocks(game, support, margin=math.inf)  # no pruning
     offsets = [0, *itertools.accumulate(len(s) for s in support.supports)]
 
     def residual(u):
@@ -691,4 +734,20 @@ class TestKnownDefects:
         rng = np.random.default_rng(536_870_912)
         game = Game((2, 3, 3), tuple(rng.uniform(-1.0, 1.0, (3, 18))))
         assert satpath.solver._pure_candidate(game, SolverConfig()) is None
+        assert verify_nash(game, find_nash(game), 1e-9)
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=SolverIncompleteError,
+        reason="the solver's absolute constants fail at payoff scale 1e3 (ROADMAP item 13)",
+    )
+    def test_scaled_corpus_game_30_solves(self):
+        # seed-0 corpus game 30 with its payoffs times 1e3: Nash equilibria do
+        # not change with the payoff scale, but the best candidate's gap,
+        # 1.07e-9, is just above the tolerance
+        rng = np.random.default_rng(np.random.SeedSequence([77_000, 30]))
+        counts = tuple(int(rng.integers(2, 4)) for _ in range(2))
+        payoffs = tuple(1e3 * rng.uniform(-1.0, 1.0, int(np.prod(counts))) for _ in range(2))
+        game = Game(counts, payoffs)
+        assert counts == (3, 2)
         assert verify_nash(game, find_nash(game), 1e-9)
