@@ -58,6 +58,7 @@ from .games import (
     _check_int,
     _check_profile,
     _check_real,
+    _check_step,
     _check_seed,
     _simplex_draws,
     satisfaction_report,
@@ -110,6 +111,8 @@ _DEFAULT_EXPLORER = ExplorerPolicy()
 class Trajectory:
     """A simulated profile sequence with per-step satisfaction reports.
 
+    Both sequences are stored as tuples, so the caller's lists are not
+    shared, and each report must cover its profile's players.
     ``hit_step``, derived from the reports, is the 1-based index of the
     first epsilon-Nash profile (a report with no unsatisfied player), or
     None if the run stopped at the step cap without absorbing.
@@ -123,11 +126,17 @@ class Trajectory:
     def __post_init__(self):
         # a numpy integer would reach a JSON trace's metadata, which cannot hold it
         object.__setattr__(self, "seed", _check_int("seed", self.seed))
-        if not self.profiles:
+        profiles = tuple(_check_instance("profiles", self.profiles, Iterable))
+        reports = tuple(_check_instance("reports", self.reports, Iterable))
+        if not profiles:
             raise GameInputError("a trajectory must contain at least one profile")
-        if len(self.profiles) != len(self.reports):
+        if len(profiles) != len(reports):
             raise GameInputError("trajectory profiles and reports differ in length")
-        hits = (t for t, report in enumerate(self.reports, 1) if not report.unsatisfied)
+        for t, (profile, report) in enumerate(zip(profiles, reports)):
+            _check_step(f"profiles[{t}]", profile, f"reports[{t}]", report)
+        object.__setattr__(self, "profiles", profiles)
+        object.__setattr__(self, "reports", reports)
+        hits = (t for t, report in enumerate(reports, 1) if not report.unsatisfied)
         object.__setattr__(self, "hit_step", next(hits, None))
 
     def __len__(self) -> int:

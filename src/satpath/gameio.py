@@ -59,9 +59,10 @@ from .games import (
     StrategyProfile,
     _check_instance,
     _check_int,
+    _check_step,
     _check_seed,
 )
-from .paths import STEP_KINDS, PathStep, SatisficingPath, _check_report
+from .paths import STEP_KINDS, PathStep, SatisficingPath
 
 TRACE_FORMATS = ("csv", "json")
 _CSV_HEADER = ["step", "step_kind", "player", "action", "probability", "gap", "satisfied"]
@@ -196,14 +197,15 @@ def generate_random_game(
 def _trace_steps(obj) -> tuple[list[tuple[str, StrategyProfile, SatisfactionReport]], dict]:
     """Each step's ``(kind, profile, report)`` and the trace's metadata.
 
-    The path and trajectory types leave their steps unchecked, so that
-    ``construct_path`` pays nothing for it; a step built by hand is checked
-    here, before anything reads it."""
+    A path leaves its steps unchecked, so that ``construct_path`` pays
+    nothing for it; a step built by hand is checked here, before anything
+    reads it.  A trajectory checks its profiles and reports when built."""
     if isinstance(obj, SatisficingPath):
-        steps = _checked_steps(
-            (_check_instance(f"steps[{t}]", s, PathStep).kind, s.profile, s.report)
-            for t, s in enumerate(obj.steps)
-        )
+        steps = []
+        for t, step in enumerate(obj.steps):
+            _check_instance(f"steps[{t}]", step, PathStep)
+            _check_step(f"steps[{t}] profile", step.profile, f"steps[{t}] report", step.report)
+            steps.append((step.kind, step.profile, step.report))
         meta = {
             "type": "satisficing_path",
             "epsilon": obj.epsilon,
@@ -213,23 +215,13 @@ def _trace_steps(obj) -> tuple[list[tuple[str, StrategyProfile, SatisfactionRepo
         return steps, meta
     if isinstance(obj, Trajectory):
         kinds = ["initial"] + [_STEP_KIND] * (len(obj) - 1)
-        steps = _checked_steps(zip(kinds, obj.profiles, obj.reports))
+        steps = list(zip(kinds, obj.profiles, obj.reports))
         meta = {"type": "trajectory", "seed": obj.seed, "hit_step": obj.hit_step}
         return steps, meta
     raise GameInputError(
         f"cannot emit object of type {type(obj).__name__}; "
         "expected a SatisficingPath or a Trajectory"
     )
-
-
-def _checked_steps(steps) -> list[tuple[str, StrategyProfile, SatisfactionReport]]:
-    """``steps`` as a list, once each step's profile is a ``StrategyProfile``
-    and its report a ``SatisfactionReport`` on that profile's players."""
-    steps = list(steps)
-    for t, (_, profile, report) in enumerate(steps):
-        _check_instance(f"steps[{t}] profile", profile, StrategyProfile)
-        _check_report(f"steps[{t}] report", report, len(profile))
-    return steps
 
 
 def _render_json(steps, meta: dict) -> str:

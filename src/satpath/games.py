@@ -388,6 +388,20 @@ class SatisfactionReport:
         )
 
 
+def _check_report(name: str, report, num_players: int) -> None:
+    """Raise unless ``report`` is a SatisfactionReport on ``num_players`` players."""
+    _check_instance(name, report, SatisfactionReport)
+    if report.gaps.size != num_players:
+        raise GameInputError(f"{name} covers {report.gaps.size} players, not {num_players}")
+
+
+def _check_step(profile_name: str, profile, report_name: str, report) -> None:
+    """Raise unless ``profile`` is a StrategyProfile and ``report`` a
+    SatisfactionReport on its players: one step of a path or trajectory."""
+    _check_instance(profile_name, profile, StrategyProfile)
+    _check_report(report_name, report, len(profile))
+
+
 def random_profile(game: Game, rng: np.random.Generator) -> StrategyProfile:
     """A profile with each player's strategy drawn Dirichlet(1, ..., 1),
     i.e. uniform on its simplex, by one ``_simplex_draws`` call."""

@@ -56,6 +56,7 @@ from .games import (
     _check_int,
     _check_profile,
     _check_real,
+    _check_report,
     _contract,
     _deviation_gap_raw,
     _seed_gaps,
@@ -95,18 +96,21 @@ class PathStep:
 @dataclass(frozen=True, eq=False)
 class SatisficingPath:
     """An ordered profile sequence ending, when construction succeeds, at an
-    epsilon-Nash equilibrium.  ``terminal_gap`` is read from the last step's
-    report.  ``escalations`` is a class constant, always 0: the Worse search
-    reads a finite list, so a failed subgame jump raises rather than
-    searching again; it stays for readers of path traces."""
+    epsilon-Nash equilibrium.  ``steps`` is stored as a tuple, so the
+    caller's list is not shared.  ``terminal_gap`` is read from the last
+    step's report.  ``escalations`` is a class constant, always 0: the
+    Worse search reads a finite list, so a failed subgame jump raises rather
+    than searching again; it stays for readers of path traces."""
 
     steps: tuple[PathStep, ...]
     epsilon: float
     escalations = 0  # not annotated: a class constant, not a field
 
     def __post_init__(self):
-        if not self.steps:
+        steps = tuple(_check_instance("steps", self.steps, Iterable))
+        if not steps:
             raise GameInputError("a path must contain at least one step")
+        object.__setattr__(self, "steps", steps)
 
     def __len__(self) -> int:
         return len(self.steps)
@@ -156,13 +160,6 @@ class PathVerification:
     reason: str | None = None
     step: int | None = None
     player: int | None = None
-
-
-def _check_report(name: str, report, num_players: int) -> None:
-    """Raise unless ``report`` is a SatisfactionReport on ``num_players`` players."""
-    _check_instance(name, report, SatisfactionReport)
-    if report.gaps.size != num_players:
-        raise GameInputError(f"{name} covers {report.gaps.size} players, not {num_players}")
 
 
 def is_accessible(x: StrategyProfile, y: StrategyProfile, report_x: SatisfactionReport) -> bool:

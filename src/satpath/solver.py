@@ -3,20 +3,22 @@
 A profile with prescribed supports is an equilibrium candidate exactly
 when, for every player, all supported actions earn the same expected
 payoff (indifference), no unsupported action earns more, and the support
-probabilities form a distribution.  Every candidate is checked once, by
-its deviation gaps from the gap kernel, which stay memoized on the
-profile: a support's solution is kept when each player's gap is within
-the dominance-pruning margin, and ``find_nash`` accepts it when each is
-within tolerance.  Supports are enumerated in a fixed order (increasing
-total support size, then lexicographic), so runs are reproducible.  The
-smallest supports, one action per player, are screened all at once, from
-one table of each player's shortfall (best reply minus own payoff) over
-the action grid: a pure profile's gaps are these shortfalls, so the first
-profile in that order whose shortfalls are all within tolerance is the
-pure equilibrium the singleton supports would have produced.  It is made
-of the shared vertex strategies (``games._vertex``), and its gaps are
-seeded from the table rather than computed again.  Only without one does
-the enumeration proper begin, at total support size n + 1.
+probabilities form a distribution.  A support's raw solution is clamped
+onto the simplex and then judged once, by its deviation gaps from the gap
+kernel, which stay memoized on the profile: it is kept when each player's
+gap is within the dominance-pruning margin, and ``find_nash`` accepts it
+when each is within tolerance.  Only a non-finite or all-zero strategy,
+which no profile can hold, is turned away before the gaps.  Supports are
+enumerated in a fixed order (increasing total support size, then
+lexicographic), so runs are reproducible.  The smallest supports, one
+action per player, are screened all at once, from one table of each
+player's shortfall (best reply minus own payoff) over the action grid: a
+pure profile's gaps are these shortfalls, so the first profile in that
+order whose shortfalls are all within tolerance is the pure equilibrium
+the singleton supports would have produced.  It is made of the shared
+vertex strategies (``games._vertex``), and its gaps are seeded from the
+table rather than computed again.  Only without one does the enumeration
+proper begin, at total support size n + 1.
 
 For two players the indifference conditions decouple: each player's
 supported payoffs constrain only the opponent's probabilities, giving one
@@ -62,9 +64,9 @@ from .games import (
 
 _NEWTON_MAX_ITER = 200
 _NEWTON_TARGET = 1e-13
-# Largest linear-system or Newton residual still accepted as a solution; a
-# support's candidate is kept when no player's gap exceeds this plus the
-# solver's tolerance, the dominance-pruning margin.
+# The slack in the dominance-pruning margin, this plus the solver's
+# tolerance: a support is pruned when an action is beaten by more than the
+# margin, and its candidate is kept when no player's gap exceeds it.
 _RESIDUAL_TOLERANCE = 1e-8
 _NEWTON_EXTRA_STARTS = 2
 # A run still above this residual after this many damped iterations is
@@ -112,9 +114,9 @@ class SupportProfile:
 class SolverConfig:
     """The support solver's tolerance.
 
-    ``tolerance`` bounds acceptable deviation gaps and probability
-    clamping.  The enumeration itself has no setting: it visits every
-    support profile, in ``enumerate_supports`` order, until one verifies.
+    ``tolerance`` bounds acceptable deviation gaps.  The enumeration itself
+    has no setting: it visits every support profile, in
+    ``enumerate_supports`` order, until one verifies.
     """
 
     tolerance: float = DEFAULT_EPSILON
@@ -172,18 +174,18 @@ def _conditionally_dominated(
 
 
 def _assemble_candidate(
-    game: Game, support: SupportProfile, raw_probs: list[np.ndarray], config: SolverConfig
+    game: Game, support: SupportProfile, raw_probs: list[np.ndarray], margin: float
 ) -> StrategyProfile | None:
-    """Clamp and renormalize a solver iterate into a profile with the given
-    supports, and keep it iff no player's deviation gap exceeds the
-    dominance-pruning margin.  The gaps stay memoized on the profile, so
-    ``find_nash``'s acceptance reads them without computing them again."""
+    """Clamp a solver iterate's negative entries to zero and renormalize it
+    into a profile on (a face of) the given supports, and keep it iff no
+    player's deviation gap exceeds ``margin``.  A non-finite or all-zero
+    strategy has no profile, so it is rejected first.  The gaps stay
+    memoized on the profile, so ``find_nash``'s acceptance reads them
+    without computing them again."""
     strategies = []
     for own, count, raw in zip(support.supports, game.action_counts, raw_probs):
         p = np.asarray(raw, dtype=float)
         if not np.all(np.isfinite(p)):
-            return None
-        if p.min() < -config.tolerance:
             return None
         p = np.clip(p, 0.0, None)
         total = p.sum()
@@ -193,7 +195,7 @@ def _assemble_candidate(
         full[list(own)] = p / total
         strategies.append(MixedStrategy(full))
     profile = StrategyProfile(tuple(strategies))
-    if _profile_gaps(game, profile).max() > _RESIDUAL_TOLERANCE + config.tolerance:
+    if _profile_gaps(game, profile).max() > margin:
         return None
     return profile
 
@@ -215,10 +217,6 @@ def _solve_two_player(box: list[np.ndarray]) -> list[np.ndarray] | None:
         try:
             sol, *_ = np.linalg.lstsq(a, b, rcond=None)
         except np.linalg.LinAlgError:
-            return None
-        if not np.all(np.isfinite(sol)):
-            return None
-        if float(np.abs(a @ sol - b).max()) > _RESIDUAL_TOLERANCE:
             return None
         solutions[1 - i] = sol[:opp]
     return [solutions[0], solutions[1]]
@@ -268,8 +266,6 @@ def _solve_newton(box: list[np.ndarray], start: np.ndarray) -> list[np.ndarray] 
             step = np.linalg.solve(jac, -res)
         except np.linalg.LinAlgError:
             return None
-        if not np.all(np.isfinite(step)):
-            return None
         alpha = 1.0
         while alpha >= 1e-4:
             trial = u + alpha * step
@@ -281,8 +277,6 @@ def _solve_newton(box: list[np.ndarray], start: np.ndarray) -> list[np.ndarray] 
             alpha *= 0.5
         else:
             break  # stalled: damping cannot reduce the residual
-    if norm > _RESIDUAL_TOLERANCE:
-        return None
     return probs
 
 
@@ -299,47 +293,45 @@ def _newton_starts(support: SupportProfile, n_values: int) -> list[np.ndarray]:
 def solve_on_support(
     game: Game, support: SupportProfile, config: SolverConfig | None = None
 ) -> StrategyProfile | None:
-    """Find an equilibrium whose supports are exactly contained in ``support``,
-    or None when the indifference system has no acceptable solution there.
+    """Find an equilibrium whose supports are contained in ``support``, or
+    None when the indifference system has no acceptable solution there.
 
-    A solution is acceptable when every player's deviation gap, from the gap
-    kernel, is within the dominance-pruning margin (``_RESIDUAL_TOLERANCE``
-    plus ``config.tolerance``); the returned profile keeps those gaps in its
-    memo for ``game``.  Singular or non-convergent solves count as "no
-    equilibrium on this support"; they never raise.
+    The system's solution is clamped onto the simplex (negative entries to
+    zero, then renormalized), so the profile may sit on a face of
+    ``support``.  It is acceptable when every player's deviation gap, from
+    the gap kernel, is within the dominance-pruning margin
+    (``_RESIDUAL_TOLERANCE`` plus ``config.tolerance``); the returned
+    profile keeps those gaps in its memo for ``game``.  Singular or crawling
+    solves count as "no equilibrium on this support"; they never raise.
     """
     _check_instance("game", game, Game)
     config = _check_instance("config", config, SolverConfig, _DEFAULT_CONFIG)
     _check_instance("support", support, SupportProfile).validate_for(game)
     n = game.num_players
-    box = _support_blocks(game, support, _RESIDUAL_TOLERANCE + config.tolerance)
+    margin = _RESIDUAL_TOLERANCE + config.tolerance
+    box = _support_blocks(game, support, margin)
     if box is None:
         return None
-    if n == 1 or all(len(s) == 1 for s in support.supports):
-        # nothing to solve: the candidate is uniform on each support
-        raw = [np.full(len(s), 1.0 / len(s)) for s in support.supports]
-        return _assemble_candidate(game, support, raw, config)
-    if n == 2:
-        raw = _solve_two_player(box)
-        if raw is None:
-            return None
-        return _assemble_candidate(game, support, raw, config)
-    for start in _newton_starts(support, n):
-        raw = _solve_newton(box, start)
-        if raw is None:
-            continue
-        profile = _assemble_candidate(game, support, raw, config)
+    if n == 1:
+        # nothing to solve: the candidate is uniform on the support
+        raws = [[np.full(len(s), 1.0 / len(s)) for s in support.supports]]
+    elif n == 2:
+        raws = [_solve_two_player(box)]
+    else:
+        raws = (_solve_newton(box, start) for start in _newton_starts(support, n))
+    for raw in raws:
+        profile = None if raw is None else _assemble_candidate(game, support, raw, margin)
         if profile is not None:
             return profile
     return None
 
 
 def enumerate_supports(game: Game):
-    """Yield every support profile once: in increasing total size, then
-    lexicographically by the players' support sizes, then by each player's
-    action subset."""
+    """An iterator over every support profile, each once: in increasing
+    total size, then lexicographically by the players' support sizes, then
+    by each player's action subset.  The game is checked at the call."""
     _check_instance("game", game, Game)
-    yield from _supports_from(game, game.num_players)
+    return _supports_from(game, game.num_players)
 
 
 def _supports_from(game: Game, smallest_total: int):

@@ -96,6 +96,7 @@ BAD_GAMES = [
     ("gap-string-game", lambda tmp: deviation_gap("g", X, 0)),
     ("game-document-string-game", lambda tmp: game_document("g")),
     ("enumerate-string-game", lambda tmp: next(enumerate_supports("g"))),
+    ("enumerate-string-game-at-call", lambda tmp: enumerate_supports("g")),
     ("random-profile-string-game", lambda tmp: random_profile("g", np.random.default_rng(0))),
     ("profile-pure-string-game", lambda tmp: StrategyProfile.pure("g", (0, 0))),
     ("profile-uniform-string-game", lambda tmp: StrategyProfile.uniform("g")),
@@ -196,6 +197,13 @@ BAD_ARGUMENTS = BAD_GAMES + [
     ("emit-path-three-player-report",
      lambda tmp: emit_path(SatisficingPath((PathStep(X, "initial", THREE_PLAYER_REPORT),), 1e-9),
                            "csv", tmp / "t.csv")),
+    # a trajectory checks its own profiles and reports when built
+    ("trajectory-none-report", lambda tmp: Trajectory((X,), (None,), 0)),
+    ("trajectory-string-profile",
+     lambda tmp: Trajectory(("x",), (satisfaction_report(MP, X),), 0)),
+    ("trajectory-three-player-report", lambda tmp: Trajectory((X,), (THREE_PLAYER_REPORT,), 0)),
+    ("trajectory-int-profiles", lambda tmp: Trajectory(5, (THREE_PLAYER_REPORT,), 0)),
+    ("path-int-steps", lambda tmp: SatisficingPath(5, 1e-9)),
     ("emit-trajectory-three-player-report",
      lambda tmp: emit_path(Trajectory((X,), (THREE_PLAYER_REPORT,), 0), "json", tmp / "t.json")),
     ("emit-trajectory-array-profile",

@@ -13,6 +13,7 @@ from satpath import (
     Game,
     GameInputError,
     MixedStrategy,
+    SatisfactionReport,
     StrategyProfile,
     Trajectory,
     batch_experiment,
@@ -118,6 +119,30 @@ class TestTrajectoryType:
         buf = io.StringIO()
         emit_path(trajectory, "json", buf)
         assert json.loads(buf.getvalue())["hit_step"] == 1
+
+    def test_each_profile_and_report_is_checked_by_its_key(self, mp):
+        # a None report must not reach `unsatisfied` (AttributeError), and a
+        # report on three players must not pass for a 2-player profile
+        prof = uniform(mp)
+        report = satisfaction_report(mp, prof, 1e-6)
+        wide = SatisfactionReport(np.zeros(3), 1e-6)
+        with pytest.raises(GameInputError, match=r"^reports\[1\] must be of type Sat"):
+            Trajectory((prof, prof), (report, None), 0)
+        with pytest.raises(GameInputError, match=r"^reports\[0\] covers 3 players, not 2$"):
+            Trajectory((prof,), (wide,), 0)
+        with pytest.raises(GameInputError, match=r"^profiles\[0\] must be of type Str"):
+            Trajectory(("ab",), (report,), 0)
+
+    def test_later_changes_to_the_callers_lists_do_not_reach_it(self, mp):
+        # a list stored as given would grow len when the caller appends
+        prof = uniform(mp)
+        report = satisfaction_report(mp, prof, 1e-6)
+        profiles, reports = [prof], [report]
+        trajectory = Trajectory(profiles, reports, 0)
+        profiles.append(prof)
+        reports.clear()
+        assert len(trajectory) == 1 and trajectory.reports == (report,)
+        assert trajectory.profiles == (prof,) and trajectory.hit_step == 1
 
 
 class TestRunDynamics:

@@ -912,3 +912,15 @@ class TestDerivedPathFields:
         emit_path(head, "json", buf)
         doc = json.loads(buf.getvalue())
         assert doc["terminal_gap"] == 2.0 and doc["escalations"] == 0
+
+    def test_later_changes_to_the_callers_list_do_not_reach_it(self, mp):
+        # a list stored as given would make terminal_gap raise IndexError
+        # once the caller clears it
+        steps = list(construct_path(mp, pure(mp, (0, 0)), EPS).steps)
+        path = SatisficingPath(steps, EPS)
+        first, terminal = steps[0], steps[-1].report.max_gap
+        steps.append(first)
+        assert len(path) == len(steps) - 1
+        steps.clear()
+        assert type(path.steps) is tuple and path.steps[0] is first
+        assert path.terminal_gap == terminal

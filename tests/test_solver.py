@@ -24,6 +24,7 @@ from satpath import (
     enumerate_supports,
     find_nash,
     find_subgame_nash,
+    generate_random_game,
     satisfaction_report,
     solve_on_support,
     verify_nash,
@@ -120,6 +121,28 @@ class TestSolveOnSupport:
         assert sol is not None
         for i in range(3):
             np.testing.assert_allclose(sol[i].probs, [0.5, 0.5], atol=1e-9)
+
+
+class TestCandidateOnAFace:
+    """A support's raw solution that leaves the simplex is clamped onto it
+    and judged by its gaps alone: these exact equilibria sit on a face of
+    the requested support.  A gate on the raw solution's signs would turn
+    each away."""
+
+    @pytest.mark.parametrize(
+        "args, support, actions",
+        [
+            ((2, (3, 4), 316), ((0, 1, 2), (0, 1, 3)), (2, 3)),
+            ((3, (2, 2, 2), 333), ((0, 1),) * 3, (1, 0, 0)),
+            ((3, (2, 2, 3), 243), ((0, 1), (0, 1), (1, 2)), (0, 0, 2)),
+        ],
+    )
+    def test_exact_equilibrium_on_a_face(self, args, support, actions):
+        game = generate_random_game(*args)
+        sol = solve_on_support(game, SupportProfile(support))
+        assert sol is not None and sol == pure(game, actions)
+        assert all(set(sol[i].support) <= set(own) for i, own in enumerate(support))
+        assert fresh_gaps(game, sol).max() == 0.0
 
 
 class TestOneCandidateCheck:
